@@ -47,6 +47,10 @@
 //!   worker shards, exposing `/metrics` (Prometheus text format
 //!   0.0.4), `/healthz`, per-shard `/readyz` and `/manifest` over HTTP
 //!   until killed (or after `--windows N` per stream);
+//! * `repro chaos [--scale F] [--windows N] [--checkpoint-every N]
+//!   [--dir PATH]` — seeded fault drills against that same supervised
+//!   fleet (shard kill, snapshot corruption, NaN burst, quarantine,
+//!   breaker-trip bundle); exits nonzero unless every invariant holds;
 //! * `repro trace-report <trace.jsonl> [--collapsed PATH]` — span-tree
 //!   analysis of a `--trace-jsonl` log: per-name aggregates ranked by
 //!   self time, the critical path, and optional folded stacks for
@@ -63,8 +67,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hbmd_bench::{
-    config_at_scale, config_digest, diff, fleet, pct, resilience, BenchReport, PhaseTiming,
-    TextTable,
+    config_at_scale, config_digest, diff, fleet, pct, BenchReport, PhaseTiming, TextTable,
 };
 use hbmd_core::experiments::{
     self, adversarial, binary, ensemble, hardware, latency, multiclass, pca, robustness, roc,
@@ -696,7 +699,6 @@ fn run_monitor(
         serve::ServeContext {
             registry: Arc::clone(guard.registry()),
             manifest_json: manifest.to_json(),
-            health: None,
             fleet: Some(Arc::clone(&fleet_health)),
             debug,
         },
@@ -822,12 +824,14 @@ fn run_monitor(
     Ok(())
 }
 
-/// `repro chaos` — drive the supervised serve pipeline through injected
-/// worker panics, a NaN fault-plan burst, and a deliberately corrupted
-/// checkpoint, then the sharded fleet through a shard kill, a corrupted
-/// snapshot section, and a persistently faulty stream — asserting the
-/// recovery and bulkhead invariants the resilience and fleet layers
-/// promise. Exits 0 only when every drill passes.
+/// `repro chaos` — drive the supervised fleet that `repro serve` runs
+/// through a shard kill, a corrupted snapshot header and detector
+/// frame, a corrupted stream section, a NaN burst on one shard, a
+/// persistently faulty stream, and a recorder-attached breaker trip —
+/// asserting the recovery and bulkhead invariants the fleet promises.
+/// `--windows` sizes every drill's per-stream run (the quarantine drill
+/// keeps its fixed 256 windows); `--checkpoint-every` spaces the
+/// checkpoints. Exits 0 only when every drill passes.
 fn chaos_mode(args: &[String]) -> ExitCode {
     let mut scale = 0.05f64;
     let mut windows = 320u64;
@@ -892,7 +896,7 @@ fn run_chaos(
         None => std::env::temp_dir().join(format!("hbmd-chaos-{}", std::process::id())),
     };
     std::fs::create_dir_all(&dir)?;
-    let checkpoint = dir.join("monitor.snap");
+    let checkpoint = dir.join("fleet.snap");
     let _ = std::fs::remove_file(&checkpoint);
 
     let config = config_at_scale(scale);
@@ -900,7 +904,7 @@ fn run_chaos(
         "chaos: training J48 detector at scale {scale} ({} samples)...",
         config.catalog().len()
     );
-    let monitor = train_monitor(&config, "chaos")?;
+    let (detector, template) = train_monitor(&config, "chaos")?.into_parts();
     let digest = u64::from_str_radix(&config_digest(&config), 16).expect("digest is 16 hex digits");
     let sampler = &config.collector.sampler;
 
@@ -916,142 +920,50 @@ fn run_chaos(
         passed &= ok;
     };
 
-    // Drill 1: the unfaulted baseline verdict stream.
-    let baseline = resilience::run_pipeline(
-        &monitor,
-        sampler,
-        &resilience::PipelineConfig::lossless(windows),
-    )?;
-    check(
-        baseline.verdicts.iter().all(Option::is_some) && baseline.restarts == 0,
-        "baseline run classifies every window without restarts",
-    );
-
-    // Drill 2: injected worker panics. Recovery must replay from the
-    // last checkpoint and converge on the exact baseline verdicts.
-    let panic_at = vec![windows / 3, 2 * windows / 3];
-    let faulted = resilience::run_pipeline(
-        &monitor,
-        sampler,
-        &resilience::PipelineConfig {
-            checkpoint_every,
-            checkpoint_path: Some(checkpoint.clone()),
-            config_digest: digest,
-            panic_at: panic_at.clone(),
-            ..resilience::PipelineConfig::lossless(windows)
-        },
-    )?;
-    check(
-        faulted.restarts == panic_at.len() as u64,
-        "supervisor restarted the worker once per injected panic",
-    );
-    check(
-        faulted.verdicts == baseline.verdicts,
-        "post-restore verdicts are identical to the unfaulted run",
-    );
-    check(
-        faulted.max_missed_gap <= checkpoint_every + 32,
-        "missed-alarm window is bounded by checkpoint spacing + queue depth",
-    );
-    check(
-        checkpoint.exists(),
-        "final checkpoint flushed on clean shutdown",
-    );
-
-    // Drill 3: corrupt the checkpoint on disk. Loading must refuse it
-    // with a typed error, and a pipeline restart must fall back to the
-    // pristine monitor and still converge on the baseline.
-    let mut bytes = std::fs::read(&checkpoint)?;
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x01;
-    std::fs::write(&checkpoint, &bytes)?;
-    let refusal = snapshot::load(&checkpoint, digest);
-    check(
-        matches!(refusal, Err(SnapshotError::ChecksumMismatch { .. })),
-        "corrupted checkpoint refused with a typed checksum error",
-    );
-    if let Err(e) = &refusal {
-        eprintln!("chaos: refusal was: {e}");
-    }
-    let recovered = resilience::run_pipeline(
-        &monitor,
-        sampler,
-        &resilience::PipelineConfig {
-            checkpoint_every,
-            checkpoint_path: Some(checkpoint.clone()),
-            config_digest: digest,
-            ..resilience::PipelineConfig::lossless(windows)
-        },
-    )?;
-    check(
-        recovered.refusals >= 1 && recovered.verdicts == baseline.verdicts,
-        "corrupt-checkpoint start falls back to retrain and matches the baseline",
-    );
-
-    // Drill 4: a hostile NaN burst. The sanitizer abstains, the breaker
-    // trips into degraded operation, and classification resumes after
-    // the burst passes.
-    let burst = (windows / 4, windows / 4 + 64);
-    let stormy = resilience::run_pipeline(
-        &monitor,
-        sampler,
-        &resilience::PipelineConfig {
-            nan_burst: Some(burst),
-            ..resilience::PipelineConfig::lossless(windows)
-        },
-    )?;
-    check(
-        stormy.trips >= 1 && stormy.degraded > 0,
-        "NaN burst trips the breaker into degraded operation",
-    );
-    check(
-        stormy.verdicts.last().is_some_and(Option::is_some),
-        "classification resumes after the burst clears",
-    );
-
-    // Drill 5: kill one shard of a fleet mid-run, twice. The bulkhead
-    // contract: only the victim shard restarts and replays; every other
-    // shard's streams never miss a window, and after recovery the whole
-    // fleet's verdict streams are byte-identical to an unfaulted run.
-    let fleet_checkpoint = dir.join("fleet.snap");
-    let _ = std::fs::remove_file(&fleet_checkpoint);
-    let detector = monitor.shared_detector();
-    let template = StreamState::new(4, 3, 1, 1)?;
-    let (streams, shards, fleet_windows) = (24u64, 4usize, 96u64);
-    let base_cfg = fleet::FleetConfig {
+    // Drill 1: the unfaulted baseline — every window of every stream
+    // classified, no restarts.
+    let (streams, shards) = (8u64, 4usize);
+    let base = fleet::FleetConfig {
         pristine_stream: template.clone(),
-        ..fleet::FleetConfig::lossless(streams, shards, fleet_windows)
+        ..fleet::FleetConfig::lossless(streams, shards, windows)
     };
-    let fleet_baseline = fleet::run_fleet(&detector, sampler, &base_cfg)?;
+    let checkpointed = fleet::FleetConfig {
+        checkpoint_every,
+        checkpoint_path: Some(checkpoint.clone()),
+        config_digest: digest,
+        ..base.clone()
+    };
+    let baseline = fleet::run_fleet(&detector, sampler, &base)?;
     check(
-        fleet_baseline.restarts == 0
-            && fleet_baseline.verdicts.len() == streams as usize
-            && fleet_baseline
+        baseline.restarts == 0
+            && baseline.verdicts.len() == streams as usize
+            && baseline
                 .verdicts
                 .values()
                 .all(|v| v.iter().all(Option::is_some)),
         "fleet baseline classifies every window of every stream without restarts",
     );
 
-    // The shard that owns stream 0 is guaranteed non-empty.
+    // Drill 2: kill one shard mid-run, twice. Only the victim restarts
+    // and replays from the last checkpoint; every other shard never
+    // misses a window, and the whole fleet's verdict streams come out
+    // byte-identical to the baseline. The shard that owns stream 0 is
+    // guaranteed non-empty.
     let victim = hbmd_core::shard_of(0, shards);
-    let fleet_faulted = fleet::run_fleet(
+    let killed = fleet::run_fleet(
         &detector,
         sampler,
         &fleet::FleetConfig {
-            checkpoint_every,
-            checkpoint_path: Some(fleet_checkpoint.clone()),
-            config_digest: digest,
-            panic_at: vec![(victim, fleet_windows / 3), (victim, 2 * fleet_windows / 3)],
-            ..base_cfg.clone()
+            panic_at: vec![(victim, windows / 3), (victim, 2 * windows / 3)],
+            ..checkpointed.clone()
         },
     )?;
     check(
-        fleet_faulted.restarts == 2 && fleet_faulted.shards[victim].restarts == 2,
+        killed.restarts == 2 && killed.shards[victim].restarts == 2,
         "only the victim shard's supervisor restarted, once per injected panic",
     );
     check(
-        fleet_faulted
+        killed
             .shards
             .iter()
             .filter(|s| s.shard != victim)
@@ -1059,28 +971,58 @@ fn run_chaos(
         "bulkhead holds: no other shard restarted or missed a window",
     );
     check(
-        fleet_faulted.verdicts == fleet_baseline.verdicts,
-        "fleet verdict streams are byte-identical to the unfaulted run",
+        killed.verdicts == baseline.verdicts,
+        "post-restore verdicts are byte-identical to the unfaulted run",
     );
     check(
-        fleet_faulted.max_missed_gap <= checkpoint_every + 64,
-        "victim shard's replay gap is bounded by checkpoint spacing + queue depth",
+        killed.max_missed_gap <= checkpoint_every + base.queue_capacity as u64,
+        "replay gap is bounded by checkpoint spacing + queue depth",
     );
     check(
-        fleet_checkpoint.exists(),
+        checkpoint.exists(),
         "multiplexed fleet checkpoint flushed on clean shutdown",
     );
 
-    // Drill 6: corrupt exactly one stream section of the multiplexed
-    // snapshot. The fleet-wide restore must still succeed — only the
-    // corrupted stream falls back pristine and replays, reconverging on
-    // the baseline while every other stream resumes untouched.
-    let mut fleet_bytes = std::fs::read(&fleet_checkpoint)?;
-    let spans = snapshot::fleet_stream_section_spans(&fleet_bytes)?;
-    let span = spans[spans.len() / 2].clone();
-    fleet_bytes[span.start] ^= 0x01;
-    std::fs::write(&fleet_checkpoint, &fleet_bytes)?;
-    let partial = snapshot::load_fleet(&fleet_checkpoint, digest)?;
+    // Drill 3: corrupt the load-bearing part of the snapshot — the
+    // header, then the shared detector frame. Both must be refused with
+    // a typed checksum error, and a fleet started over the corrupt file
+    // must fall back to pristine streams and still match the baseline.
+    let clean = std::fs::read(&checkpoint)?;
+    // Everything before the first stream frame is header + detector
+    // frame; its midpoint lands inside the model payload.
+    let detector_end = snapshot::fleet_stream_section_spans(&clean)?
+        .first()
+        .map_or(clean.len(), |span| span.start - 8);
+    let mut refusals_typed = true;
+    for at in [12, detector_end / 2] {
+        let mut bytes = clean.clone();
+        bytes[at] ^= 0x01;
+        std::fs::write(&checkpoint, &bytes)?;
+        let refusal = snapshot::load_fleet(&checkpoint, digest);
+        if let Err(e) = &refusal {
+            eprintln!("chaos: refusal at byte {at} was: {e}");
+        }
+        refusals_typed &= matches!(refusal, Err(SnapshotError::ChecksumMismatch { .. }));
+    }
+    check(
+        refusals_typed,
+        "corrupted checkpoint refused with a typed checksum error",
+    );
+    let recovered = fleet::run_fleet(&detector, sampler, &checkpointed)?;
+    check(
+        recovered.refusals >= 1 && recovered.verdicts == baseline.verdicts,
+        "corrupt-checkpoint start falls back to pristine streams and matches the baseline",
+    );
+
+    // Drill 4: corrupt exactly one stream section. The fleet-wide
+    // restore must still succeed — only the corrupted stream falls back
+    // pristine and replays, reconverging on the baseline while every
+    // other stream resumes untouched.
+    let mut bytes = std::fs::read(&checkpoint)?;
+    let spans = snapshot::fleet_stream_section_spans(&bytes)?;
+    bytes[spans[spans.len() / 2].start] ^= 0x01;
+    std::fs::write(&checkpoint, &bytes)?;
+    let partial = snapshot::load_fleet(&checkpoint, digest)?;
     let lost: Vec<u64> = (0..streams)
         .filter(|s| partial.streams.iter().all(|sec| sec.stream != *s))
         .collect();
@@ -1089,28 +1031,45 @@ fn run_chaos(
         "one corrupt stream section lost alone; every other stream restored",
     );
     let lost_stream = lost.first().copied().unwrap_or(0);
-    let fleet_partial = fleet::run_fleet(
-        &detector,
-        sampler,
-        &fleet::FleetConfig {
-            checkpoint_every,
-            checkpoint_path: Some(fleet_checkpoint.clone()),
-            config_digest: digest,
-            ..base_cfg.clone()
-        },
-    )?;
+    let resumed = fleet::run_fleet(&detector, sampler, &checkpointed)?;
     check(
-        fleet_partial.refusals == 0 && fleet_partial.lost_sections >= 1,
+        resumed.refusals == 0 && resumed.lost_sections >= 1,
         "fleet-wide restore succeeded with per-stream fallback, no whole-file refusal",
     );
     check(
-        fleet_partial.processed == fleet_windows
-            && fleet_partial.verdicts.get(&lost_stream)
-                == fleet_baseline.verdicts.get(&lost_stream),
+        resumed.processed == windows
+            && resumed.verdicts.get(&lost_stream) == baseline.verdicts.get(&lost_stream),
         "only the corrupted stream replayed, reconverging on the baseline",
     );
 
-    // Drill 7: a persistently faulty endpoint. Its stream health must
+    // Drill 5: a hostile NaN burst on every stream of one shard. The
+    // sanitizer abstains on all of the shard's traffic at once, so the
+    // shard breaker trips (before any one stream's health score can
+    // quarantine it), degraded windows are counted, and classification
+    // resumes once the burst clears — all without a restart. The burst
+    // ends by two thirds of the run, leaving room to recover.
+    let burst = (windows / 4, windows / 4 + (windows / 3).min(64));
+    let stormy = fleet::FleetConfig {
+        nan_streams: (0..streams)
+            .filter(|&s| hbmd_core::shard_of(s, shards) == victim)
+            .map(|s| (s, burst.0, burst.1))
+            .collect(),
+        ..base.clone()
+    };
+    let storm = fleet::run_fleet(&detector, sampler, &stormy)?;
+    check(
+        storm.trips >= 1 && storm.degraded > 0 && storm.restarts == 0,
+        "NaN burst trips the shard breaker into degraded operation",
+    );
+    check(
+        storm
+            .verdicts
+            .values()
+            .all(|v| v.last().is_some_and(Option::is_some)),
+        "classification resumes after the burst clears",
+    );
+
+    // Drill 6: a persistently faulty endpoint. Its stream health must
     // quarantine it (protecting the shard's breaker), then readmit it
     // through probation once the fault clears — while its healthy
     // neighbors' verdicts stay untouched.
@@ -1124,7 +1083,7 @@ fn run_chaos(
     };
     let quiet = fleet::run_fleet(&detector, sampler, &q_base)?;
     let faulty_stream = 2u64;
-    let stormy_fleet = fleet::run_fleet(
+    let quarantined = fleet::run_fleet(
         &detector,
         sampler,
         &fleet::FleetConfig {
@@ -1132,13 +1091,13 @@ fn run_chaos(
             ..q_base.clone()
         },
     )?;
-    let (standing, stream_quarantines, stream_readmissions) = stormy_fleet
+    let (standing, stream_quarantines, stream_readmissions) = quarantined
         .stream_health
         .get(&faulty_stream)
         .copied()
         .unwrap_or((StreamStanding::Active, 0, 0));
     check(
-        stream_quarantines >= 1 && stormy_fleet.quarantine_skipped >= 32,
+        stream_quarantines >= 1 && quarantined.quarantine_skipped >= 32,
         "persistently faulty stream was quarantined and its windows skipped",
     );
     check(
@@ -1146,11 +1105,11 @@ fn run_chaos(
         "quarantined stream readmitted through probation once clean",
     );
     check(
-        stormy_fleet.trips == 0,
+        quarantined.trips == 0,
         "quarantine absorbed the faulty stream before the shard breaker tripped",
     );
     check(
-        stormy_fleet
+        quarantined
             .verdicts
             .iter()
             .filter(|(s, _)| **s != faulty_stream)
@@ -1158,50 +1117,53 @@ fn run_chaos(
         "healthy neighbors' verdicts are untouched by the quarantine",
     );
 
-    // Drill 8: the flight recorder under fire. Re-run the NaN burst
-    // with a recorder attached: the breaker trip must freeze the ring
-    // into a checksummed bundle whose last recorded window is exactly
-    // the window that tripped the breaker.
+    // Drill 7: the flight recorder under fire. Re-run the NaN burst
+    // with a recorder attached: the breaker trip must freeze the rings
+    // into a checksummed bundle whose last window recorded on the
+    // tripping shard is exactly the window that tripped the breaker.
     let bundle_root = dir.join("bundles");
     let _ = std::fs::remove_dir_all(&bundle_root);
     let hub = Arc::new(
-        RecorderHub::new(1, 512)
+        RecorderHub::new(shards, 512)
             .with_bundle_dir(&bundle_root)
             .with_deterministic(true)
             .with_families(AppClass::ALL.iter().map(|c| c.name().to_owned()).collect()),
     );
-    let recorded = resilience::run_pipeline(
-        &monitor,
+    let recorded = fleet::run_fleet(
+        &detector,
         sampler,
-        &resilience::PipelineConfig {
-            nan_burst: Some(burst),
+        &fleet::FleetConfig {
             recorder: Some(Arc::clone(&hub)),
-            ..resilience::PipelineConfig::lossless(windows)
+            ..stormy
         },
     )?;
     check(
         recorded.trips >= 1 && hub.bundles_written() >= 1,
-        "breaker trip froze the flight ring into a diagnostic bundle",
+        "breaker trip froze the flight rings into a diagnostic bundle",
     );
     let bundle_path = bundle_root.join("bundle-000001-breaker_trip");
     match read_bundle(&bundle_path) {
         Ok(bundle) => {
             let trigger_meta = json::parse(bundle.text("trigger.json")?)?;
-            let trip_cursor = trigger_meta.get("cursor").and_then(json::Value::as_u64);
+            let field = |name: &str| trigger_meta.get(name).and_then(json::Value::as_u64);
+            let trip = (field("shard"), field("stream"), field("cursor"));
             check(
                 trigger_meta.get("reason").and_then(json::Value::as_str) == Some("breaker_trip")
-                    && trip_cursor.is_some(),
+                    && trip.2.is_some(),
                 "bundle trigger metadata names the breaker trip and its window",
             );
-            let mut last_window_cursor = None;
+            let mut last_window = None;
             for line in bundle.text("events.jsonl")?.lines() {
                 let event = json::parse(line)?;
-                if event.get("kind").and_then(json::Value::as_str) == Some("window") {
-                    last_window_cursor = event.get("cursor").and_then(json::Value::as_u64);
+                let field = |name: &str| event.get(name).and_then(json::Value::as_u64);
+                if event.get("kind").and_then(json::Value::as_str) == Some("window")
+                    && field("shard") == trip.0
+                {
+                    last_window = Some((field("shard"), field("stream"), field("cursor")));
                 }
             }
             check(
-                last_window_cursor.is_some() && last_window_cursor == trip_cursor,
+                last_window == Some(trip),
                 "bundle's last recorded window is the one that tripped the breaker",
             );
         }
@@ -1220,10 +1182,9 @@ fn run_chaos(
     let _ = std::fs::remove_dir_all(&bundle_root);
 
     let _ = std::fs::remove_file(&checkpoint);
-    let _ = std::fs::remove_file(&fleet_checkpoint);
     let _ = std::fs::remove_dir(&dir);
     let _ = guard;
-    println!("supervisor.restarts_total {}", faulted.restarts);
+    println!("supervisor.restarts_total {}", killed.restarts);
     println!("chaos: {}", if passed { "PASS" } else { "FAIL" });
     Ok(passed)
 }

@@ -40,15 +40,31 @@ use hbmd_core::snapshot::{self, StreamSection};
 use hbmd_core::supervisor::{Backoff, BreakerState, CircuitBreaker};
 use hbmd_core::{CoreError, Detector, OnlineVerdict, StreamState};
 use hbmd_events::{FeatureVector, HpcEvent};
-use hbmd_malware::{Sample, SampleId};
+use hbmd_malware::{AppClass, Sample, SampleId};
 use hbmd_obs::health::{FleetHealth, ServiceState};
 use hbmd_obs::recorder::{
-    Event as RecorderEvent, FaultKind, FeatureFrame, RecorderHub, StandingKind, Trigger,
-    VerdictKind, NO_FAMILY,
+    BundleError, BundleOutcome, Event as RecorderEvent, FaultKind, FeatureFrame, RecorderHub,
+    StandingKind, Trigger, VerdictKind, NO_FAMILY,
 };
 use hbmd_perf::{PerfError, Sampler, SamplerConfig};
 
-use crate::resilience::{PHASES, WINDOWS_PER_SAMPLE};
+/// Windows per synthetic sample on the serve timeline.
+pub const WINDOWS_PER_SAMPLE: u64 = 16;
+
+/// The repeating phase schedule: benign background with each malware
+/// family injected in turn.
+pub const PHASES: [AppClass; 10] = [
+    AppClass::Benign,
+    AppClass::Worm,
+    AppClass::Benign,
+    AppClass::Virus,
+    AppClass::Benign,
+    AppClass::Trojan,
+    AppClass::Benign,
+    AppClass::Rootkit,
+    AppClass::Benign,
+    AppClass::Backdoor,
+];
 
 /// The deterministic per-stream synthetic workload: window `k` of
 /// stream `s` is a pure function of `(s, k)` — each stream follows the
@@ -82,7 +98,7 @@ impl FleetTimeline {
     }
 
     /// The ground-truth class of stream `stream` at window `cursor`.
-    pub fn class_at(stream: u64, cursor: u64) -> hbmd_malware::AppClass {
+    pub fn class_at(stream: u64, cursor: u64) -> AppClass {
         let sample_index = cursor / WINDOWS_PER_SAMPLE;
         PHASES[((sample_index + stream) % PHASES.len() as u64) as usize]
     }
@@ -312,6 +328,8 @@ struct Checkpointer {
 
 impl Checkpointer {
     fn commit(&self, updates: Vec<StreamSection>) {
+        // The lock is held across the write: every shard renames through
+        // the same tmp path, so concurrent writers would interleave.
         let mut sections = self
             .sections
             .lock()
@@ -320,7 +338,6 @@ impl Checkpointer {
             sections.insert(section.stream, section);
         }
         let all: Vec<StreamSection> = sections.values().cloned().collect();
-        drop(sections);
         match snapshot::save_fleet(
             &self.detector,
             self.shards,
@@ -431,7 +448,7 @@ pub fn run_fleet(
                         );
                         let mut trigger = Trigger::new("snapshot_refusal");
                         trigger.details = format!("{refusal}");
-                        let _ = hub.trigger(&trigger);
+                        report_bundle(hub.trigger(&trigger));
                     }
                 }
             }
@@ -712,7 +729,7 @@ fn shard_supervisor(ctx: ShardCtx, mut cells: Vec<StreamCell>) -> ShardOutcome {
                         trigger.shard = Some(ctx.shard as u32);
                         trigger.details =
                             format!("shard gave up after {} restarts", report.restarts);
-                        let _ = hub.trigger(&trigger);
+                        report_bundle(hub.trigger(&trigger));
                     }
                     break false;
                 }
@@ -797,7 +814,7 @@ fn recover_cells(
                         let mut trigger = Trigger::new("snapshot_refusal");
                         trigger.shard = Some(ctx.shard as u32);
                         trigger.details = format!("{refusal}");
-                        let _ = hub.trigger(&trigger);
+                        report_bundle(hub.trigger(&trigger));
                     }
                 }
             }
@@ -935,10 +952,24 @@ fn standing_kind(standing: StreamStanding) -> StandingKind {
     }
 }
 
+/// Logs the outcome of a trigger-driven bundle emission. A failed
+/// bundle write degrades diagnosability, not liveness.
+fn report_bundle(outcome: Result<Option<BundleOutcome>, BundleError>) {
+    match outcome {
+        Ok(Some(bundle)) => eprintln!(
+            "recorder: wrote diagnostic bundle {} ({} events)",
+            bundle.path.display(),
+            bundle.events
+        ),
+        Ok(None) => {}
+        Err(e) => eprintln!("recorder: bundle write failed: {e}"),
+    }
+}
+
 /// Builds the flight-recorder record for one observed window: the
 /// verdict, vote margin, abstention flag, and the post-sanitize
 /// feature values (a fixed-size stack copy — no allocation).
-pub(crate) fn window_event(
+fn window_event(
     stream: u64,
     cursor: u64,
     verdict: OnlineVerdict,
@@ -1086,6 +1117,25 @@ fn shard_worker(
                         ctx.shard as u32,
                         &window_event(cell.stream, cursor, verdict, faulted, &window),
                     );
+                    if cell.state.last_window_suspicious() {
+                        // The ensemble-disagreement alarm: the committee
+                        // split past the armed threshold (a possible
+                        // evasion attempt).
+                        let permille = |v: f64| (v.clamp(0.0, 1.0) * 1000.0).round() as u16;
+                        hub.record(
+                            ctx.shard as u32,
+                            &RecorderEvent::Disagreement {
+                                stream: cell.stream,
+                                cursor,
+                                dispersion_permille: permille(
+                                    ctx.detector.suspicion(&window).unwrap_or(0.0),
+                                ),
+                                threshold_permille: permille(
+                                    cell.state.suspicion_threshold().unwrap_or(0.0),
+                                ),
+                            },
+                        );
+                    }
                 }
                 let before_standing = cell.health.standing();
                 let after_standing = cell.health.record(faulted);
@@ -1139,7 +1189,7 @@ fn shard_worker(
                         trigger.shard = Some(ctx.shard as u32);
                         trigger.stream = Some(cell.stream);
                         trigger.cursor = Some(cursor);
-                        let _ = hub.trigger(&trigger);
+                        report_bundle(hub.trigger(&trigger));
                     }
                 }
                 let alarmed = matches!(verdict, OnlineVerdict::Alarm { .. });

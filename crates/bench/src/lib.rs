@@ -1,12 +1,12 @@
 //! Shared plumbing for the `repro` binary and the Criterion benches:
 //! experiment-scale handling, plain-text table rendering, the
-//! machine-readable timing report (`BENCH_repro.json`), and the
-//! [`diff`] comparison that gates CI on timing regressions.
+//! machine-readable timing report (`BENCH_repro.json`), the [`diff`]
+//! comparison that gates CI on timing regressions, and the supervised,
+//! sharded [`fleet`] pipeline that `repro serve` and `repro chaos` run.
 
 pub mod diff;
 pub mod fleet;
 mod report;
-pub mod resilience;
 
 pub use report::{BenchReport, PhaseTiming};
 

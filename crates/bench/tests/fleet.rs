@@ -1,16 +1,18 @@
 //! Integration tests for the sharded fleet pipeline: per-stream
 //! verdict streams must be byte-identical at any shard count, a shard
 //! kill must stay invisible behind its bulkhead, the multiplexed
-//! checkpoint must resume instead of replaying, and a faulty stream
-//! must be quarantined without touching its neighbors.
+//! checkpoint must resume instead of replaying (and be refused under a
+//! different run config), a faulty stream must be quarantined without
+//! touching its neighbors, and a NaN burst across a whole shard must
+//! degrade — not kill — that shard.
 
 use std::path::PathBuf;
 
 use hbmd_bench::fleet::{run_fleet, FleetConfig};
 use hbmd_core::{shard_of, ClassifierKind, Detector, DetectorBuilder, FeatureSet, StreamState};
 use hbmd_events::{FeatureVector, HpcEvent};
-use hbmd_malware::{AppClass, SampleId};
-use hbmd_perf::{DataRow, HpcDataset, SamplerConfig};
+use hbmd_malware::{AppClass, SampleCatalog, SampleId};
+use hbmd_perf::{Collector, CollectorConfig, DataRow, HpcDataset, SamplerConfig};
 use std::sync::Arc;
 
 fn features(level: f64) -> FeatureVector {
@@ -121,6 +123,16 @@ fn shard_kill_is_invisible_behind_the_bulkhead() {
         faulted.verdicts, baseline.verdicts,
         "post-recovery verdicts must match the unfaulted fleet exactly"
     );
+    let queue = config(streams, shards, windows).queue_capacity as u64;
+    assert!(
+        faulted.max_missed_gap <= 16 + queue,
+        "replay gap {} exceeds checkpoint spacing + queue depth",
+        faulted.max_missed_gap
+    );
+    assert!(
+        checkpoint.exists(),
+        "clean shutdown must flush a checkpoint"
+    );
     let _ = std::fs::remove_file(&checkpoint);
 }
 
@@ -190,6 +202,83 @@ fn faulty_stream_is_quarantined_without_touching_neighbors() {
             Some(verdicts),
             quiet.verdicts.get(stream),
             "stream {stream}'s verdicts changed because a neighbor was quarantined"
+        );
+    }
+}
+
+#[test]
+fn mismatched_digest_forces_a_pristine_start() {
+    let detector = detector();
+    let sampler = SamplerConfig::fast();
+    let checkpoint = scratch("digest.snap");
+    let _ = std::fs::remove_file(&checkpoint);
+    let checkpointed = |digest: u64| FleetConfig {
+        checkpoint_every: 16,
+        checkpoint_path: Some(checkpoint.clone()),
+        config_digest: digest,
+        ..config(4, 2, 64)
+    };
+    run_fleet(&detector, &sampler, &checkpointed(0xBEEF)).expect("first run");
+
+    // Same snapshot, different run configuration: the checkpoint must
+    // be refused and every stream restarted from scratch, not resumed
+    // into a detector trained under different assumptions.
+    let other = run_fleet(&detector, &sampler, &checkpointed(0xF00D)).expect("mismatched run");
+    assert_eq!(other.refusals, 1, "config-digest mismatch must be refused");
+    assert_eq!(other.processed, 4 * 64, "refusal falls back to a full run");
+    let _ = std::fs::remove_file(&checkpoint);
+}
+
+#[test]
+fn nan_burst_degrades_and_recovers() {
+    // Trained on a small real collection: its sanitizer accepts real
+    // sampled windows, so the breaker is left within reach and only
+    // the burst can trip it.
+    let catalog = SampleCatalog::scaled(0.03, 17);
+    let dataset = Collector::new(CollectorConfig::fast())
+        .expect("collector config")
+        .collect(&catalog)
+        .expect("collect")
+        .dataset;
+    let detector = Arc::new(
+        DetectorBuilder::new()
+            .classifier(ClassifierKind::J48)
+            .train_binary(&dataset)
+            .expect("train"),
+    );
+    let sampler = SamplerConfig::fast();
+    let (streams, shards) = (4u64, 2usize);
+    // Every stream of one shard goes NaN at once, so the shard breaker
+    // sees only faults and trips before any stream's health score can
+    // quarantine it.
+    let victim = shard_of(0, shards);
+    let report = run_fleet(
+        &detector,
+        &sampler,
+        &FleetConfig {
+            pristine_stream: StreamState::new(4, 3, 1, 1).expect("static shape"),
+            nan_streams: (0..streams)
+                .filter(|&s| shard_of(s, shards) == victim)
+                .map(|s| (s, 32, 96))
+                .collect(),
+            ..FleetConfig::lossless(streams, shards, 160)
+        },
+    )
+    .expect("stormy run");
+    assert!(
+        report.shards[victim].trips >= 1,
+        "a sustained NaN burst must trip the shard breaker"
+    );
+    assert_eq!(
+        report.trips, report.shards[victim].trips,
+        "the burst stays behind its shard's bulkhead"
+    );
+    assert!(report.degraded > 0, "an open breaker must skip windows");
+    assert_eq!(report.restarts, 0, "degradation is not a crash");
+    for (stream, verdicts) in &report.verdicts {
+        assert!(
+            verdicts.last().expect("capture enabled").is_some(),
+            "stream {stream}'s classification must resume after the burst clears"
         );
     }
 }

@@ -4,10 +4,14 @@
 //! `MANIFEST` included. This is what makes a bundle attached to a bug
 //! report reproducible evidence rather than a one-off artifact.
 //!
-//! Kept as the single test in this binary: each run installs a fresh
-//! obs context and snapshots its registry into `metrics.json`, so a
-//! concurrently-running test incrementing global counters would break
-//! byte-identity.
+//! The served fleet also records the ensemble-disagreement alarm: a
+//! committee detector with an armed suspicion threshold leaves
+//! `disagreement` events in the rings.
+//!
+//! Every test here installs its own obs context for its whole run:
+//! each bundle snapshots the registry into `metrics.json`, and installs
+//! are serialized, so no concurrently-running test can count into a
+//! bundle's registry and break byte-identity.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -16,7 +20,7 @@ use hbmd_bench::fleet::{run_fleet, FleetConfig};
 use hbmd_core::{ClassifierKind, Detector, DetectorBuilder, FeatureSet, StreamState};
 use hbmd_events::{FeatureVector, HpcEvent};
 use hbmd_malware::{AppClass, SampleId};
-use hbmd_obs::recorder::{read_bundle, RecorderHub, Trigger, MANIFEST_FILE};
+use hbmd_obs::recorder::{read_bundle, Event, RecorderHub, Trigger, MANIFEST_FILE};
 use hbmd_obs::Obs;
 use hbmd_perf::{DataRow, HpcDataset, SamplerConfig};
 
@@ -25,8 +29,8 @@ fn features(level: f64) -> FeatureVector {
 }
 
 /// A detector trained on a perfectly separable synthetic dataset —
-/// training is deterministic, so both runs share identical weights.
-fn detector() -> Arc<Detector> {
+/// training is deterministic, so same-seed runs share identical weights.
+fn trained(kind: ClassifierKind) -> Arc<Detector> {
     let mut rows = Vec::new();
     for i in 0..40 {
         let class = AppClass::ALL[i % AppClass::COUNT];
@@ -43,7 +47,7 @@ fn detector() -> Arc<Detector> {
     }
     Arc::new(
         DetectorBuilder::new()
-            .classifier(ClassifierKind::J48)
+            .classifier(kind)
             .feature_set(FeatureSet::Top(8))
             .train_binary(&HpcDataset::from_rows(rows))
             .expect("train on separable data"),
@@ -72,7 +76,12 @@ fn run_once(tag: &str) -> PathBuf {
         recorder: Some(Arc::clone(&hub)),
         ..FleetConfig::lossless(8, 4, 32)
     };
-    run_fleet(&detector(), &SamplerConfig::fast(), &config).expect("fleet run");
+    run_fleet(
+        &trained(ClassifierKind::J48),
+        &SamplerConfig::fast(),
+        &config,
+    )
+    .expect("fleet run");
     let mut trigger = Trigger::new("http_request");
     trigger.details = "determinism probe".to_owned();
     let outcome = hub
@@ -109,4 +118,34 @@ fn same_seed_fleet_runs_freeze_into_byte_identical_bundles() {
         let parent = root.parent().expect("bundle parent").to_path_buf();
         let _ = std::fs::remove_dir_all(parent);
     }
+}
+
+#[test]
+fn armed_committee_fleet_records_disagreement_events() {
+    let guard = hbmd_obs::install(Obs::new());
+    let shards = 2;
+    let hub = Arc::new(RecorderHub::new(shards, 4096));
+    let config = FleetConfig {
+        pristine_stream: StreamState::new(4, 3, 1, 1)
+            .and_then(|state| state.with_suspicion_threshold(0.05))
+            .expect("valid shape and threshold"),
+        breaker: (257, usize::MAX, 32),
+        recorder: Some(Arc::clone(&hub)),
+        ..FleetConfig::lossless(4, shards, 32)
+    };
+    run_fleet(
+        &trained(ClassifierKind::RandomForest),
+        &SamplerConfig::fast(),
+        &config,
+    )
+    .expect("fleet run");
+    let disagreements = (0..shards as u32)
+        .flat_map(|shard| hub.ring(shard).drain())
+        .filter(|(_, event)| matches!(event, Event::Disagreement { .. }))
+        .count();
+    drop(guard);
+    assert!(
+        disagreements >= 1,
+        "an armed RandomForest fleet recorded no disagreement events"
+    );
 }

@@ -250,12 +250,6 @@ impl OnlineDetector {
         &self.detector
     }
 
-    /// A cheap handle to the shared detector — clone this to mint
-    /// further per-stream states against the same model.
-    pub fn shared_detector(&self) -> Arc<Detector> {
-        Arc::clone(&self.detector)
-    }
-
     /// The per-stream half of the monitor.
     pub fn state(&self) -> &StreamState {
         &self.state
@@ -275,23 +269,6 @@ impl OnlineDetector {
     /// Abstaining verdicts currently in the voting window.
     pub fn abstentions(&self) -> usize {
         self.state.abstentions()
-    }
-
-    /// `true` when the most recently observed window abstained —
-    /// the per-window fault signal supervision layers feed into a
-    /// circuit breaker (unlike [`abstentions`](Self::abstentions),
-    /// this does not saturate once the voting window fills up).
-    pub fn last_window_abstained(&self) -> bool {
-        self.state.last_window_abstained()
-    }
-
-    /// `true` when the most recently observed window tripped the
-    /// ensemble-disagreement alarm — the evasion-attempt signal
-    /// supervision layers feed into the flight recorder. Always `false`
-    /// while no [suspicion
-    /// threshold](OnlineDetectorBuilder::suspicion_threshold) is armed.
-    pub fn last_window_suspicious(&self) -> bool {
-        self.state.last_window_suspicious()
     }
 
     /// Feed one sampling window; returns the aggregated decision.
@@ -382,13 +359,18 @@ impl StreamState {
         self.history.iter().filter(|v| v.is_abstain()).count()
     }
 
-    /// `true` when the most recently observed window abstained.
+    /// `true` when the most recently observed window abstained — the
+    /// per-window fault signal the fleet feeds into its circuit breaker
+    /// (unlike [`abstentions`](Self::abstentions), this does not
+    /// saturate once the voting window fills up).
     pub fn last_window_abstained(&self) -> bool {
         self.history.back().is_some_and(|v| v.is_abstain())
     }
 
     /// `true` when the most recently observed window tripped the
-    /// ensemble-disagreement alarm.
+    /// ensemble-disagreement alarm — the evasion-attempt signal the
+    /// fleet records into its flight recorder. Always `false` while no
+    /// [suspicion threshold](Self::with_suspicion_threshold) is armed.
     pub fn last_window_suspicious(&self) -> bool {
         self.last_suspicious
     }
@@ -525,10 +507,9 @@ impl StreamState {
 
 use hbmd_ml::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
-/// The stream-only half of the snapshot layout — the bytes the v1
-/// [`OnlineDetector`] encoding wrote after the detector (so the
-/// monitor codec composes `detector.snap` + `state.snap` unchanged),
-/// followed by the v2 disagreement-alarm tail.
+/// The per-stream payload of a fleet snapshot section: vote-window
+/// shape and ring, hysteresis streaks, latched alarm, then the
+/// disagreement-alarm arm state.
 impl Snap for StreamState {
     fn snap(&self, w: &mut SnapWriter) {
         self.window.snap(w);
@@ -549,8 +530,8 @@ impl Snap for StreamState {
                 votes.snap(w);
             }
         }
-        // v2 tail: the disagreement-alarm arm state. `last_suspicious`
-        // is transient and rebuilt at the next observe, not encoded.
+        // The disagreement-alarm arm state. `last_suspicious` is
+        // transient and rebuilt at the next observe, not encoded.
         match self.suspicion_threshold {
             None => w.put_u8(0),
             Some(t) => {
@@ -620,21 +601,6 @@ impl Snap for StreamState {
             latched,
             suspicion_threshold,
             last_suspicious: false,
-        })
-    }
-}
-
-impl Snap for OnlineDetector {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.detector.snap(w);
-        self.state.snap(w);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let detector = Detector::unsnap(r)?;
-        let state = StreamState::unsnap(r)?;
-        Ok(OnlineDetector {
-            detector: Arc::new(detector),
-            state,
         })
     }
 }
@@ -842,7 +808,10 @@ mod tests {
             .expect("valid monitor");
         for row in dataset.rows().iter().take(20) {
             tree.observe(&row.features);
-            assert!(!tree.last_window_suspicious(), "trees have no committee");
+            assert!(
+                !tree.state().last_window_suspicious(),
+                "trees have no committee"
+            );
         }
 
         // A forest with an absurdly low threshold trips on real data.
@@ -857,7 +826,7 @@ mod tests {
         let mut trips = 0;
         for row in dataset.rows().iter().take(60) {
             online.observe(&row.features);
-            trips += usize::from(online.last_window_suspicious());
+            trips += usize::from(online.state().last_window_suspicious());
         }
         assert!(trips > 0, "no window reached dispersion 0.01 in 60");
 

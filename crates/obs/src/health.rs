@@ -1,13 +1,14 @@
-//! Supervisor-visible service health, shared between the pipeline and
-//! the exposition server.
+//! Supervisor-visible service health, shared between the fleet and the
+//! exposition server.
 //!
 //! A [`Health`] is a lock-free bundle of the one state machine and two
-//! counters a supervised monitor needs to expose: where the supervisor
+//! counters a supervised shard needs to expose: where its supervisor
 //! currently is ([`ServiceState`]), how many times the worker has been
-//! restarted, and how many times the circuit breaker has tripped. The
-//! serve layer maps it onto `/readyz` (200 only while
-//! [`ServiceState::Ready`]); the pipeline mirrors the counters into
-//! the metrics [`Registry`](crate::metrics::Registry) so they reach
+//! restarted, and how many times the circuit breaker has tripped. A
+//! [`FleetHealth`] holds one per shard; the serve layer maps its quorum
+//! onto `/readyz` (200 only while enough shards are
+//! [`ServiceState::Ready`]), and `repro serve` mirrors the fleet totals
+//! into the metrics [`Registry`](crate::metrics::Registry) so they reach
 //! the Prometheus exposition as `hbmd_supervisor_restarts_total` and
 //! `hbmd_breaker_trips_total`.
 //!

@@ -12,9 +12,9 @@
 //! so a concurrent drain skips torn slots instead of blocking the
 //! writer).
 //!
-//! On trigger (alarm latch, circuit-breaker trip, restart-budget
-//! exhaustion, snapshot refusal, or an explicit `/debug/bundle`
-//! request) the [`RecorderHub`] freezes every ring and emits an atomic
+//! On trigger (circuit-breaker trip, restart-budget exhaustion,
+//! snapshot refusal, or an explicit `/debug/bundle` request) the
+//! [`RecorderHub`] freezes every ring and emits an atomic
 //! **diagnostic bundle**: a directory holding the drained events as
 //! JSONL, the live metrics snapshot, the run manifest, trigger
 //! metadata, and a `MANIFEST` file that checksums all of them with the
@@ -628,9 +628,8 @@ impl FlightRecorder {
 /// Metadata describing why a bundle was triggered.
 #[derive(Debug, Clone)]
 pub struct Trigger {
-    /// Stable trigger reason (`"breaker_trip"`, `"alarm_latch"`,
-    /// `"restart_budget"`, `"snapshot_refusal"`, `"http_request"`,
-    /// `"attack_evasion"`).
+    /// Stable trigger reason (`"breaker_trip"`, `"restart_budget"`,
+    /// `"snapshot_refusal"`, `"http_request"`).
     pub reason: String,
     /// Shard that triggered, when known.
     pub shard: Option<u32>,

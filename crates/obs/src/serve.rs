@@ -1,7 +1,7 @@
 //! A tiny, dependency-free HTTP exposition server for long-running
 //! monitors: `/metrics` (Prometheus text format 0.0.4), `/healthz`
-//! (liveness), `/readyz` (readiness, from the supervisor's
-//! [`Health`]), `/manifest` (the run's
+//! (liveness), `/readyz` (readiness, from the fleet's per-shard
+//! [`FleetHealth`]), `/manifest` (the run's
 //! [`RunManifest`](crate::manifest) JSON), and — when the host wires a
 //! [`DebugHandler`] — `/debug/...` diagnostic endpoints (the fleet
 //! monitor serves `/debug/recorder` ring statistics and
@@ -26,7 +26,6 @@
 //! let server = serve::serve("127.0.0.1:0", serve::ServeContext {
 //!     registry: registry.clone(),
 //!     manifest_json: "{}".to_owned(),
-//!     health: None,
 //!     fleet: None,
 //!     debug: None,
 //! })?;
@@ -48,7 +47,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::health::{FleetHealth, Health};
+use crate::health::FleetHealth;
 use crate::metrics::Registry;
 use crate::prom;
 
@@ -76,13 +75,9 @@ pub struct ServeContext {
     pub registry: Arc<Registry>,
     /// Served verbatim at `/manifest` (must be a JSON document).
     pub manifest_json: String,
-    /// Supervisor health backing `/readyz`. With `None`, `/readyz`
-    /// mirrors `/healthz` (an unsupervised exposition is ready as soon
-    /// as it binds).
-    pub health: Option<Arc<Health>>,
-    /// Sharded fleet health; when set it takes precedence over
-    /// `health` and `/readyz` reports quorum readiness plus one line
-    /// per shard.
+    /// Sharded fleet health backing `/readyz`: quorum readiness plus
+    /// one line per shard. With `None`, `/readyz` mirrors `/healthz`
+    /// (an unsupervised exposition is ready as soon as it binds).
     pub fleet: Option<Arc<FleetHealth>>,
     /// Handler for `/debug/...` paths (`/debug/recorder`,
     /// `/debug/bundle`); with `None` they 404 like any other path.
@@ -254,8 +249,8 @@ fn route(request: &Request, context: &ServeContext) -> (&'static str, &'static s
         ),
         "/healthz" => ("200 OK", "text/plain; charset=utf-8", "ok\n".to_owned()),
         "/readyz" => {
-            match (&context.fleet, &context.health) {
-                (Some(fleet), _) => {
+            match &context.fleet {
+                Some(fleet) => {
                     // Quorum readiness plus one line per shard — the
                     // bulkhead view: a restarting shard is visible without
                     // flipping the fleet out of the load balancer.
@@ -287,21 +282,7 @@ fn route(request: &Request, context: &ServeContext) -> (&'static str, &'static s
                     }
                 }
                 // Unsupervised expositions are ready by construction.
-                (None, None) => ("200 OK", "text/plain; charset=utf-8", "ready\n".to_owned()),
-                (None, Some(health)) => {
-                    let state = health.state();
-                    let body = format!(
-                        "{}\nrestarts {}\ntrips {}\n",
-                        state,
-                        health.restarts(),
-                        health.trips()
-                    );
-                    if health.is_ready() {
-                        ("200 OK", "text/plain; charset=utf-8", body)
-                    } else {
-                        ("503 Service Unavailable", "text/plain; charset=utf-8", body)
-                    }
-                }
+                None => ("200 OK", "text/plain; charset=utf-8", "ready\n".to_owned()),
             }
         }
         "/manifest" => (
@@ -372,7 +353,6 @@ mod tests {
             ServeContext {
                 registry,
                 manifest_json: "{\"tool\": \"test\"}".to_owned(),
-                health: None,
                 fleet: None,
                 debug: None,
             },
@@ -408,7 +388,6 @@ mod tests {
             ServeContext {
                 registry: Arc::new(Registry::new()),
                 manifest_json: "{}".to_owned(),
-                health: None,
                 fleet: None,
                 debug: None,
             },
@@ -421,44 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn readyz_reflects_supervisor_state() {
-        let health = Arc::new(crate::health::Health::new());
-        let server = serve(
-            "127.0.0.1:0",
-            ServeContext {
-                registry: Arc::new(Registry::new()),
-                manifest_json: "{}".to_owned(),
-                health: Some(Arc::clone(&health)),
-                fleet: None,
-                debug: None,
-            },
-        )
-        .expect("bind");
-        let addr = server.local_addr();
-
-        // Starting → not ready.
-        let starting = get(addr, "GET /readyz HTTP/1.0\r\n\r\n");
-        assert!(starting.starts_with("HTTP/1.0 503"));
-        assert!(starting.contains("starting"));
-
-        health.set_state(crate::health::ServiceState::Ready);
-        health.record_restart();
-        let ready = get(addr, "GET /readyz HTTP/1.0\r\n\r\n");
-        assert!(ready.starts_with("HTTP/1.0 200"));
-        assert!(ready.contains("ready"));
-        assert!(ready.contains("restarts 1"));
-
-        health.set_state(crate::health::ServiceState::Degraded);
-        let degraded = get(addr, "GET /readyz HTTP/1.0\r\n\r\n");
-        assert!(degraded.starts_with("HTTP/1.0 503"));
-        assert!(degraded.contains("degraded"));
-
-        // Liveness stays 200 regardless of readiness.
-        let live = get(addr, "GET /healthz HTTP/1.0\r\n\r\n");
-        assert!(live.starts_with("HTTP/1.0 200"));
-    }
-
-    #[test]
     fn readyz_reports_per_shard_fleet_state() {
         let fleet = Arc::new(crate::health::FleetHealth::new(3));
         let server = serve(
@@ -466,7 +407,6 @@ mod tests {
             ServeContext {
                 registry: Arc::new(Registry::new()),
                 manifest_json: "{}".to_owned(),
-                health: None,
                 fleet: Some(Arc::clone(&fleet)),
                 debug: None,
             },
@@ -502,7 +442,6 @@ mod tests {
             ServeContext {
                 registry: Arc::new(Registry::new()),
                 manifest_json: "{}".to_owned(),
-                health: None,
                 fleet: None,
                 debug: None,
             },
@@ -519,7 +458,6 @@ mod tests {
             ServeContext {
                 registry: Arc::new(Registry::new()),
                 manifest_json: "{}".to_owned(),
-                health: None,
                 fleet: None,
                 debug: None,
             },
@@ -549,7 +487,6 @@ mod tests {
             ServeContext {
                 registry: Arc::new(Registry::new()),
                 manifest_json: "{}".to_owned(),
-                health: None,
                 fleet: None,
                 debug: None,
             },

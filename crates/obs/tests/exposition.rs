@@ -87,7 +87,6 @@ fn debug_endpoints_route_through_the_installed_handler() {
         ServeContext {
             registry: Arc::new(deterministic_registry()),
             manifest_json: "{}".to_owned(),
-            health: None,
             fleet: None,
             debug: Some(handler),
         },
@@ -130,7 +129,6 @@ fn metrics_endpoint_parses_line_by_line_over_tcp() {
         ServeContext {
             registry: Arc::new(deterministic_registry()),
             manifest_json: "{\"tool\": \"exposition-test\"}".to_owned(),
-            health: None,
             fleet: None,
             debug: None,
         },

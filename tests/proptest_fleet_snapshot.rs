@@ -40,17 +40,21 @@ fn synthetic_dataset() -> HpcDataset {
     HpcDataset::from_rows(rows)
 }
 
-/// Training is the expensive part: the shared detectors are built once
-/// and borrowed by every proptest case.
+/// The "arbitrary trained-detector configs" axis: scheme and feature
+/// projection vary. Training is the expensive part, so the shared
+/// detectors are built once and borrowed by every proptest case.
 fn detectors() -> &'static Vec<Detector> {
     static DETECTORS: OnceLock<Vec<Detector>> = OnceLock::new();
     DETECTORS.get_or_init(|| {
         let dataset = synthetic_dataset();
         [
             (ClassifierKind::ZeroR, FeatureSet::Full16),
+            (ClassifierKind::OneR, FeatureSet::Top(8)),
+            (ClassifierKind::DecisionStump, FeatureSet::Full16),
             (ClassifierKind::J48, FeatureSet::Top(8)),
             (ClassifierKind::NaiveBayes, FeatureSet::Full16),
-            (ClassifierKind::RandomForest, FeatureSet::Top(8)),
+            (ClassifierKind::Logistic, FeatureSet::Top(8)),
+            (ClassifierKind::RandomForest, FeatureSet::Full16),
         ]
         .iter()
         .map(|&(kind, features)| {
@@ -64,14 +68,35 @@ fn detectors() -> &'static Vec<Detector> {
     })
 }
 
-/// A fleet of live stream sections: each stream's vote ring, hysteresis
-/// streaks, health machine, and cursor all carry data shaped by its id
-/// and the case seed, so the codec sees latched alarms, mid-quarantine
-/// states, and NaN-free/NaN-bearing rings alike.
+/// Vote-window shapes the sections draw from: (window, threshold,
+/// raise-after, clear-after).
+const SHAPES: [(usize, usize, usize, usize); 7] = [
+    (3, 2, 1, 1),
+    (4, 3, 2, 2),
+    (5, 3, 3, 2),
+    (4, 3, 2, 6),
+    (8, 5, 1, 4),
+    (2, 1, 1, 1),
+    (6, 4, 2, 3),
+];
+
+/// A fleet of live stream sections: each stream's vote-window shape,
+/// ring, hysteresis streaks, disagreement-alarm arming, health machine,
+/// and cursor all carry data shaped by its id and the case seed, so the
+/// codec sees latched alarms, mid-quarantine states, and NaN-free/
+/// NaN-bearing rings alike.
 fn live_sections(detector: &Detector, streams: u64, seed: u64) -> Vec<StreamSection> {
     (0..streams)
         .map(|stream| {
-            let mut state = StreamState::new(4, 3, 2, 2).expect("static shape");
+            let mix = seed.rotate_left(16) ^ stream;
+            let (window, threshold, raise, clear) = SHAPES[(mix % SHAPES.len() as u64) as usize];
+            let mut state = StreamState::new(window, threshold, raise, clear).expect("valid shape");
+            if mix.is_multiple_of(3) {
+                let armed = (1 + (mix >> 8) % 100) as f64 / 100.0;
+                state = state
+                    .with_suspicion_threshold(armed)
+                    .expect("threshold in (0, 1]");
+            }
             let warm = ((seed ^ stream) % 24) as usize;
             for i in 0..warm {
                 let window = if (i as u64 + stream).is_multiple_of(3) {
@@ -100,7 +125,7 @@ proptest! {
 
     #[test]
     fn fleet_roundtrip_is_lossless(
-        index in 0usize..4,
+        index in 0usize..7,
         streams in 1u64..12,
         shards in 1u32..16,
         seed in 0u64..=u64::MAX,
@@ -124,7 +149,7 @@ proptest! {
 
     #[test]
     fn corrupt_stream_section_is_lost_alone(
-        index in 0usize..4,
+        index in 0usize..7,
         streams in 2u64..12,
         seed in 0u64..=u64::MAX,
         digest in 0u64..=u64::MAX,
@@ -157,7 +182,7 @@ proptest! {
 
     #[test]
     fn corrupt_header_or_detector_refuses_the_fleet(
-        index in 0usize..4,
+        index in 0usize..7,
         streams in 1u64..8,
         seed in 0u64..=u64::MAX,
         digest in 0u64..=u64::MAX,
