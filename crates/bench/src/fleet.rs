@@ -1010,6 +1010,13 @@ fn shard_worker(
     rx: Receiver<(usize, u64, FeatureVector)>,
     shared: &mut ShardShared,
 ) -> WorkerExit {
+    // The per-window counters, resolved once per worker start instead
+    // of by name on every window.
+    let obs = hbmd_obs::current();
+    let windows_counter = obs.registry().counter("fleet.windows");
+    let quarantines_counter = obs.registry().counter("fleet.quarantines");
+    let readmissions_counter = obs.registry().counter("fleet.readmissions");
+    let trips_counter = obs.registry().counter("breaker.trips");
     let mut interrupted = false;
     let mut batch: Vec<(usize, u64, FeatureVector)> = Vec::with_capacity(DRAIN_BATCH);
     'drain: while let Ok(first) = rx.recv() {
@@ -1156,7 +1163,7 @@ fn shard_worker(
                     && before_standing != StreamStanding::Quarantined
                 {
                     shared.quarantines += 1;
-                    hbmd_obs::incr("fleet.quarantines");
+                    quarantines_counter.incr();
                     if let Some(fleet) = &ctx.cfg.fleet_health {
                         fleet.record_quarantine();
                     }
@@ -1164,7 +1171,7 @@ fn shard_worker(
                     && after_standing == StreamStanding::Active
                 {
                     shared.readmissions += 1;
-                    hbmd_obs::incr("fleet.readmissions");
+                    readmissions_counter.incr();
                     if let Some(fleet) = &ctx.cfg.fleet_health {
                         fleet.record_readmission();
                     }
@@ -1175,7 +1182,7 @@ fn shard_worker(
                     if let Some(fleet) = &ctx.cfg.fleet_health {
                         fleet.shard(ctx.shard).record_trip();
                     }
-                    hbmd_obs::incr("breaker.trips");
+                    trips_counter.incr();
                     set_shard_state(ctx, ServiceState::Degraded);
                     if let Some(hub) = &ctx.cfg.recorder {
                         hub.record(
@@ -1220,7 +1227,7 @@ fn shard_worker(
             shared.cursors[slot] = shared.cursors[slot].max(cursor + 1);
             shared.processed += 1;
             shared.since_checkpoint += 1;
-            hbmd_obs::incr("fleet.windows");
+            windows_counter.incr();
             let total = ctx.fleet_processed.fetch_add(1, Ordering::Relaxed) + 1;
             if total.is_multiple_of(4096) {
                 let elapsed = ctx.started.elapsed().as_secs_f64();

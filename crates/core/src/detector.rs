@@ -1,10 +1,11 @@
 use std::sync::Arc;
+use std::time::Instant;
 
 use hbmd_events::{FeatureVector, HpcEvent};
 use hbmd_fpga::{synthesize, HwReport, SynthConfig};
 use hbmd_malware::AppClass;
 use hbmd_ml::{Classifier, CompiledModel, Evaluation};
-use hbmd_obs::{Counter, Histogram, Timer};
+use hbmd_obs::{Counter, Histogram};
 use hbmd_perf::HpcDataset;
 use serde::{Deserialize, Serialize};
 
@@ -182,24 +183,39 @@ impl Default for DetectorBuilder {
     }
 }
 
-/// Per-window telemetry handles, resolved once at detector
-/// construction so the classify hot loop skips the label allocation
-/// and registry lookup `timer_with`/`counter_with` pay per call.
+/// Per-window telemetry handles of the classify and online-vote paths,
+/// resolved once at detector construction in the context installed
+/// then, so a served window takes no registry lock, builds no metric
+/// key and allocates nothing to report itself.
 #[derive(Debug, Clone)]
-struct ClassifyMetrics {
+pub(crate) struct ClassifyMetrics {
     classify_ns: Arc<Histogram>,
     verdict_benign: Arc<Counter>,
     verdict_malware: Arc<Counter>,
     verdict_abstain: Arc<Counter>,
+    pub(crate) observe_ns: Arc<Histogram>,
+    pub(crate) windows_observed: Arc<Counter>,
+    pub(crate) alarm_votes: Arc<Histogram>,
+    pub(crate) alarms_raised: Arc<Counter>,
+    pub(crate) alarms_cleared: Arc<Counter>,
+    pub(crate) disagreement_trips: Arc<Counter>,
 }
 
 impl ClassifyMetrics {
     fn resolve(scheme: &str) -> ClassifyMetrics {
+        let obs = hbmd_obs::current();
+        let registry = obs.registry();
         ClassifyMetrics {
-            classify_ns: hbmd_obs::timing_with("classify_ns", &[("scheme", scheme)]),
-            verdict_benign: hbmd_obs::counter_with("verdict", &[("verdict", "benign")]),
-            verdict_malware: hbmd_obs::counter_with("verdict", &[("verdict", "malware")]),
-            verdict_abstain: hbmd_obs::counter_with("verdict", &[("verdict", "abstain")]),
+            classify_ns: registry.timing_with("classify_ns", &[("scheme", scheme)]),
+            verdict_benign: registry.counter_with("verdict", &[("verdict", "benign")]),
+            verdict_malware: registry.counter_with("verdict", &[("verdict", "malware")]),
+            verdict_abstain: registry.counter_with("verdict", &[("verdict", "abstain")]),
+            observe_ns: registry.timing("online.observe_ns"),
+            windows_observed: registry.counter("online.windows_observed"),
+            alarm_votes: registry.histogram("online.alarm_votes"),
+            alarms_raised: registry.counter("online.alarms_raised"),
+            alarms_cleared: registry.counter("online.alarms_cleared"),
+            disagreement_trips: registry.counter("online.disagreement_trips"),
         }
     }
 }
@@ -277,6 +293,12 @@ impl Detector {
         &self.sanitizer
     }
 
+    /// The telemetry handles this detector (and every monitor voting
+    /// with it) reports into.
+    pub(crate) fn metrics(&self) -> &ClassifyMetrics {
+        &self.metrics
+    }
+
     /// Classify one sampling window through the sanitised path:
     /// corrupted-but-repairable windows are median-imputed before
     /// classification, unsalvageable ones yield [`Verdict::Abstain`]
@@ -296,24 +318,12 @@ impl Detector {
 
     /// Classify one sampling window.
     pub fn classify(&self, window: &FeatureVector) -> Verdict {
-        let latency = Timer::against(Arc::clone(&self.metrics.classify_ns));
-        let width = self.feature_indices.len();
-        let mut stack = [0.0f64; HpcEvent::COUNT];
-        let mut heap;
-        let row: &mut [f64] = if width <= stack.len() {
-            &mut stack[..width]
-        } else {
-            heap = vec![0.0f64; width];
-            &mut heap
-        };
-        for (slot, &i) in row.iter_mut().zip(&self.feature_indices) {
-            *slot = window.as_slice()[i];
-        }
-        let label = match &self.compiled {
+        let started = Instant::now();
+        let label = self.with_row(window, |row| match &self.compiled {
             Some(compiled) => compiled.predict(row),
             None => self.model.predict(row),
-        };
-        latency.stop();
+        });
+        self.metrics.classify_ns.record_since(started);
         let verdict = match self.mode {
             DetectorMode::Binary => {
                 if label == 0 {
@@ -336,12 +346,23 @@ impl Detector {
         verdict
     }
 
-    /// Project `window` into the model's input columns.
-    fn project(&self, window: &FeatureVector) -> Vec<f64> {
-        self.feature_indices
-            .iter()
-            .map(|&i| window.as_slice()[i])
-            .collect()
+    /// Gather `window`'s model input columns into a stack row and call
+    /// `f` with it (on the heap only for an input wider than a window,
+    /// which a restored snapshot could carry).
+    fn with_row<R>(&self, window: &FeatureVector, f: impl FnOnce(&[f64]) -> R) -> R {
+        let width = self.feature_indices.len();
+        let mut stack = [0.0f64; HpcEvent::COUNT];
+        let mut heap;
+        let row: &mut [f64] = if width <= stack.len() {
+            &mut stack[..width]
+        } else {
+            heap = vec![0.0f64; width];
+            &mut heap
+        };
+        for (slot, &i) in row.iter_mut().zip(&self.feature_indices) {
+            *slot = window.as_slice()[i];
+        }
+        f(row)
     }
 
     /// Malice score of one window in `[0, 1]` — the oracle an evasion
@@ -353,10 +374,9 @@ impl Detector {
     /// landscape. Single-model schemes degrade to the 0/1 landscape of
     /// their verdict.
     pub fn malice_score(&self, window: &FeatureVector) -> f64 {
-        let row = self.project(window);
-        match &self.compiled {
+        self.with_row(window, |row| match &self.compiled {
             Some(CompiledModel::Forest(f)) => {
-                let votes = f.class_votes(&row);
+                let votes = f.class_votes(row);
                 let total: u32 = votes.iter().sum();
                 if total == 0 {
                     return 0.0;
@@ -364,7 +384,7 @@ impl Detector {
                 f64::from(total - votes[0]) / f64::from(total)
             }
             Some(CompiledModel::Ensemble(e)) => {
-                let votes = e.class_weights(&row);
+                let votes = e.class_weights(row);
                 let total: f64 = votes.iter().sum();
                 if total <= 0.0 {
                     return 0.0;
@@ -373,8 +393,8 @@ impl Detector {
             }
             _ => {
                 let label = match &self.compiled {
-                    Some(compiled) => compiled.predict(&row),
-                    None => self.model.predict(&row),
+                    Some(compiled) => compiled.predict(row),
+                    None => self.model.predict(row),
                 };
                 if label == 0 {
                     0.0
@@ -382,7 +402,7 @@ impl Detector {
                     1.0
                 }
             }
-        }
+        })
     }
 
     /// Committee disagreement on one window — the ensemble-dispersion
@@ -395,8 +415,8 @@ impl Detector {
     /// high dispersion on a benign-voted window is therefore suspicious
     /// even though the verdict reads clean.
     pub fn suspicion(&self, window: &FeatureVector) -> Option<f64> {
-        let row = self.project(window);
-        self.compiled.as_ref()?.disagreement(&row)
+        let compiled = self.compiled.as_ref()?;
+        self.with_row(window, |row| compiled.disagreement(row))
     }
 
     /// Synthesise the detector to hardware.

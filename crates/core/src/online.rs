@@ -1,5 +1,6 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::time::Instant;
 
 use hbmd_events::FeatureVector;
 use hbmd_malware::AppClass;
@@ -41,7 +42,10 @@ pub enum OnlineVerdict {
 /// requires sustained evidence before raising or clearing the alarm,
 /// preventing transient faults from flapping it.
 ///
-/// The monitor reports into the installed [`hbmd_obs`] context: alarm
+/// The monitor reports into the [`hbmd_obs`] context its [`Detector`]
+/// was trained or restored under — the handles are resolved once then,
+/// as `classify_ns` and the verdict counters are, so a context installed
+/// later does not see this monitor's windows. It reports alarm
 /// raise/clear transitions as `online.alarms_raised` /
 /// `online.alarms_cleared` counters, every fed window as
 /// `online.windows_observed`, per-call wall latency as the
@@ -383,14 +387,15 @@ impl StreamState {
     /// Feed one sampling window through `detector`; returns the
     /// aggregated decision for this stream.
     pub fn observe(&mut self, detector: &Detector, window: &FeatureVector) -> OnlineVerdict {
-        let _latency = hbmd_obs::timer("online.observe_ns");
-        hbmd_obs::incr("online.windows_observed");
+        let started = Instant::now();
+        let metrics = detector.metrics();
+        metrics.windows_observed.incr();
         self.last_suspicious = false;
         if let Some(limit) = self.suspicion_threshold {
             if let Some(dispersion) = detector.suspicion(window) {
                 if dispersion >= limit {
                     self.last_suspicious = true;
-                    hbmd_obs::incr("online.disagreement_trips");
+                    metrics.disagreement_trips.incr();
                 }
             }
         }
@@ -423,16 +428,17 @@ impl StreamState {
         // Count latch *transitions* (the hysteresis state machine's
         // edges), not alarm decisions — a held alarm is one raise.
         if self.latched.is_some() && !was_latched {
-            hbmd_obs::incr("online.alarms_raised");
+            metrics.alarms_raised.incr();
         } else if was_latched && self.latched.is_none() {
-            hbmd_obs::incr("online.alarms_cleared");
+            metrics.alarms_cleared.incr();
         }
         let decision = self.decision();
         if let OnlineVerdict::Alarm { votes, .. } = decision {
             // Exact (deterministic-domain) histogram: how much of the
             // window agreed each time an alarm decision was returned.
-            hbmd_obs::observe("online.alarm_votes", votes as u64);
+            metrics.alarm_votes.record(votes as u64);
         }
+        metrics.observe_ns.record_since(started);
         decision
     }
 

@@ -214,12 +214,15 @@ impl Sanitizer {
     /// Screen one window. Never panics, whatever the input holds.
     pub fn sanitize(&self, window: &FeatureVector) -> SanitizeOutcome {
         let values = window.as_slice();
-        let invalid: Vec<usize> = values
-            .iter()
-            .enumerate()
-            .filter(|&(j, &v)| !self.is_valid(j, v))
-            .map(|(j, _)| j)
-            .collect();
+        let mut columns = [0usize; HpcEvent::COUNT];
+        let mut found = 0;
+        for (j, &v) in values.iter().enumerate() {
+            if !self.is_valid(j, v) {
+                columns[found] = j;
+                found += 1;
+            }
+        }
+        let invalid = &columns[..found];
         if invalid.is_empty() {
             if let Some(outliers) = self.joint_outliers(values) {
                 return SanitizeOutcome::Unusable { invalid: outliers };
@@ -231,8 +234,9 @@ impl Sanitizer {
                 invalid: invalid.len(),
             };
         }
-        let mut repaired = values.to_vec();
-        for &j in &invalid {
+        let mut repaired = [0.0f64; HpcEvent::COUNT];
+        repaired.copy_from_slice(values);
+        for &j in invalid {
             repaired[j] = self.medians[j];
         }
         if let Some(outliers) = self.joint_outliers(&repaired) {

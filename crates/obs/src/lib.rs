@@ -11,9 +11,14 @@
 //!   (`span!("collect", samples = 42)`), nested through a thread-local
 //!   stack and emitted to sinks on drop,
 //! * [`metrics::Registry`] — typed [`Counter`]s, [`Gauge`]s and
-//!   [`Histogram`]s that aggregate with atomic integer arithmetic, so
-//!   totals are **exact and thread-count-independent** no matter how
-//!   `par_map` shards the work,
+//!   [`Histogram`]s that aggregate with atomic integer arithmetic into
+//!   per-thread stripes, so recording takes no shared lock and totals
+//!   are **exact and thread-count-independent** no matter how
+//!   `par_map` shards the work. Exact histograms report exact rank
+//!   percentiles; wall-clock (latency) histograms use fixed log-linear
+//!   buckets, so their memory is bounded and their percentiles are
+//!   within [`WALL_CLOCK_RELATIVE_ERROR`](metrics::WALL_CLOCK_RELATIVE_ERROR)
+//!   (1/64, about 1.6 %) of the exact ones,
 //! * [`sink::SpanSink`] — pluggable span consumers: none installed (the
 //!   default, near-zero overhead), [`MemorySink`] for tests,
 //!   [`JsonlSink`] for machine-readable event logs,
@@ -288,6 +293,10 @@ pub fn observe(name: &str, value: u64) {
 
 /// Start a wall-clock timer that records its elapsed nanoseconds into
 /// the named timing histogram when dropped (or [stopped](Timer::stop)).
+///
+/// Each call looks the histogram up by name. A hot path resolves it
+/// once with [`Registry::timing`] and times against the handle with
+/// [`Histogram::record_since`].
 pub fn timer(name: &str) -> Timer {
     Timer {
         histogram: current().registry.timing(name),
@@ -305,14 +314,6 @@ pub fn timer_with(name: &str, labels: &[(&str, &str)]) -> Timer {
     }
 }
 
-/// Handle to the named, labelled timing histogram in the current
-/// context — resolve once on a hot path, then start timers against it
-/// with [`Timer::against`] so each measurement skips the label
-/// allocation and registry lookup [`timer_with`] pays per call.
-pub fn timing_with(name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-    current().registry.timing_with(name, labels)
-}
-
 /// A live wall-clock measurement; see [`timer`].
 #[derive(Debug)]
 pub struct Timer {
@@ -322,17 +323,6 @@ pub struct Timer {
 }
 
 impl Timer {
-    /// Start a timer against a pre-resolved histogram handle (see
-    /// [`timing_with`]); records into it on drop or
-    /// [`stop`](Timer::stop) exactly like [`timer`].
-    pub fn against(histogram: Arc<Histogram>) -> Timer {
-        Timer {
-            histogram,
-            started: std::time::Instant::now(),
-            armed: true,
-        }
-    }
-
     /// Record the elapsed time now instead of at drop.
     pub fn stop(mut self) {
         self.record();
@@ -341,8 +331,7 @@ impl Timer {
     fn record(&mut self) {
         if self.armed {
             self.armed = false;
-            let nanos = self.started.elapsed().as_nanos();
-            self.histogram.record(nanos.min(u64::MAX as u128) as u64);
+            self.histogram.record_since(self.started);
         }
     }
 }

@@ -3,33 +3,121 @@
 //!
 //! All aggregation is atomic **integer** arithmetic — adds commute, so
 //! a total is exact and identical no matter how many `par_map` workers
-//! contributed or in what order they ran. Histograms keep the full
-//! value multiset (value → count), so percentiles are exact rank
-//! statistics, plus power-of-two bit-length buckets for the Prometheus
-//! exposition. Wall-clock histograms (created via
-//! [`Registry::timing`]) carry a `wall_clock` marker so
-//! [`MetricsSnapshot::deterministic`] can strip them from
-//! byte-comparison fingerprints.
+//! contributed or in what order they ran.
+//!
+//! Recording never takes a registry-wide lock. Counters and histograms
+//! keep one cache-line-padded stripe per available CPU (rounded up to a
+//! power of two); a thread picks its stripe once, from a `const`
+//! thread-local, and `get`/snapshot sum the stripes. Concurrent
+//! recorders therefore write their own cache lines instead of bouncing
+//! one between cores.
+//!
+//! There are two kinds of histogram:
+//!
+//! * **Exact** histograms ([`Registry::histogram`]) hold the full value
+//!   multiset, so their percentiles are exact rank statistics. Values
+//!   below 128 are counted in a dense per-stripe array; larger ones in
+//!   a locked value → count map.
+//! * **Wall-clock** histograms ([`Registry::timing`]) hold latencies,
+//!   which are almost all distinct, so a multiset would grow without
+//!   bound. They count into fixed HDR-style log-linear buckets instead
+//!   (each power of two split into 32), and their percentiles are the
+//!   midpoint of the bucket holding the rank — within
+//!   [`WALL_CLOCK_RELATIVE_ERROR`] (1/64, about 1.6 %) of the exact
+//!   rank statistic. Memory is fixed: one bucket array per stripe,
+//!   allocated on that stripe's first record. They also carry a
+//!   `wall_clock` marker so [`MetricsSnapshot::deterministic`] can
+//!   strip them from byte-comparison fingerprints.
+//!
+//! Both kinds derive the power-of-two bit-length buckets of the
+//! Prometheus exposition exactly, since every log-linear bucket lies
+//! within one power of two.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::time::Instant;
 
 use crate::json;
 
 /// Number of power-of-two histogram buckets (bit lengths 0..=64).
-pub(crate) const BUCKETS: usize = 65;
+const BUCKETS: usize = 65;
+
+/// Exact histograms count values below this in a dense per-stripe
+/// array; values at or above it go to the histogram's locked map.
+const DENSE: u64 = 128;
+
+/// Log2 of the log-linear sub-buckets per power of two.
+const SUB_BITS: u32 = 5;
+
+/// Wall-clock buckets: one per value below `2^SUB_BITS`, then
+/// `2^SUB_BITS` per power of two up to `2^64`.
+const LOG_LINEAR_BUCKETS: usize = (65 - SUB_BITS as usize) << SUB_BITS;
+
+/// Largest relative error of a wall-clock percentile against the exact
+/// rank statistic: the reported bucket midpoint is at most half a
+/// bucket width, `2^-(SUB_BITS + 1)` of the bucket's lower bound, from
+/// any value in that bucket. Values below 32 are exact.
+pub const WALL_CLOCK_RELATIVE_ERROR: f64 = 1.0 / (2u64 << SUB_BITS) as f64;
+
+/// Most stripes a metric keeps, whatever the CPU count.
+const MAX_STRIPES: usize = 64;
+
+/// Stripes per metric: the available parallelism rounded up to a power
+/// of two, so the stripe index is a mask.
+fn stripe_count() -> usize {
+    static COUNT: OnceLock<usize> = OnceLock::new();
+    *COUNT.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .next_power_of_two()
+            .min(MAX_STRIPES)
+    })
+}
+
+/// This thread's stripe in `stripes` (whose length is a power of two).
+/// Threads are numbered in the order they first record, so threads that
+/// run at the same time land on different stripes until there are more
+/// of them than stripes.
+fn stripe_of<T>(stripes: &[T]) -> &T {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
+    }
+    let slot = SLOT.with(|slot| {
+        if slot.get() == usize::MAX {
+            slot.set(NEXT.fetch_add(1, Ordering::Relaxed) % MAX_STRIPES);
+        }
+        slot.get()
+    });
+    &stripes[slot & (stripes.len() - 1)]
+}
+
+/// Aligns its content to its own pair of cache lines (adjacent-line
+/// prefetch pairs 64-byte lines), so stripes never share one.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Padded<T>(T);
 
 /// A monotonically increasing event count.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Counter {
-    value: AtomicU64,
+    stripes: Box<[Padded<AtomicU64>]>,
+}
+
+impl Default for Counter {
+    fn default() -> Counter {
+        Counter {
+            stripes: (0..stripe_count()).map(|_| Padded::default()).collect(),
+        }
+    }
 }
 
 impl Counter {
     /// Add `n` occurrences.
     pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
+        stripe_of(&self.stripes).0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Add one occurrence.
@@ -39,7 +127,9 @@ impl Counter {
 
     /// The current total.
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
+        self.stripes.iter().fold(0, |total, s| {
+            total.wrapping_add(s.0.load(Ordering::Relaxed))
+        })
     }
 }
 
@@ -61,38 +151,80 @@ impl Gauge {
     }
 }
 
-/// A distribution of unsigned integer observations: power-of-two
-/// buckets for cheap exposition, plus the full value multiset for
-/// exact statistics.
-///
-/// Both representations are pure functions of the multiset of recorded
-/// values — independent of recording order and thread interleaving —
-/// so counts, sums and **percentiles are exact**, not bucket estimates.
-/// The buckets survive because the Prometheus exposition
-/// ([`prom`](crate::prom)) renders cumulative `_bucket` series from
-/// them without walking the multiset.
+/// The log-linear bucket of `value`: the value itself below
+/// `2^SUB_BITS`, otherwise its power of two and its top `SUB_BITS`
+/// bits below the leading one.
+fn log_linear_index(value: u64) -> usize {
+    if value < 1 << SUB_BITS {
+        return value as usize;
+    }
+    let shift = 63 - value.leading_zeros() - SUB_BITS;
+    ((shift as usize) << SUB_BITS) + (value >> shift) as usize
+}
+
+/// The value a wall-clock percentile reports for bucket `index`: the
+/// midpoint of the values that land in it.
+fn log_linear_midpoint(index: usize) -> u64 {
+    let octave = index >> SUB_BITS;
+    if octave == 0 {
+        return index as u64;
+    }
+    let shift = octave - 1;
+    let low = ((1u64 << SUB_BITS) | (index as u64 & ((1 << SUB_BITS) - 1))) << shift;
+    low + ((1u64 << shift) - 1) / 2
+}
+
+/// One recorder's share of a [`Histogram`].
 #[derive(Debug)]
-pub struct Histogram {
-    wall_clock: bool,
+#[repr(align(128))]
+struct Stripe {
     count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
-    buckets: [AtomicU64; BUCKETS],
-    /// value → occurrences; the source of exact percentiles.
-    values: Mutex<BTreeMap<u64, u64>>,
+    /// Counts by dense value (exact) or log-linear bucket (wall-clock),
+    /// allocated on the stripe's first record.
+    buckets: OnceLock<Box<[AtomicU64]>>,
+}
+
+impl Default for Stripe {
+    fn default() -> Stripe {
+        Stripe {
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
+            buckets: OnceLock::new(),
+        }
+    }
+}
+
+/// A distribution of unsigned integer observations, recorded into
+/// per-thread stripes and merged at snapshot time.
+///
+/// Exact histograms keep the full value multiset (a dense count array
+/// per stripe for small values, one locked map for the rest), so
+/// counts, sums and **percentiles are exact** and independent of
+/// recording order and thread interleaving. Wall-clock histograms keep
+/// fixed log-linear buckets: counts, sums, minima, maxima and
+/// power-of-two buckets are exact, percentiles are within
+/// [`WALL_CLOCK_RELATIVE_ERROR`], and memory does not grow with the
+/// number of distinct values recorded.
+#[derive(Debug)]
+pub struct Histogram {
+    wall_clock: bool,
+    stripes: Box<[Stripe]>,
+    /// Exact histograms only: value → occurrences for values at or
+    /// above [`DENSE`].
+    overflow: Mutex<BTreeMap<u64, u64>>,
 }
 
 impl Histogram {
     fn new(wall_clock: bool) -> Histogram {
         Histogram {
             wall_clock,
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            values: Mutex::new(BTreeMap::new()),
+            stripes: (0..stripe_count()).map(|_| Stripe::default()).collect(),
+            overflow: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -102,43 +234,124 @@ impl Histogram {
         self.wall_clock
     }
 
+    fn bucket_len(&self) -> usize {
+        if self.wall_clock {
+            LOG_LINEAR_BUCKETS
+        } else {
+            DENSE as usize
+        }
+    }
+
     /// Record one observation.
     pub fn record(&self, value: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
-        let bucket = (u64::BITS - value.leading_zeros()) as usize;
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        *self
-            .values
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(value)
-            .or_insert(0) += 1;
+        let stripe = stripe_of(&self.stripes);
+        stripe.count.fetch_add(1, Ordering::Relaxed);
+        stripe.sum.fetch_add(value, Ordering::Relaxed);
+        if value < stripe.min.load(Ordering::Relaxed) {
+            stripe.min.fetch_min(value, Ordering::Relaxed);
+        }
+        if value > stripe.max.load(Ordering::Relaxed) {
+            stripe.max.fetch_max(value, Ordering::Relaxed);
+        }
+        if !self.wall_clock && value >= DENSE {
+            *self
+                .overflow
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .entry(value)
+                .or_insert(0) += 1;
+            return;
+        }
+        let buckets = stripe
+            .buckets
+            .get_or_init(|| (0..self.bucket_len()).map(|_| AtomicU64::new(0)).collect());
+        buckets[self.bucket_of(value)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record the nanoseconds elapsed since `started`.
+    pub fn record_since(&self, started: Instant) {
+        let nanos = started.elapsed().as_nanos();
+        self.record(u64::try_from(nanos).unwrap_or(u64::MAX));
     }
 
     /// Observations recorded so far.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.stripes
+            .iter()
+            .map(|s| s.count.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Heap bytes held for recorded values: the allocated stripe bucket
+    /// arrays plus the exact histogram's overflow entries.
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        let arrays = self.stripes.iter().filter(|s| s.buckets.get().is_some());
+        arrays.count() * self.bucket_len() * std::mem::size_of::<AtomicU64>()
+            + self
+                .overflow
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .len()
+                * std::mem::size_of::<(u64, u64)>()
+    }
+
+    /// The bucket `value` counts in; for exact histograms, values past
+    /// the dense array map to its last slot (they live in the map).
+    fn bucket_of(&self, value: u64) -> usize {
+        if self.wall_clock {
+            log_linear_index(value)
+        } else {
+            value.min(DENSE - 1) as usize
+        }
     }
 
     fn snapshot(&self, name: &str, labels: &[(String, String)]) -> HistogramSnapshot {
-        // Snapshot the multiset first: values recorded *while* we read
-        // the atomics can only make `count` >= the multiset total, and
-        // quantiles rank against the multiset's own total, so the
-        // percentiles stay internally consistent.
-        let values: Vec<(u64, u64)> = self
-            .values
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        let (mut count, mut sum, mut min, mut max) = (0u64, 0u64, u64::MAX, 0u64);
+        for stripe in self.stripes.iter() {
+            count += stripe.count.load(Ordering::Relaxed);
+            sum = sum.wrapping_add(stripe.sum.load(Ordering::Relaxed));
+            min = min.min(stripe.min.load(Ordering::Relaxed));
+            max = max.max(stripe.max.load(Ordering::Relaxed));
+        }
+        // Only the buckets between the extremes can be non-empty: merge
+        // just those, so a scrape costs the spread of the data, not the
+        // size of the layout.
+        let (low, high) = (self.bucket_of(min.min(max)), self.bucket_of(max));
+        let mut merged = vec![0u64; high + 1 - low];
+        for buckets in self.stripes.iter().filter_map(|s| s.buckets.get()) {
+            for (total, bucket) in merged.iter_mut().zip(&buckets[low..=high]) {
+                *total += bucket.load(Ordering::Relaxed);
+            }
+        }
+        // (value, occurrences) in ascending value order: the multiset
+        // itself for exact histograms, bucket midpoints (kept inside the
+        // observed range) for wall-clock ones.
+        let mut values: Vec<(u64, u64)> = merged
             .iter()
-            .map(|(&v, &n)| (v, n))
+            .enumerate()
+            .filter(|&(_, &n)| n > 0)
+            .map(|(offset, &n)| {
+                let index = low + offset;
+                let value = if self.wall_clock {
+                    log_linear_midpoint(index).clamp(min.min(max), max)
+                } else {
+                    index as u64
+                };
+                (value, n)
+            })
             .collect();
+        if !self.wall_clock {
+            let overflow = self.overflow.lock().unwrap_or_else(PoisonError::into_inner);
+            values.extend(overflow.iter().map(|(&v, &n)| (v, n)));
+        }
+        // Values recorded *while* we read can make `count` exceed the
+        // merged total; quantiles rank against the merged total, so the
+        // percentiles stay internally consistent.
         let total: u64 = values.iter().map(|&(_, n)| n).sum();
-        // Exact percentile by rank: the smallest recorded value whose
-        // cumulative count reaches ceil(total * q). No interpolation —
-        // the returned number was actually observed.
+        // Percentile by rank: the smallest value whose cumulative count
+        // reaches ceil(total * q). No interpolation — for exact
+        // histograms the returned number was actually observed.
         let quantile = |q: f64| -> u64 {
             if total == 0 {
                 return 0;
@@ -153,28 +366,23 @@ impl Histogram {
             }
             values.last().map_or(0, |&(v, _)| v)
         };
-        let count = self.count.load(Ordering::Relaxed);
+        let mut buckets = vec![0u64; BUCKETS];
+        for &(value, n) in &values {
+            buckets[(u64::BITS - value.leading_zeros()) as usize] += n;
+        }
         HistogramSnapshot {
             name: name.to_owned(),
             labels: labels.to_vec(),
             wall_clock: self.wall_clock,
             count,
-            sum: self.sum.load(Ordering::Relaxed),
-            min: if count == 0 {
-                0
-            } else {
-                self.min.load(Ordering::Relaxed)
-            },
-            max: self.max.load(Ordering::Relaxed),
+            sum,
+            min: if count == 0 { 0 } else { min },
+            max,
             p50: quantile(0.50),
             p95: quantile(0.95),
             p99: quantile(0.99),
             p999: quantile(0.999),
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
+            buckets,
         }
     }
 }
@@ -355,14 +563,16 @@ pub struct HistogramSnapshot {
     pub min: u64,
     /// Largest observation.
     pub max: u64,
-    /// Exact median (rank-based over the recorded multiset).
+    /// Median by rank: exact over the recorded multiset for exact
+    /// histograms, within [`WALL_CLOCK_RELATIVE_ERROR`] of it for
+    /// wall-clock ones.
     pub p50: u64,
-    /// Exact 95th percentile.
+    /// 95th percentile, exact as [`p50`](Self::p50) is.
     pub p95: u64,
-    /// Exact 99th percentile.
+    /// 99th percentile, exact as [`p50`](Self::p50) is.
     pub p99: u64,
-    /// Exact 99.9th percentile — fleet tail latency is invisible at
-    /// p99 with thousands of streams.
+    /// 99.9th percentile, exact as [`p50`](Self::p50) is — fleet tail
+    /// latency is invisible at p99 with thousands of streams.
     pub p999: u64,
     /// Power-of-two bucket counts by bit length (65 entries), feeding
     /// the Prometheus `_bucket` series.
@@ -620,32 +830,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_recording_is_thread_count_independent() {
-        let totals: Vec<MetricsSnapshot> = [1usize, 4]
-            .iter()
-            .map(|&threads| {
-                let registry = Registry::new();
-                std::thread::scope(|scope| {
-                    for worker in 0..threads {
-                        let registry = &registry;
-                        scope.spawn(move || {
-                            for i in 0..1000usize {
-                                if i % threads == worker {
-                                    registry.counter("n").incr();
-                                    registry.histogram("v").record(i as u64);
-                                }
-                            }
-                        });
-                    }
-                });
-                registry.snapshot()
-            })
-            .collect();
-        assert_eq!(totals[0], totals[1]);
-        assert_eq!(totals[0].counter("n"), 1000);
-    }
-
-    #[test]
     fn deterministic_view_strips_wall_clock_and_gauges() {
         let registry = Registry::new();
         registry.counter("c").incr();
@@ -707,6 +891,103 @@ mod tests {
         assert_eq!(h.p99, 7); // rank 99 of 100 still lands on the mass
         assert_eq!(h.p999, 1_000_000); // rank 100 of 100 is the outlier
         assert_eq!(h.max, 1_000_000);
+    }
+
+    #[test]
+    fn parallel_recording_is_thread_count_independent() {
+        // Exact values straddle the dense-array bound; wall-clock values
+        // spread over many powers of two.
+        let exact = |i: u64| i % 200;
+        let wall = |i: u64| (i * 7919) % 3_000_017;
+        let record = |registry: &Registry, i: u64| {
+            registry.counter("n").incr();
+            registry.counter_with("n", &[("k", "v")]).add(i);
+            registry.histogram("exact").record(exact(i));
+            registry.timing("wall").record(wall(i));
+        };
+        let snapshots: Vec<MetricsSnapshot> = [1u64, 8]
+            .iter()
+            .map(|&threads| {
+                let registry = Registry::new();
+                let start = std::sync::Barrier::new(threads as usize);
+                std::thread::scope(|scope| {
+                    for worker in 0..threads {
+                        let (registry, start) = (&registry, &start);
+                        scope.spawn(move || {
+                            start.wait();
+                            for i in (worker..20_000).step_by(threads as usize) {
+                                record(registry, i);
+                            }
+                        });
+                    }
+                });
+                registry.snapshot()
+            })
+            .collect();
+        assert_eq!(snapshots[0], snapshots[1]);
+        let one = &snapshots[0];
+        assert_eq!(one.counter("n"), 20_000 + (0..20_000u64).sum::<u64>());
+        let h = one.histogram("exact", &[]).expect("exact histogram");
+        assert_eq!((h.count, h.min, h.max), (20_000, 0, 199));
+        assert_eq!(h.sum, (0..20_000u64).map(exact).sum::<u64>());
+        assert_eq!(h.buckets.iter().sum::<u64>(), 20_000);
+        let w = one.histogram("wall", &[]).expect("wall histogram");
+        assert_eq!(w.count, 20_000);
+        assert_eq!(w.sum, (0..20_000u64).map(wall).sum::<u64>());
+        assert_eq!(w.min, (0..20_000u64).map(wall).min().expect("values"));
+        assert_eq!(w.max, (0..20_000u64).map(wall).max().expect("values"));
+        let mut bits = vec![0u64; BUCKETS];
+        for v in (0..20_000u64).map(wall) {
+            bits[(u64::BITS - v.leading_zeros()) as usize] += 1;
+        }
+        assert_eq!(w.buckets, bits);
+    }
+
+    #[test]
+    fn timing_memory_is_flat_and_quantiles_within_the_stated_error() {
+        let registry = Registry::new();
+        let h = registry.timing("latency_ns");
+        // Strictly increasing, so every value is distinct and the
+        // sequence is its own sorted order.
+        let value = |i: u64| 200 + i + i * i / 1_000;
+        let n = 1_000_000u64;
+        h.record(value(0));
+        let before = h.heap_bytes();
+        for i in 1..n {
+            h.record(value(i));
+        }
+        assert_eq!(h.heap_bytes(), before, "memory grew with distinct values");
+        let snapshot = registry.snapshot();
+        let h = snapshot.histogram("latency_ns", &[]).expect("histogram");
+        assert_eq!((h.count, h.min, h.max), (n, value(0), value(n - 1)));
+        for (q, got) in [(0.50, h.p50), (0.99, h.p99), (0.999, h.p999)] {
+            let rank = ((n as f64) * q).ceil() as u64;
+            let exact = value(rank - 1);
+            let error = (got as f64 - exact as f64).abs() / exact as f64;
+            assert!(
+                error <= WALL_CLOCK_RELATIVE_ERROR,
+                "q{q}: {got} vs exact {exact} ({error:.4} relative)"
+            );
+        }
+    }
+
+    #[test]
+    fn log_linear_buckets_cover_u64_within_the_stated_error() {
+        assert_eq!(log_linear_index(u64::MAX), LOG_LINEAR_BUCKETS - 1);
+        let mut previous = 0;
+        for shift in 0..64 {
+            for v in [1u64 << shift, (1u64 << shift) | 1, u64::MAX >> (63 - shift)] {
+                let index = log_linear_index(v);
+                assert!(index >= previous, "index of {v} went backwards");
+                previous = index;
+                assert_eq!(log_linear_index(log_linear_midpoint(index)), index);
+                let error = log_linear_midpoint(index).abs_diff(v) as f64 / v as f64;
+                assert!(error <= WALL_CLOCK_RELATIVE_ERROR, "{v}: {error}");
+            }
+        }
+        for v in 0..32 {
+            assert_eq!(log_linear_midpoint(log_linear_index(v)), v);
+        }
     }
 
     #[test]

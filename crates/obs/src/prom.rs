@@ -17,15 +17,18 @@
 //!   length `k`), then `_sum` and `_count`; empty trailing buckets are
 //!   elided, `le="+Inf"` always closes the series; each histogram also
 //!   exports a sibling `_quantile{quantile="..."}` gauge family with
-//!   the exact rank-statistic p50/p95/p99/p999 (observed values, not
-//!   bucket-boundary estimates).
+//!   its p50/p95/p99/p999 — exact rank statistics (observed values,
+//!   not bucket-boundary estimates) for exact histograms, log-linear
+//!   bucket midpoints within
+//!   [`WALL_CLOCK_RELATIVE_ERROR`](crate::metrics::WALL_CLOCK_RELATIVE_ERROR)
+//!   of them for wall-clock histograms, whose `# HELP` line says so.
 //!
 //! The output is a pure function of the snapshot: stable ordering
 //! (the registry's `BTreeMap` key order), no timestamps.
 
 use std::collections::BTreeSet;
 
-use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
+use crate::metrics::{HistogramSnapshot, MetricsSnapshot, WALL_CLOCK_RELATIVE_ERROR};
 
 /// Content-Type value a `/metrics` response should carry.
 pub const CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
@@ -41,7 +44,7 @@ pub fn render(snapshot: &MetricsSnapshot) -> String {
 
     for counter in &snapshot.counters {
         let family = format!("hbmd_{}_total", sanitize_name(&counter.name));
-        head(&mut out, &mut headed, &family, &counter.name, "counter");
+        head(&mut out, &mut headed, &family, &counter.name, "", "counter");
         out.push_str(&family);
         out.push_str(&render_labels(&counter.labels, None));
         out.push_str(&format!(" {}\n", counter.value));
@@ -49,7 +52,7 @@ pub fn render(snapshot: &MetricsSnapshot) -> String {
 
     for gauge in &snapshot.gauges {
         let family = format!("hbmd_{}", sanitize_name(&gauge.name));
-        head(&mut out, &mut headed, &family, &gauge.name, "gauge");
+        head(&mut out, &mut headed, &family, &gauge.name, "", "gauge");
         out.push_str(&family);
         out.push_str(&render_labels(&gauge.labels, None));
         out.push_str(&format!(" {}\n", gauge.value));
@@ -64,7 +67,7 @@ pub fn render(snapshot: &MetricsSnapshot) -> String {
 fn render_histogram(out: &mut String, headed: &mut BTreeSet<String>, h: &HistogramSnapshot) {
     let prefix = if h.wall_clock { "hbmd_wall_" } else { "hbmd_" };
     let family = format!("{prefix}{}", sanitize_name(&h.name));
-    head(out, headed, &family, &h.name, "histogram");
+    head(out, headed, &family, &h.name, "", "histogram");
     // Cumulative buckets up to the last non-empty one; `+Inf` closes.
     let last = h.buckets.iter().rposition(|&n| n > 0).map_or(0, |i| i + 1);
     let mut cumulative = 0u64;
@@ -89,11 +92,20 @@ fn render_histogram(out: &mut String, headed: &mut BTreeSet<String>, h: &Histogr
         render_labels(&h.labels, None),
         h.count
     ));
-    // Exact rank-statistic quantiles as a sibling gauge family — the
-    // histogram TYPE cannot carry `quantile` labels, and these values
-    // were actually observed, not estimated from bucket boundaries.
+    // Rank-statistic quantiles as a sibling gauge family — the
+    // histogram TYPE cannot carry `quantile` labels. Exact histograms
+    // report values that were actually observed; wall-clock ones report
+    // bucket midpoints, and say how far off those can be.
     let quantiles = format!("{family}_quantile");
-    head(out, headed, &quantiles, &h.name, "gauge");
+    let note = if h.wall_clock {
+        format!(
+            " (log-linear bucket midpoints, within {}% of the exact rank statistic)",
+            WALL_CLOCK_RELATIVE_ERROR * 100.0
+        )
+    } else {
+        String::new()
+    };
+    head(out, headed, &quantiles, &h.name, &note, "gauge");
     for (q, value) in [
         ("0.5", h.p50),
         ("0.95", h.p95),
@@ -115,10 +127,19 @@ fn le_bound(bits: usize) -> String {
     }
 }
 
-fn head(out: &mut String, headed: &mut BTreeSet<String>, family: &str, raw: &str, kind: &str) {
+/// One `# HELP` and `# TYPE` header per family; `note` is appended to
+/// the help text.
+fn head(
+    out: &mut String,
+    headed: &mut BTreeSet<String>,
+    family: &str,
+    raw: &str,
+    note: &str,
+    kind: &str,
+) {
     if headed.insert(family.to_owned()) {
         out.push_str(&format!(
-            "# HELP {family} hbmd metric `{}`\n# TYPE {family} {kind}\n",
+            "# HELP {family} hbmd metric `{}`{note}\n# TYPE {family} {kind}\n",
             escape_help(raw)
         ));
     }
@@ -306,6 +327,12 @@ mod tests {
         assert!(text.contains("hbmd_wall_classify_ns_count 1\n"));
         assert!(text.contains("# TYPE hbmd_votes histogram\n"));
         assert!(!text.contains("hbmd_wall_votes"));
+        // Only the bucketed quantiles carry the error statement.
+        assert!(text.contains(
+            "# HELP hbmd_wall_classify_ns_quantile hbmd metric `classify_ns` \
+             (log-linear bucket midpoints, within 1.5625% of the exact rank statistic)\n"
+        ));
+        assert!(text.contains("# HELP hbmd_votes_quantile hbmd metric `votes`\n"));
     }
 
     #[test]
