@@ -2,29 +2,33 @@
 //! evaluation.
 //!
 //! ```text
-//! repro [--scale F] [--paper] [--fast] [--threads N] [--bench-json PATH] <experiment>...
+//! repro [--scale F] [--paper] [--fast] [--threads N] <experiment>...
 //!
 //! experiments:
 //!   table1 table2 fig6 fig8 fig9 fig10 fig11 fig12
 //!   fig13 fig14 fig15 fig16 fig17 fig18 fig19
 //!   ablate-ensemble ablate-mux ablate-noise ablate-features
 //!   ablate-mlp ablate-prefetch
-//!   roc detect-latency robustness adversarial emit-hdl
+//!   roc detect-latency robustness
+//!   predict adversarial emit-hdl
 //!   all
 //! ```
 //!
 //! `--scale F` shrinks the catalog to a fraction `F` (default 0.2);
 //! `--paper` runs the full 3,070-sample catalog; `--fast` is shorthand
-//! for `--scale 0.05` (CI smoke timing). `--threads N` sets both the
+//! for `--scale 0.05` (CI smoke runs). `--threads N` sets both the
 //! collector's and the experiment layer's worker count — results are
 //! byte-identical at any value. All randomness is seeded, so repeated
-//! runs at the same scale are identical.
+//! runs at the same scale are identical. `all` runs every experiment
+//! from `table1` through `robustness`; `predict`, `adversarial` and
+//! `emit-hdl` run only when named. An unknown flag or experiment name
+//! exits nonzero before anything is printed to stdout.
 //!
-//! Each run also writes `BENCH_repro.json` (path override:
-//! `--bench-json`): wall-clock per experiment, thread counts, and the
-//! collection-cache hit/miss counters. Collection is memoized in a
-//! run-local [`CollectCache`], so the `misses` counter equals the
-//! number of *distinct* collector configurations the run touched.
+//! A run ends with one stderr line, `N collections for M lookups, T ms
+//! total`. Collection is memoized in a run-local [`CollectCache`], so
+//! `N` equals the number of *distinct* collector configurations the run
+//! touched. Performance is measured by the separate `perfbench`
+//! package, not by `repro`.
 //!
 //! Observability (all off by default; stdout is byte-identical without
 //! these flags):
@@ -55,10 +59,8 @@
 //!   analysis of a `--trace-jsonl` log: per-name aggregates ranked by
 //!   self time, the critical path, and optional folded stacks for
 //!   flamegraph renderers;
-//! * `repro bench-diff --baseline PATH --current PATH
-//!   [--max-regress-pct N]` — compare two `BENCH_repro.json` reports,
-//!   exiting nonzero on wall-clock or cache regressions; reports from
-//!   different versions, config digests, or phase sets are refused.
+//! * `repro bundle-report <bundle-dir>` — verify a diagnostic bundle's
+//!   checksums and print its incident timeline.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -66,9 +68,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hbmd_bench::{
-    config_at_scale, config_digest, diff, fleet, pct, BenchReport, PhaseTiming, TextTable,
-};
+use hbmd_bench::{config_at_scale, config_digest, fleet, pct, TextTable};
 use hbmd_core::experiments::{
     self, adversarial, binary, ensemble, hardware, latency, multiclass, pca, robustness, roc,
     ExperimentConfig,
@@ -97,16 +97,15 @@ fn main() -> ExitCode {
         Some("serve") => return serve_mode(&args[1..]),
         Some("chaos") => return chaos_mode(&args[1..]),
         Some("trace-report") => return trace_report(&args[1..]),
-        Some("bench-diff") => return bench_diff(&args[1..]),
         Some("bundle-report") => return bundle_report(&args[1..]),
         _ => {}
     }
     let mut scale = 0.2f64;
     let mut threads: Option<usize> = None;
-    let mut bench_json = "BENCH_repro.json".to_owned();
     let mut trace_jsonl: Option<String> = None;
     let mut metrics_json: Option<String> = None;
-    let mut experiments: Vec<String> = Vec::new();
+    let mut experiments: Vec<&(&str, Experiment)> = Vec::new();
+    let mut all = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -123,13 +122,6 @@ fn main() -> ExitCode {
                 Some(n) if n >= 1 => threads = Some(n),
                 _ => {
                     eprintln!("--threads needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--bench-json" => match iter.next() {
-                Some(path) => bench_json = path.clone(),
-                None => {
-                    eprintln!("--bench-json needs a path");
                     return ExitCode::FAILURE;
                 }
             },
@@ -151,43 +143,22 @@ fn main() -> ExitCode {
                 print_usage();
                 return ExitCode::SUCCESS;
             }
-            other => experiments.push(other.to_owned()),
+            "all" => all = true,
+            other => match ALL.iter().chain(BY_NAME).find(|(name, _)| *name == other) {
+                Some(experiment) => experiments.push(experiment),
+                None => {
+                    eprintln!("repro: unexpected argument `{other}`");
+                    return ExitCode::FAILURE;
+                }
+            },
         }
+    }
+    if all {
+        experiments = ALL.iter().collect();
     }
     if experiments.is_empty() {
         print_usage();
         return ExitCode::FAILURE;
-    }
-    if experiments.iter().any(|e| e == "all") {
-        experiments = [
-            "table1",
-            "fig6",
-            "fig8",
-            "table2",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12",
-            "fig13",
-            "fig14",
-            "fig15",
-            "fig16",
-            "fig17",
-            "fig18",
-            "fig19",
-            "ablate-ensemble",
-            "ablate-mux",
-            "ablate-noise",
-            "ablate-features",
-            "ablate-mlp",
-            "ablate-prefetch",
-            "roc",
-            "detect-latency",
-            "robustness",
-        ]
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
     }
 
     let mut config = config_at_scale(scale);
@@ -228,55 +199,29 @@ fn main() -> ExitCode {
     // distinct collector configurations this invocation collected.
     let cache = CollectCache::new();
     let started = Instant::now();
-    let mut report = BenchReport {
-        version: env!("CARGO_PKG_VERSION").to_owned(),
-        config_digest: config_digest(&config),
-        scale,
-        threads: config.threads,
-        collector_threads: config.collector.threads,
-        phases: Vec::with_capacity(experiments.len()),
-        cache_hits: 0,
-        cache_misses: 0,
-        total_ms: 0,
-    };
-    for experiment in &experiments {
-        let phase_started = Instant::now();
-        let span = hbmd_obs::span!("experiment", name = experiment.as_str());
-        let result = run(experiment, &config, &cache);
+    for (name, experiment) in &experiments {
+        let span = hbmd_obs::span!("experiment", name = *name);
+        let result = experiment(&config, &cache);
         drop(span);
-        let windows_per_sec = match result {
-            Ok(rate) => rate,
-            Err(e) => {
-                eprintln!("{experiment}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        report.phases.push(PhaseTiming {
-            name: experiment.clone(),
-            wall_ms: phase_started.elapsed().as_millis(),
-            windows_per_sec,
-        });
-        println!();
-    }
-    report.total_ms = started.elapsed().as_millis();
-    report.set_cache_stats(cache.stats());
-    match std::fs::write(&bench_json, report.to_json()) {
-        Ok(()) => eprintln!(
-            "wrote {bench_json} ({} collections for {} lookups, {} ms total)",
-            report.cache_misses,
-            report.cache_hits + report.cache_misses,
-            report.total_ms
-        ),
-        Err(e) => {
-            eprintln!("cannot write {bench_json}: {e}");
+        if let Err(e) = result {
+            eprintln!("{name}: {e}");
             return ExitCode::FAILURE;
         }
+        println!();
     }
+    let stats = cache.stats();
+    eprintln!(
+        "{} collections for {} lookups, {} ms total",
+        stats.misses,
+        stats.lookups(),
+        started.elapsed().as_millis()
+    );
 
     if let Some(guard) = obs_guard {
         let snapshot = guard.registry().snapshot();
         if let Some(path) = &metrics_json {
-            let mut manifest = build_manifest(scale, &config, &experiments);
+            let names: Vec<String> = experiments.iter().map(|(n, _)| (*n).to_owned()).collect();
+            let mut manifest = build_manifest(scale, &config, &names);
             manifest.wall.total_ms = started.elapsed().as_millis();
 
             let body = snapshot.to_json();
@@ -306,7 +251,7 @@ fn main() -> ExitCode {
 
 fn print_usage() {
     println!(
-        "usage: repro [--scale F | --paper | --fast] [--threads N] [--bench-json PATH]\n\
+        "usage: repro [--scale F | --paper | --fast] [--threads N]\n\
          \x20      [--trace-jsonl PATH] [--metrics-json PATH] <experiment>...\n\
          \x20      repro serve [--scale F | --fast] [--addr HOST:PORT] [--windows N]\n\
          \x20                  [--streams N] [--shards N] [--panic-shard S]\n\
@@ -315,12 +260,11 @@ fn print_usage() {
          \x20                  [--source sim|perf]\n\
          \x20      repro chaos [--scale F] [--windows N] [--checkpoint-every N] [--dir PATH]\n\
          \x20      repro trace-report <trace.jsonl> [--collapsed PATH]\n\
-         \x20      repro bench-diff --baseline PATH --current PATH [--max-regress-pct N]\n\
          \x20      repro bundle-report <bundle-dir>\n\
          experiments: table1 table2 fig6 fig8 fig9 fig10 fig11 fig12 fig13 fig14\n\
          \x20            fig15 fig16 fig17 fig18 fig19 ablate-ensemble ablate-mux\n\
          \x20            ablate-noise ablate-features ablate-mlp ablate-prefetch\n\
-         \x20            roc detect-latency robustness adversarial fleet predict emit-hdl all"
+         \x20            roc detect-latency robustness predict adversarial emit-hdl all"
     );
 }
 
@@ -336,7 +280,7 @@ fn build_manifest(scale: f64, config: &ExperimentConfig, experiments: &[String])
         ("catalog".to_owned(), config.catalog_seed),
         ("split".to_owned(), config.split_seed),
     ];
-    // Same thread-normalized digest `BENCH_repro.json` is stamped with.
+    // Thread-normalized, so runs that differ only in `--threads` match.
     manifest.config_digest =
         u64::from_str_radix(&config_digest(config), 16).expect("digest is 16 hex digits");
     // The workspace shares one version across the hbmd crates.
@@ -1272,63 +1216,6 @@ fn trace_report(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `repro bench-diff` — gate on timing regressions between two
-/// `BENCH_repro.json` files. Exits nonzero when the reports are
-/// incomparable or any phase (or the collection cache) regressed.
-fn bench_diff(args: &[String]) -> ExitCode {
-    let mut baseline: Option<String> = None;
-    let mut current: Option<String> = None;
-    let mut max_regress_pct = 25.0f64;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--baseline" => baseline = iter.next().cloned(),
-            "--current" => current = iter.next().cloned(),
-            "--max-regress-pct" => match iter.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(pct) if pct >= 0.0 => max_regress_pct = pct,
-                _ => {
-                    eprintln!("--max-regress-pct needs a non-negative number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("bench-diff: unexpected argument `{other}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let (Some(baseline_path), Some(current_path)) = (baseline, current) else {
-        eprintln!("usage: repro bench-diff --baseline PATH --current PATH [--max-regress-pct N]");
-        return ExitCode::FAILURE;
-    };
-    let load = |path: &str| -> Result<diff::LoadedReport, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        diff::parse_report(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let reports = load(&baseline_path).and_then(|b| Ok((b, load(&current_path)?)));
-    let (baseline_report, current_report) = match reports {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match diff::diff(&baseline_report, &current_report, max_regress_pct) {
-        Ok(result) => {
-            print!("{}", result.render());
-            if result.regressed() {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 /// `repro bundle-report` — verify a diagnostic bundle's checksums,
 /// then reconstruct the incident timeline on stdout: trigger metadata,
 /// per-ring seqno ranges, event counts by kind, and the recorded tail
@@ -1551,103 +1438,53 @@ fn render_bundle_report(
     Ok(out)
 }
 
-fn run(
-    experiment: &str,
-    config: &ExperimentConfig,
-    cache: &CollectCache,
-) -> Result<Option<f64>, Box<dyn std::error::Error>> {
-    match experiment {
-        "fleet" => return Ok(Some(fleet_phase(config, cache)?)),
-        "predict" => return Ok(Some(predict_phase(config, cache)?)),
-        "adversarial" => return Ok(Some(adversarial_phase(config, cache)?)),
-        "table1" => table1(config, cache),
-        "fig6" => fig6(config, cache),
-        "table2" => table2(config, cache)?,
-        "fig8" => fig8(config, cache)?,
-        "fig9" => scatter(config, cache, AppClass::Rootkit, "Figure 9")?,
-        "fig10" => scatter(config, cache, AppClass::Trojan, "Figure 10")?,
-        "fig11" => scatter(config, cache, AppClass::Virus, "Figure 11")?,
-        "fig12" => scatter(config, cache, AppClass::Worm, "Figure 12")?,
-        "fig13" => fig13(config, cache)?,
-        "fig14" | "fig15" | "fig16" => hardware_figures(config, cache, experiment)?,
-        "fig17" | "fig18" => multiclass_figures(config, cache, experiment)?,
-        "fig19" => fig19(config, cache)?,
-        "ablate-ensemble" => ablate_ensemble(config, cache)?,
-        "roc" => roc_analysis(config, cache)?,
-        "detect-latency" => detect_latency(config, cache)?,
-        "robustness" => robustness_sweep(config, cache)?,
-        "emit-hdl" => emit_hdl(config, cache)?,
-        "ablate-prefetch" => ablate_prefetch(config, cache)?,
-        "ablate-mux" => ablate_mux(config, cache)?,
-        "ablate-noise" => ablate_noise(config, cache)?,
-        "ablate-features" => ablate_features(config, cache)?,
-        "ablate-mlp" => ablate_mlp(config, cache)?,
-        other => return Err(format!("unknown experiment `{other}`").into()),
-    }
-    Ok(None)
-}
+/// An experiment: print its tables to stdout, given the run's
+/// configuration and collection cache.
+type Experiment = fn(&ExperimentConfig, &CollectCache) -> Result<(), Box<dyn std::error::Error>>;
 
-/// The `fleet` bench phase: run a small sharded fleet at full speed and
-/// report its aggregate throughput. The deterministic facts (stream
-/// placement, counters) go to stdout; the machine-dependent rate goes
-/// to stderr and into `BENCH_repro.json` as `windows_per_sec`, where
-/// `repro bench-diff` gates the phase's wall-clock.
-fn fleet_phase(
-    config: &ExperimentConfig,
-    cache: &CollectCache,
-) -> Result<f64, Box<dyn std::error::Error>> {
-    println!("## Fleet: sharded online monitoring throughput");
-    let collection = cache.collect(config)?;
-    let detector = DetectorBuilder::new()
-        .classifier(ClassifierKind::J48)
-        .feature_set(FeatureSet::Top(8))
-        .train_binary(&collection.dataset)?;
-    let monitor = OnlineDetector::builder(detector)
-        .window(4)
-        .threshold(3)
-        .build()?;
-    let (detector, template) = monitor.into_parts();
+/// What `repro all` runs, in order.
+const ALL: &[(&str, Experiment)] = &[
+    ("table1", table1),
+    ("fig6", fig6),
+    ("fig8", fig8),
+    ("table2", table2),
+    ("fig9", |c, k| scatter(c, k, AppClass::Rootkit, "Figure 9")),
+    ("fig10", |c, k| scatter(c, k, AppClass::Trojan, "Figure 10")),
+    ("fig11", |c, k| scatter(c, k, AppClass::Virus, "Figure 11")),
+    ("fig12", |c, k| scatter(c, k, AppClass::Worm, "Figure 12")),
+    ("fig13", fig13),
+    ("fig14", |c, k| hardware_figures(c, k, "fig14")),
+    ("fig15", |c, k| hardware_figures(c, k, "fig15")),
+    ("fig16", |c, k| hardware_figures(c, k, "fig16")),
+    ("fig17", |c, k| multiclass_figures(c, k, "fig17")),
+    ("fig18", |c, k| multiclass_figures(c, k, "fig18")),
+    ("fig19", fig19),
+    ("ablate-ensemble", ablate_ensemble),
+    ("ablate-mux", ablate_mux),
+    ("ablate-noise", ablate_noise),
+    ("ablate-features", ablate_features),
+    ("ablate-mlp", ablate_mlp),
+    ("ablate-prefetch", ablate_prefetch),
+    ("roc", roc_analysis),
+    ("detect-latency", detect_latency),
+    ("robustness", robustness_sweep),
+];
 
-    let (streams, shards, windows) = (64u64, 8usize, 64u64);
-    let fleet_config = fleet::FleetConfig {
-        pristine_stream: template,
-        capture_verdicts: false,
-        ..fleet::FleetConfig::lossless(streams, shards, windows)
-    };
-    let report = fleet::run_fleet(&detector, &config.collector.sampler, &fleet_config)?;
+/// Experiments that run only when named.
+const BY_NAME: &[(&str, Experiment)] = &[
+    ("predict", predict_phase),
+    ("adversarial", adversarial_phase),
+    ("emit-hdl", emit_hdl),
+];
 
-    let mut table = TextTable::new(vec!["streams", "shards", "windows/stream", "windows"]);
-    table.row(vec![
-        streams.to_string(),
-        shards.to_string(),
-        windows.to_string(),
-        report.processed.to_string(),
-    ]);
-    print!("{}", table.render());
-    println!(
-        "restarts {}  trips {}  quarantines {}  shed {}",
-        report.restarts,
-        report.trips,
-        report.quarantines,
-        report.shed_low + report.shed_high
-    );
-    eprintln!(
-        "fleet: {:.0} windows/sec aggregate over {} shards ({} ms wall)",
-        report.windows_per_sec, shards, report.wall_ms
-    );
-    Ok(report.windows_per_sec)
-}
-
-/// The `predict` bench phase: fit every compilable scheme, lower it
+/// The `predict` experiment: fit every compilable scheme, lower it
 /// through the compilation pass, and report the compiled evaluator's
 /// footprint (deterministic: stdout) plus its batched columnar
-/// throughput (machine-dependent: stderr and `BENCH_repro.json`). The
-/// returned rate is the fastest per-scheme batch throughput, so `repro
-/// bench-diff` gates compiled prediction speed alongside wall-clock.
+/// throughput (machine-dependent: stderr only).
 fn predict_phase(
     config: &ExperimentConfig,
     cache: &CollectCache,
-) -> Result<f64, Box<dyn std::error::Error>> {
+) -> Result<(), Box<dyn std::error::Error>> {
     println!("## Predict: compiled evaluator footprint and batched throughput");
     let collection = cache.collect(config)?;
     let data = to_binary_dataset(&collection.dataset);
@@ -1666,7 +1503,6 @@ fn predict_phase(
         ClassifierKind::RandomForest,
     ];
     let mut table = TextTable::new(vec!["scheme", "accuracy %", "nodes", "bytes"]);
-    let mut best = 0.0f64;
     for kind in kinds {
         let mut model = kind.instantiate();
         model.fit(&train)?;
@@ -1681,8 +1517,8 @@ fn predict_phase(
             compiled.byte_size().to_string(),
         ]);
 
-        // A fixed window budget (not a fixed duration) so the
-        // wall-clock gate sees comparable work at any machine speed.
+        // A fixed window budget (not a fixed duration), so the phase
+        // does the same work at any machine speed.
         let rows = test.rows();
         let target = 200_000usize;
         let mut predicted = 0usize;
@@ -1696,24 +1532,22 @@ fn predict_phase(
             kind.name(),
             rate,
         );
-        best = best.max(rate);
     }
     print!("{}", table.render());
-    Ok(best)
+    Ok(())
 }
 
-/// The `adversarial` bench phase: craft plausibility-constrained
+/// The `adversarial` experiment: craft plausibility-constrained
 /// evasion attacks against each trained detector, score the same
 /// crafted windows under every defense (clean / retrained /
 /// ensemble-disagreement), and measure end-to-end detection against
 /// behaviour-level camouflage catalogs. All tables and the per-scheme
 /// summary lines are deterministic (stdout); the attack throughput
-/// goes to stderr and into `BENCH_repro.json` as `windows_per_sec`,
-/// where `repro bench-diff` gates the phase's wall-clock.
+/// goes to stderr only.
 fn adversarial_phase(
     config: &ExperimentConfig,
     cache: &CollectCache,
-) -> Result<f64, Box<dyn std::error::Error>> {
+) -> Result<(), Box<dyn std::error::Error>> {
     println!("## Adversarial: accuracy under attack, clean vs defended");
     println!("(gradient-free evasion inside a benign plausibility envelope; arXiv:2005.03644 threat model)");
     let schemes = [ClassifierKind::J48, ClassifierKind::RandomForest];
@@ -1797,10 +1631,13 @@ fn adversarial_phase(
         "adversarial: {rate:.0} attacked windows/sec over {} sweep cells ({attacked} windows)",
         rows.len() / adversarial::DefenseKind::ALL.len(),
     );
-    Ok(rate)
+    Ok(())
 }
 
-fn table1(config: &ExperimentConfig, cache: &CollectCache) {
+fn table1(
+    config: &ExperimentConfig,
+    cache: &CollectCache,
+) -> Result<(), Box<dyn std::error::Error>> {
     println!("## Table 1: samples per application class");
     println!("paper: backdoor 452, rootkit 324, trojan 1169, virus 650, worm 149, benign 326 (3,070 total)");
     let rows = experiments::census_with(cache, config);
@@ -1822,9 +1659,10 @@ fn table1(config: &ExperimentConfig, cache: &CollectCache) {
         String::new(),
     ]);
     print!("{}", table.render());
+    Ok(())
 }
 
-fn fig6(config: &ExperimentConfig, cache: &CollectCache) {
+fn fig6(config: &ExperimentConfig, cache: &CollectCache) -> Result<(), Box<dyn std::error::Error>> {
     println!("## Figure 6: class distribution of the database");
     println!("paper: trojan-dominated, mirroring the in-the-wild distribution (Figure 3)");
     let rows = experiments::census_with(cache, config);
@@ -1834,6 +1672,7 @@ fn fig6(config: &ExperimentConfig, cache: &CollectCache) {
         table.row(vec![row.class.to_string(), pct(row.share), bar]);
     }
     print!("{}", table.render());
+    Ok(())
 }
 
 fn table2(

@@ -1,26 +1,22 @@
-//! Shared plumbing for the `repro` binary and the Criterion benches:
-//! experiment-scale handling, plain-text table rendering, the
-//! machine-readable timing report (`BENCH_repro.json`), the [`diff`]
-//! comparison that gates CI on timing regressions, and the supervised,
-//! sharded [`fleet`] pipeline that `repro serve` and `repro chaos` run.
+//! Shared plumbing for the `repro` binary, the Criterion benches and
+//! the `perfbench` package: experiment-scale handling, the run
+//! configuration digest, plain-text table rendering, and the
+//! supervised, sharded [`fleet`] pipeline that `repro serve`,
+//! `repro chaos` and `perfbench` run.
 
-pub mod diff;
 pub mod fleet;
-mod report;
-
-pub use report::{BenchReport, PhaseTiming};
 
 use hbmd_core::experiments::ExperimentConfig;
 use hbmd_perf::CollectorConfig;
 
 /// Thread-normalized FNV-1a digest of an experiment configuration, as
-/// the 16-hex-digit string stamped into `BENCH_repro.json` and the run
-/// manifest.
+/// the 16-hex-digit string stamped into the run manifest, the
+/// `hbmd_build_info` gauge and fleet checkpoints.
 ///
 /// Thread counts are forced to 1 before digesting: results are
 /// byte-identical at any worker count, so two runs that differ only in
-/// `--threads` are the *same* workload and must stay comparable under
-/// `repro bench-diff` across machines with different core counts.
+/// `--threads` are the *same* workload and get the same digest, on
+/// machines with any core count.
 pub fn config_digest(config: &ExperimentConfig) -> String {
     let mut normalized = config.clone();
     normalized.threads = 1;

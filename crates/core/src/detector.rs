@@ -7,7 +7,6 @@ use hbmd_malware::AppClass;
 use hbmd_ml::{Classifier, CompiledModel, Evaluation};
 use hbmd_obs::{Counter, Histogram};
 use hbmd_perf::HpcDataset;
-use serde::{Deserialize, Serialize};
 
 use crate::convert::{to_binary_dataset, to_multiclass_dataset};
 use crate::error::CoreError;
@@ -16,7 +15,7 @@ use crate::sanitize::{SanitizeOutcome, Sanitizer};
 use crate::suite::{ClassifierKind, TrainedModel};
 
 /// Detection granularity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DetectorMode {
     /// Benign vs malware.
     Binary,
@@ -25,7 +24,7 @@ pub enum DetectorMode {
 }
 
 /// A single sampling window's verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Verdict {
     /// The window looks benign.
     Benign,

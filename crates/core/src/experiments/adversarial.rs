@@ -31,7 +31,6 @@ use hbmd_malware::{
 };
 use hbmd_ml::par::try_par_map;
 use hbmd_perf::{DataRow, HpcDataset};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::convert::to_binary_dataset;
@@ -65,7 +64,7 @@ const MAX_RETRAIN_TARGETS: usize = 256;
 const EVAL_SEED_SALT: u64 = 0xA77A_C4ED;
 
 /// The defense configuration a row was scored under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DefenseKind {
     /// The undefended detector, exactly as trained on clean data.
     Clean,
@@ -103,7 +102,7 @@ impl fmt::Display for DefenseKind {
 }
 
 /// One cell of the budget × scheme × defense sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdversarialRow {
     /// Attacker's L1 budget as a fraction of each window's L1 mass.
     pub budget: f64,
@@ -132,7 +131,7 @@ pub struct AdversarialRow {
 }
 
 /// One cell of the behaviour-level camouflage sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TacticRow {
     /// Camouflage tactic name, `"none"` for the uncamouflaged baseline.
     pub tactic: String,

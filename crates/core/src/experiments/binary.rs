@@ -3,7 +3,6 @@
 
 use hbmd_ml::par::try_par_map;
 use hbmd_ml::Evaluation;
-use serde::{Deserialize, Serialize};
 
 use crate::convert::to_binary_dataset;
 use crate::error::CoreError;
@@ -13,7 +12,7 @@ use crate::features::{FeaturePlan, FeatureSet};
 use crate::suite::ClassifierKind;
 
 /// One classifier's row of the Figure 13 comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BinaryAccuracyRow {
     /// Classifier scheme.
     pub scheme: ClassifierKind,

@@ -24,9 +24,9 @@
 //! Experiments accept an explicit `&CollectCache` through their
 //! `*_with` variants; the plain entry points fall back to a
 //! process-wide [`CollectCache::global`]. Harnesses that need exact
-//! hit/miss accounting (the `repro` binary's `BENCH_repro.json`) create
-//! a private cache so other tests' collections don't pollute the
-//! counters.
+//! hit/miss accounting (the `repro` binary's end-of-run collection
+//! line) create a private cache so other tests' collections don't
+//! pollute the counters.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};

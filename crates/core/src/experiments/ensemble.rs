@@ -6,7 +6,6 @@
 use hbmd_fpga::{synthesize, SynthConfig};
 use hbmd_ml::par::try_par_map;
 use hbmd_ml::Evaluation;
-use serde::{Deserialize, Serialize};
 
 use crate::convert::to_binary_dataset;
 use crate::error::CoreError;
@@ -16,7 +15,7 @@ use crate::features::{FeaturePlan, FeatureSet};
 use crate::suite::ClassifierKind;
 
 /// One scheme's row of the ensemble comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnsembleRow {
     /// Scheme.
     pub scheme: ClassifierKind,

@@ -4,7 +4,6 @@
 use hbmd_fpga::{synthesize, HwReport, SynthConfig};
 use hbmd_ml::par::try_par_map;
 use hbmd_ml::Evaluation;
-use serde::{Deserialize, Serialize};
 
 use crate::convert::to_binary_dataset;
 use crate::error::CoreError;
@@ -14,7 +13,7 @@ use crate::features::{FeaturePlan, FeatureSet};
 use crate::suite::ClassifierKind;
 
 /// One classifier's hardware-vs-accuracy result at one feature count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardwarePoint {
     /// Feature count the model was trained with.
     pub features: usize,
@@ -32,7 +31,7 @@ impl HardwarePoint {
 }
 
 /// One classifier's row across the 8- and 4-feature design points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardwareRow {
     /// Classifier scheme.
     pub scheme: ClassifierKind,

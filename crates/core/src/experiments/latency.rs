@@ -8,7 +8,6 @@
 
 use hbmd_malware::{AppClass, Sample, SampleId};
 use hbmd_perf::{Sampler, SamplerConfig};
-use serde::{Deserialize, Serialize};
 
 use crate::detector::DetectorBuilder;
 use crate::error::CoreError;
@@ -19,7 +18,7 @@ use crate::online::{OnlineDetector, OnlineVerdict};
 use crate::suite::ClassifierKind;
 
 /// Detection-latency statistics for one malware family.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyRow {
     /// Malware family observed.
     pub class: AppClass,

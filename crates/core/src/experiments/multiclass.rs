@@ -4,7 +4,6 @@
 use hbmd_malware::AppClass;
 use hbmd_ml::par::try_par_map;
 use hbmd_ml::{Classifier, Evaluation, Mlr};
-use serde::{Deserialize, Serialize};
 
 use crate::convert::to_multiclass_dataset;
 use crate::error::CoreError;
@@ -14,7 +13,7 @@ use crate::features::{FeaturePlan, FeatureSet};
 use crate::suite::ClassifierKind;
 
 /// One multiclass scheme's result (Figures 17 and 18).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MulticlassRow {
     /// Classifier scheme.
     pub scheme: ClassifierKind,
@@ -70,7 +69,7 @@ pub fn accuracy_comparison_with(
 /// global top-8 at the same feature budget, reporting ≈ +7 % for the
 /// custom sets. Both are recorded here, along with the unreduced
 /// 16-feature MLR for context.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PcaAssistedResult {
     /// Plain MLR on all 16 features (context).
     pub plain_full_accuracy: f64,

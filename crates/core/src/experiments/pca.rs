@@ -4,7 +4,6 @@
 
 use hbmd_malware::AppClass;
 use hbmd_ml::Pca;
-use serde::{Deserialize, Serialize};
 
 use crate::convert::to_binary_dataset;
 use crate::error::CoreError;
@@ -13,7 +12,7 @@ use crate::experiments::ExperimentConfig;
 use crate::features::{FeaturePlan, VARIANCE_RETAINED};
 
 /// Table 2 as data: the common features plus the per-class custom 8.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2 {
     /// Features common to every class' top-8, ordered by average rank.
     pub common: Vec<&'static str>,
@@ -56,7 +55,7 @@ pub fn table2_with(cache: &CollectCache, config: &ExperimentConfig) -> Result<Ta
 }
 
 /// Figure 8's content: the eigen summary of the full binary dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EigenSummary {
     /// Eigenvalues in descending order.
     pub eigenvalues: Vec<f64>,
@@ -104,7 +103,7 @@ pub fn eigen_summary_with(
 }
 
 /// One point of a Figures 9–12 scatter plot.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScatterPoint {
     /// Projection onto the first principal component.
     pub pc1: f64,

@@ -14,7 +14,6 @@
 use hbmd_malware::SampleCatalog;
 use hbmd_ml::par::try_par_map;
 use hbmd_perf::{CollectorConfig, FaultPlan};
-use serde::{Deserialize, Serialize};
 
 use crate::detector::DetectorBuilder;
 use crate::error::CoreError;
@@ -23,7 +22,7 @@ use crate::experiments::ExperimentConfig;
 use crate::suite::ClassifierKind;
 
 /// One cell of the fault-rate × classifier sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RobustnessRow {
     /// Uniform per-mode fault activation rate injected during the
     /// evaluation collection.

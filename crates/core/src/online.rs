@@ -4,13 +4,12 @@ use std::time::Instant;
 
 use hbmd_events::FeatureVector;
 use hbmd_malware::AppClass;
-use serde::{Deserialize, Serialize};
 
 use crate::detector::{Detector, Verdict};
 use crate::error::CoreError;
 
 /// Aggregated run-time decision after one more sampling window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OnlineVerdict {
     /// Not enough windows observed yet.
     Warmup,

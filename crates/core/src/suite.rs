@@ -5,7 +5,6 @@ use hbmd_ml::{
     AdaBoostM1, Bagging, Classifier, CompiledModel, Dataset, DecisionStump, Ibk, JRip, LinearSvm,
     MlError, Mlp, Mlr, NaiveBayes, OneR, RandomForest, RepTree, RowsView, ZeroR, J48,
 };
-use serde::{Deserialize, Serialize};
 
 /// The classifier suite of the reference evaluation, as a closed enum.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// accuracy/hardware comparison exercises (Figures 13–16);
 /// [`ClassifierKind::multiclass_suite`] lists the three the multiclass
 /// study uses (Figures 17–19).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClassifierKind {
     /// Majority-class baseline.
     ZeroR,

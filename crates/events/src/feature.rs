@@ -1,8 +1,6 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-use serde::{Deserialize, Serialize};
-
 use crate::counters::CounterSet;
 use crate::event::HpcEvent;
 
@@ -24,7 +22,7 @@ use crate::event::HpcEvent;
 /// let fv = FeatureVector::from_scaled(&raw, |_event| 2.0);
 /// assert_eq!(fv[HpcEvent::CacheMisses], 200.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureVector {
     values: [f64; HpcEvent::COUNT],
 }

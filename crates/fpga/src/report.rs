@@ -1,10 +1,8 @@
 use std::fmt;
 use std::ops::Add;
 
-use serde::{Deserialize, Serialize};
-
 /// FPGA resource counts, Xilinx 7-series flavoured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResourceEstimate {
     /// 6-input lookup tables.
     pub luts: u64,
@@ -53,7 +51,7 @@ impl fmt::Display for ResourceEstimate {
 
 /// The synthesis result for one classifier — the row a Vivado HLS
 /// report would give you.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HwReport {
     /// Scheme name of the synthesised model.
     pub scheme: String,

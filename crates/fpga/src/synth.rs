@@ -1,11 +1,9 @@
-use serde::{Deserialize, Serialize};
-
 use crate::datapath::DatapathSpec;
 use crate::report::{HwReport, ResourceEstimate};
 
 /// Synthesis parameters: datapath width, clock target, and the
 /// resource-library cost constants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SynthConfig {
     /// Fixed-point word width in bits (16 in the reference flow).
     pub word_bits: u64,

@@ -6,13 +6,12 @@ use std::fmt;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::classifier::Classifier;
 use crate::data::{Dataset, MlError};
 
 /// A square confusion matrix: `counts[actual][predicted]`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     class_names: Vec<String>,
     counts: Vec<Vec<usize>>,
@@ -140,7 +139,7 @@ impl fmt::Display for ConfusionMatrix {
 }
 
 /// The result of evaluating a trained classifier on a test set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Evaluation {
     scheme: String,
     confusion: ConfusionMatrix,

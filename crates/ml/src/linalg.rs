@@ -1,8 +1,6 @@
 //! Minimal dense linear algebra: just enough for PCA (covariance and a
 //! Jacobi eigensolver for symmetric matrices).
 
-use serde::{Deserialize, Serialize};
-
 /// A dense row-major matrix.
 ///
 /// # Examples
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(m.get(1, 0), 3.0);
 /// assert_eq!(m.transposed().get(0, 1), 3.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -7,14 +7,12 @@
 //! reproduces all three uses plus the top-2-component projection behind
 //! the thesis' per-class PCA scatter plots (Figures 9–12).
 
-use serde::{Deserialize, Serialize};
-
 use crate::data::{Dataset, MlError};
 use crate::filter::Standardize;
 use crate::linalg::{covariance_matrix, jacobi_eigen, Matrix};
 
 /// One original attribute with its PCA-derived importance score.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankedAttribute {
     /// Column index in the original dataset.
     pub feature: usize,
@@ -45,7 +43,7 @@ pub struct RankedAttribute {
 /// assert_eq!(projected.len(), 2);
 /// # Ok::<(), hbmd_ml::MlError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pca {
     standardize: Standardize,
     feature_names: Vec<String>,

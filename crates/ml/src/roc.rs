@@ -7,12 +7,10 @@
 //! [`LinearSvm`](crate::LinearSvm)), plus the operating-point helper
 //! the run-time layer uses to pick a threshold for a target FPR.
 
-use serde::{Deserialize, Serialize};
-
 use crate::data::MlError;
 
 /// One ROC operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RocPoint {
     /// Score threshold: instances scoring `>= threshold` are flagged.
     pub threshold: f64,
@@ -36,7 +34,7 @@ pub struct RocPoint {
 /// assert!((roc.auc() - 1.0).abs() < 1e-9);
 /// # Ok::<(), hbmd_ml::MlError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RocCurve {
     points: Vec<RocPoint>,
     auc: f64,

@@ -1,7 +1,7 @@
 //! A tiny hand-rolled binary codec for model snapshots.
 //!
-//! The vendored `serde` facade carries no data-format machinery, so
-//! checkpointing needs its own wire format. [`Snap`] is deliberately
+//! The workspace has no serialization library, so checkpointing needs
+//! its own wire format. [`Snap`] is deliberately
 //! minimal: little-endian fixed-width integers, `f64` as IEEE-754 bit
 //! patterns (NaN payloads and signed zeros survive byte-exactly), and
 //! length-prefixed sequences. Every encoder is total and every decoder

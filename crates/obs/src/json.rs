@@ -3,8 +3,8 @@
 //! The workspace vendors no JSON serializer, so the observability
 //! artefacts (metrics snapshots, span event lines, run manifests)
 //! render themselves through these primitives — and the analysis side
-//! ([`trace`](crate::trace), `repro bench-diff`) reads them back with
-//! the small recursive-descent [`parse`]r below.
+//! ([`trace`](crate::trace), `repro chaos` and `repro bundle-report`)
+//! reads them back with the small recursive-descent [`parse`]r below.
 
 use std::fmt;
 

@@ -377,12 +377,6 @@ mod tests {
     fn install_restores_previous_context() {
         let outer = install(Obs::new());
         incr("lib.outer");
-        {
-            // Dropping `outer` first would be a bug; nesting via an
-            // inner scope is the supported shape on one thread only
-            // when the outer guard is released first — so emulate two
-            // sequential installs instead.
-        }
         drop(outer);
         let second = install(Obs::new());
         assert_eq!(second.registry().snapshot().counter("lib.outer"), 0);

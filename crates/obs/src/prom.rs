@@ -19,8 +19,7 @@
 //!   exports a sibling `_quantile{quantile="..."}` gauge family with
 //!   its p50/p95/p99/p999 — exact rank statistics (observed values,
 //!   not bucket-boundary estimates) for exact histograms, log-linear
-//!   bucket midpoints within
-//!   [`WALL_CLOCK_RELATIVE_ERROR`](crate::metrics::WALL_CLOCK_RELATIVE_ERROR)
+//!   bucket midpoints within [`WALL_CLOCK_RELATIVE_ERROR`]
 //!   of them for wall-clock histograms, whose `# HELP` line says so.
 //!
 //! The output is a pure function of the snapshot: stable ordering

@@ -2,7 +2,6 @@ use std::panic::{self, AssertUnwindSafe};
 use std::time::Duration;
 
 use hbmd_malware::{MultiEngineLabeler, Sample, SampleCatalog, SampleId};
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::{DataRow, HpcDataset};
 use crate::error::PerfError;
@@ -11,7 +10,7 @@ use crate::sampler::{Sampler, SamplerConfig};
 use crate::source::SourceSelect;
 
 /// Configuration for whole-catalog collection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CollectorConfig {
     /// Per-sample observation setup.
     pub sampler: SamplerConfig,
@@ -217,7 +216,7 @@ impl Default for CollectorConfig {
 
 /// What happened during one catalog collection: how much data survived,
 /// which samples had to be quarantined, and the injected-fault tally.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CollectionReport {
     /// Samples in the catalog.
     pub samples_total: usize,
@@ -265,7 +264,7 @@ impl CollectionReport {
 /// experiment-layer collect cache memoizes — dataset and report travel
 /// together so degradation telemetry (quarantined samples, retries,
 /// fault tallies) is never silently discarded.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Collection {
     /// The collected dataset, rows in catalog order.
     pub dataset: HpcDataset,

@@ -3,10 +3,9 @@ use hbmd_malware::{AppClass, SampleId};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// One dataset row: a sampling window of one sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataRow {
     /// Which sample the window came from.
     pub sample: SampleId,
@@ -35,7 +34,7 @@ pub struct DataRow {
 /// });
 /// assert_eq!(dataset.len(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct HpcDataset {
     rows: Vec<DataRow>,
 }

@@ -1,11 +1,10 @@
 use hbmd_events::{CounterSet, FeatureVector, HaswellCatalog, HpcEvent};
 use hbmd_uarch::{Cpu, InstructionSource};
-use serde::{Deserialize, Serialize};
 
 use crate::error::PerfError;
 
 /// How the PMU's 8 programmable registers are loaded.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PmuConfig {
     /// Number of programmable counter registers (8 on the reference
     /// platform).

@@ -22,7 +22,6 @@
 use hbmd_events::{FeatureVector, HpcEvent};
 use hbmd_malware::Sample;
 use hbmd_uarch::Cpu;
-use serde::{Deserialize, Serialize};
 
 use crate::container::ContainedStream;
 use crate::error::PerfError;
@@ -30,7 +29,7 @@ use crate::pmu::Pmu;
 use crate::sampler::SamplerConfig;
 
 /// Which counter backend a [`Collector`](crate::Collector) reads from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SourceSelect {
     /// The deterministic `hbmd-uarch` PMU model (default, CI-safe).
     #[default]

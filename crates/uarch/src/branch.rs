@@ -1,7 +1,5 @@
-use serde::{Deserialize, Serialize};
-
 /// Sizing of the tournament predictor and its branch target buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BranchPredictorConfig {
     /// log2 of each pattern-history-table's entry count (bimodal,
     /// gshare and chooser tables share this size).

@@ -1,10 +1,8 @@
-use serde::{Deserialize, Serialize};
-
 /// Geometry of one cache level.
 ///
 /// Sizes are in bytes; `line_bytes` and the derived set count must be
 /// powers of two (validated by [`CacheConfig::validate`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: usize,

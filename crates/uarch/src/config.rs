@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::branch::BranchPredictorConfig;
 use crate::cache::CacheConfig;
 use crate::tlb::TlbConfig;
@@ -19,7 +17,7 @@ use crate::tlb::TlbConfig;
 /// assert_eq!(config.l1d.size_bytes, 32 * 1024);
 /// assert_eq!(config.llc.associativity, 12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuConfig {
     /// L1 instruction cache geometry.
     pub l1i: CacheConfig,

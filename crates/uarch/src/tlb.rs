@@ -1,7 +1,5 @@
-use serde::{Deserialize, Serialize};
-
 /// Sizing of a translation lookaside buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TlbConfig {
     /// Number of page-translation entries.
     pub entries: usize,
