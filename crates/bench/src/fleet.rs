@@ -518,10 +518,10 @@ pub fn run_fleet(
             started,
         };
         handles.push(
-            std::thread::Builder::new()
-                .name(format!("hbmd-shard-{shard}"))
-                .spawn(move || shard_supervisor(ctx, cells))
-                .map_err(|e| CoreError::Config(format!("spawn shard supervisor: {e}")))?,
+            hbmd_obs::spawn(format!("hbmd-shard-{shard}"), move || {
+                shard_supervisor(ctx, cells)
+            })
+            .map_err(|e| CoreError::Config(format!("spawn shard supervisor: {e}")))?,
         );
     }
 
@@ -865,53 +865,51 @@ fn spawn_shard_producer(
     let fleet_health = ctx.cfg.fleet_health.clone();
     let shard = ctx.shard;
     let start_min = starts.iter().copied().min().unwrap_or(0);
-    std::thread::Builder::new()
-        .name(format!("hbmd-timeline-{shard}"))
-        .spawn(move || {
-            let mut cursor = start_min;
-            'sweep: while limit == 0 || cursor < limit {
-                for (slot, &stream) in streams.iter().enumerate() {
-                    if stop
-                        .as_ref()
-                        .is_some_and(|flag| flag.load(Ordering::SeqCst))
-                    {
-                        break 'sweep;
-                    }
-                    if cursor < starts[slot] {
-                        // This stream resumed further ahead; its replay
-                        // starts at its own checkpoint cursor.
-                        continue;
-                    }
-                    let window = timeline.window(stream, cursor);
-                    if shed_when_full {
-                        match tx.try_send((slot, cursor, window)) {
-                            Ok(()) => {}
-                            Err(TrySendError::Full(message)) => {
-                                if shed_with_priority(
-                                    &tx,
-                                    message,
-                                    hot[slot].load(Ordering::Relaxed),
-                                    &shed_low,
-                                    &shed_high,
-                                ) {
-                                    if let Some(fleet) = &fleet_health {
-                                        fleet.record_shed(1);
-                                    }
+    hbmd_obs::spawn(format!("hbmd-timeline-{shard}"), move || {
+        let mut cursor = start_min;
+        'sweep: while limit == 0 || cursor < limit {
+            for (slot, &stream) in streams.iter().enumerate() {
+                if stop
+                    .as_ref()
+                    .is_some_and(|flag| flag.load(Ordering::SeqCst))
+                {
+                    break 'sweep;
+                }
+                if cursor < starts[slot] {
+                    // This stream resumed further ahead; its replay
+                    // starts at its own checkpoint cursor.
+                    continue;
+                }
+                let window = timeline.window(stream, cursor);
+                if shed_when_full {
+                    match tx.try_send((slot, cursor, window)) {
+                        Ok(()) => {}
+                        Err(TrySendError::Full(message)) => {
+                            if shed_with_priority(
+                                &tx,
+                                message,
+                                hot[slot].load(Ordering::Relaxed),
+                                &shed_low,
+                                &shed_high,
+                            ) {
+                                if let Some(fleet) = &fleet_health {
+                                    fleet.record_shed(1);
                                 }
                             }
-                            Err(TrySendError::Disconnected(_)) => break 'sweep,
                         }
-                    } else if tx.send((slot, cursor, window)).is_err() {
-                        break 'sweep;
+                        Err(TrySendError::Disconnected(_)) => break 'sweep,
                     }
-                }
-                cursor += 1;
-                if let Some(pace) = pace {
-                    std::thread::sleep(pace);
+                } else if tx.send((slot, cursor, window)).is_err() {
+                    break 'sweep;
                 }
             }
-        })
-        .expect("spawn fleet timeline producer")
+            cursor += 1;
+            if let Some(pace) = pace {
+                std::thread::sleep(pace);
+            }
+        }
+    })
+    .expect("spawn fleet timeline producer")
 }
 
 /// Counted, prioritized shedding: hot streams (alarmed or on

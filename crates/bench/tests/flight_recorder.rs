@@ -9,9 +9,9 @@
 //! `disagreement` events in the rings.
 //!
 //! Every test here installs its own obs context for its whole run:
-//! each bundle snapshots the registry into `metrics.json`, and installs
-//! are serialized, so no concurrently-running test can count into a
-//! bundle's registry and break byte-identity.
+//! each bundle snapshots that registry into `metrics.json`, and the
+//! fleet's threads inherit the context, so no concurrently-running
+//! test can count into a bundle's registry and break byte-identity.
 
 use std::path::PathBuf;
 use std::sync::Arc;

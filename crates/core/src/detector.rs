@@ -374,22 +374,20 @@ impl Detector {
     /// their verdict.
     pub fn malice_score(&self, window: &FeatureVector) -> f64 {
         self.with_row(window, |row| match &self.compiled {
-            Some(CompiledModel::Forest(f)) => {
-                let votes = f.class_votes(row);
+            Some(CompiledModel::Forest(f)) => f.with_class_votes(row, |votes| {
                 let total: u32 = votes.iter().sum();
                 if total == 0 {
                     return 0.0;
                 }
                 f64::from(total - votes[0]) / f64::from(total)
-            }
-            Some(CompiledModel::Ensemble(e)) => {
-                let votes = e.class_weights(row);
+            }),
+            Some(CompiledModel::Ensemble(e)) => e.with_class_weights(row, |votes| {
                 let total: f64 = votes.iter().sum();
                 if total <= 0.0 {
                     return 0.0;
                 }
                 (total - votes[0]) / total
-            }
+            }),
             _ => {
                 let label = match &self.compiled {
                     Some(compiled) => compiled.predict(row),

@@ -29,7 +29,7 @@ use hbmd_events::FeatureVector;
 use hbmd_malware::{
     evasive_catalog, EvasionAttack, EvasionTactic, PlausibilityEnvelope, SampleCatalog,
 };
-use hbmd_ml::par::try_par_map;
+use hbmd_obs::par::try_par_map;
 use hbmd_perf::{DataRow, HpcDataset};
 use std::fmt;
 

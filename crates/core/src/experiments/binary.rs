@@ -1,8 +1,8 @@
 //! Figure 13: binary detection accuracy across the classifier suite
 //! with PCA-reduced 8- and 4-feature inputs.
 
-use hbmd_ml::par::try_par_map;
 use hbmd_ml::Evaluation;
+use hbmd_obs::par::try_par_map;
 
 use crate::convert::to_binary_dataset;
 use crate::error::CoreError;

@@ -61,7 +61,7 @@ impl CacheStats {
 /// A content-addressed cache of collection runs.
 ///
 /// Cheap to share by reference; all methods take `&self` and are safe
-/// to call from [`par_map`](hbmd_ml::par::par_map) workers.
+/// to call from [`par_map`](crate::par::par_map) workers.
 #[derive(Debug, Default)]
 pub struct CollectCache {
     entries: Mutex<HashMap<String, Arc<Collection>>>,

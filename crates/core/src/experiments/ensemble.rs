@@ -4,8 +4,8 @@
 //! detection task.
 
 use hbmd_fpga::{synthesize, SynthConfig};
-use hbmd_ml::par::try_par_map;
 use hbmd_ml::Evaluation;
+use hbmd_obs::par::try_par_map;
 
 use crate::convert::to_binary_dataset;
 use crate::error::CoreError;

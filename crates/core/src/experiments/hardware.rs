@@ -2,8 +2,8 @@
 //! classifier suite, with 8- and 4-feature PCA-reduced inputs.
 
 use hbmd_fpga::{synthesize, HwReport, SynthConfig};
-use hbmd_ml::par::try_par_map;
 use hbmd_ml::Evaluation;
+use hbmd_obs::par::try_par_map;
 
 use crate::convert::to_binary_dataset;
 use crate::error::CoreError;

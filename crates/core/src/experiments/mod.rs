@@ -54,7 +54,7 @@ pub struct ExperimentConfig {
     pub split_seed: u64,
     /// Worker threads for the experiment layer's training/evaluation
     /// fan-out (1 = sequential). Results are byte-identical at any
-    /// thread count — see [`hbmd_ml::par::par_map`] — so this is a
+    /// thread count — see [`crate::par::par_map`] — so this is a
     /// throughput knob, never part of a cache key.
     pub threads: usize,
 }
@@ -68,7 +68,7 @@ impl ExperimentConfig {
             catalog_seed: 2018,
             collector: CollectorConfig::paper(),
             split_seed: 42,
-            threads: hbmd_ml::par::default_threads(),
+            threads: crate::par::default_threads(),
         }
     }
 

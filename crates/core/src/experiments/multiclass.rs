@@ -2,8 +2,8 @@
 //! MLP and SVM, and the PCA-assisted variant.
 
 use hbmd_malware::AppClass;
-use hbmd_ml::par::try_par_map;
 use hbmd_ml::{Classifier, Evaluation, Mlr};
+use hbmd_obs::par::try_par_map;
 
 use crate::convert::to_multiclass_dataset;
 use crate::error::CoreError;

@@ -12,7 +12,7 @@
 //! the detector actually decided.
 
 use hbmd_malware::SampleCatalog;
-use hbmd_ml::par::try_par_map;
+use hbmd_obs::par::try_par_map;
 use hbmd_perf::{CollectorConfig, FaultPlan};
 
 use crate::detector::DetectorBuilder;

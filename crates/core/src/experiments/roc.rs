@@ -6,8 +6,8 @@
 //! ROC curves (and the 1 % / 5 % FPR operating points) for the two
 //! score-producing schemes, MLR and SVM.
 
-use hbmd_ml::par::try_par_map;
 use hbmd_ml::{Dataset, LinearSvm, Mlr, RocCurve, RocPoint};
+use hbmd_obs::par::try_par_map;
 
 use crate::convert::to_binary_dataset;
 use crate::error::CoreError;

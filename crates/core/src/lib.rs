@@ -65,7 +65,7 @@ pub use error::CoreError;
 pub use experiments::cache::{CacheStats, CollectCache, Collection};
 pub use features::{FeaturePlan, FeatureSet};
 pub use fleet::{shard_of, StreamHealth, StreamHealthConfig, StreamStanding};
-pub use hbmd_ml::par;
+pub use hbmd_obs::par;
 pub use online::{OnlineDetector, OnlineDetectorBuilder, OnlineVerdict, StreamState};
 pub use sanitize::{SanitizeOutcome, Sanitizer};
 pub use snapshot::{FleetRestore, SnapshotError, StreamSection};

@@ -1,9 +1,6 @@
 //! The online monitor's telemetry lands in the context its detector was
 //! trained under: the per-window handles are resolved once, at
 //! training, and a context installed afterwards sees none of it.
-//!
-//! This file holds a single test so no other test in its process can
-//! install a context while it trains.
 
 use hbmd_core::{ClassifierKind, DetectorBuilder, FeatureSet, OnlineDetector, OnlineVerdict};
 use hbmd_events::{FeatureVector, HpcEvent};

@@ -314,21 +314,7 @@ pub struct CompiledForest {
 impl CompiledForest {
     /// Classify one window.
     pub fn predict(&self, row: &[f64]) -> usize {
-        let mut stack = [0u32; STACK_CLASSES];
-        let mut heap;
-        let votes: &mut [u32] = if self.width <= STACK_CLASSES {
-            &mut stack[..self.width]
-        } else {
-            heap = vec![0u32; self.width];
-            &mut heap
-        };
-        for &root in &self.roots {
-            let class = eval_from(&self.nodes, root, row) as usize;
-            if class < votes.len() {
-                votes[class] += 1;
-            }
-        }
-        first_max(votes)
+        self.with_class_votes(row, first_max)
     }
 
     /// Classify a batch of windows from a columnar row view.
@@ -374,22 +360,31 @@ impl CompiledForest {
         self.roots.len()
     }
 
-    /// Per-class raw vote counts for one window, in class-index order.
+    /// Tally the per-class raw vote counts for one window, in
+    /// class-index order, and hand them to `f`.
     ///
-    /// Summing the returned counts gives [`CompiledForest::members`];
-    /// [`CompiledForest::predict`] is `first_max` over this vector. The
-    /// vote spread is the raw material for disagreement-based defenses:
-    /// an adversarially perturbed window that barely flips the majority
-    /// leaves a near-even split behind.
-    pub fn class_votes(&self, row: &[f64]) -> Vec<u32> {
-        let mut votes = vec![0u32; self.width];
+    /// The counts sum to [`CompiledForest::members`];
+    /// [`CompiledForest::predict`] is `first_max` over them. The vote
+    /// spread is the raw material for disagreement-based defenses: an
+    /// adversarially perturbed window that barely flips the majority
+    /// leaves a near-even split behind. Up to 16 classes tally on the
+    /// stack, so a call does not allocate.
+    pub fn with_class_votes<R>(&self, row: &[f64], f: impl FnOnce(&[u32]) -> R) -> R {
+        let mut stack = [0u32; STACK_CLASSES];
+        let mut heap;
+        let votes: &mut [u32] = if self.width <= STACK_CLASSES {
+            &mut stack[..self.width]
+        } else {
+            heap = vec![0u32; self.width];
+            &mut heap
+        };
         for &root in &self.roots {
             let class = eval_from(&self.nodes, root, row) as usize;
             if class < votes.len() {
                 votes[class] += 1;
             }
         }
-        votes
+        f(votes)
     }
 
     /// Number of flat nodes across all members.
@@ -420,21 +415,7 @@ pub struct CompiledEnsemble {
 impl CompiledEnsemble {
     /// Classify one window.
     pub fn predict(&self, row: &[f64]) -> usize {
-        let mut stack = [0.0f64; STACK_CLASSES];
-        let mut heap;
-        let votes: &mut [f64] = if self.width <= STACK_CLASSES {
-            &mut stack[..self.width]
-        } else {
-            heap = vec![0.0f64; self.width];
-            &mut heap
-        };
-        for &(root, alpha) in &self.members {
-            let class = eval_from(&self.nodes, root, row) as usize;
-            if class < votes.len() {
-                votes[class] += alpha;
-            }
-        }
-        last_max(votes)
+        self.with_class_weights(row, last_max)
     }
 
     /// Classify a batch of windows from a columnar row view.
@@ -472,17 +453,26 @@ impl CompiledEnsemble {
         self.members.len()
     }
 
-    /// Per-class accumulated vote weight for one window, in class-index
-    /// order — the weighted analogue of [`CompiledForest::class_votes`].
-    pub fn class_weights(&self, row: &[f64]) -> Vec<f64> {
-        let mut votes = vec![0.0f64; self.width];
+    /// Accumulate the per-class vote weight for one window, in
+    /// class-index order, and hand it to `f` — the weighted analogue of
+    /// [`CompiledForest::with_class_votes`], and like it allocation-free
+    /// up to 16 classes.
+    pub fn with_class_weights<R>(&self, row: &[f64], f: impl FnOnce(&[f64]) -> R) -> R {
+        let mut stack = [0.0f64; STACK_CLASSES];
+        let mut heap;
+        let votes: &mut [f64] = if self.width <= STACK_CLASSES {
+            &mut stack[..self.width]
+        } else {
+            heap = vec![0.0f64; self.width];
+            &mut heap
+        };
         for &(root, alpha) in &self.members {
             let class = eval_from(&self.nodes, root, row) as usize;
             if class < votes.len() {
                 votes[class] += alpha;
             }
         }
-        votes
+        f(votes)
     }
 
     /// Number of flat nodes across all members.
@@ -563,18 +553,16 @@ impl CompiledModel {
     pub fn disagreement(&self, row: &[f64]) -> Option<f64> {
         match self {
             CompiledModel::Tree(_) | CompiledModel::Rules(_) => None,
-            CompiledModel::Forest(f) => {
-                let votes = f.class_votes(row);
+            CompiledModel::Forest(f) => f.with_class_votes(row, |votes| {
                 let total: u32 = votes.iter().sum();
                 let top = votes.iter().copied().max().unwrap_or(0);
                 (total > 0).then(|| 1.0 - f64::from(top) / f64::from(total))
-            }
-            CompiledModel::Ensemble(e) => {
-                let votes = e.class_weights(row);
+            }),
+            CompiledModel::Ensemble(e) => e.with_class_weights(row, |votes| {
                 let total: f64 = votes.iter().sum();
                 let top = votes.iter().copied().fold(0.0f64, f64::max);
                 (total > 0.0).then(|| 1.0 - top / total)
-            }
+            }),
         }
     }
 }
@@ -980,7 +968,7 @@ mod tests {
         forest.fit(&data)?;
         let compiled = forest.compile().expect("fitted");
         for row in probes() {
-            let votes = compiled.class_votes(&row);
+            let votes = compiled.with_class_votes(&row, <[u32]>::to_vec);
             let total: u32 = votes.iter().sum();
             assert_eq!(total as usize, compiled.members(), "row {row:?}");
             assert_eq!(first_max(&votes), compiled.predict(&row), "row {row:?}");
@@ -990,7 +978,7 @@ mod tests {
         boost.fit(&data)?;
         let compiled = boost.compile().expect("fitted");
         for row in probes() {
-            let weights = compiled.class_weights(&row);
+            let weights = compiled.with_class_weights(&row, <[f64]>::to_vec);
             assert_eq!(last_max(&weights), compiled.predict(&row), "row {row:?}");
         }
         Ok(())
@@ -1019,7 +1007,7 @@ mod tests {
         // A unanimous committee region reports zero disagreement.
         let deep_benign = vec![39.0, 1.0];
         let votes = match &forest {
-            CompiledModel::Forest(f) => f.class_votes(&deep_benign),
+            CompiledModel::Forest(f) => f.with_class_votes(&deep_benign, <[u32]>::to_vec),
             _ => unreachable!(),
         };
         if votes.iter().filter(|&&v| v > 0).count() == 1 {

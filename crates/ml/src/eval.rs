@@ -248,7 +248,7 @@ where
     C: Classifier,
     F: Fn() -> C + Sync,
 {
-    cross_validate_with_threads(factory, data, k, seed, crate::par::default_threads())
+    cross_validate_with_threads(factory, data, k, seed, hbmd_obs::par::default_threads())
 }
 
 /// [`cross_validate`] with an explicit worker-thread count.
@@ -295,7 +295,7 @@ where
     }
 
     let folds: Vec<usize> = (0..k).collect();
-    crate::par::try_par_map(&folds, threads, |_, &fold| {
+    hbmd_obs::par::try_par_map(&folds, threads, |_, &fold| {
         let train_idx: Vec<usize> = (0..data.len()).filter(|&i| fold_of[i] != fold).collect();
         let test_idx: Vec<usize> = (0..data.len()).filter(|&i| fold_of[i] == fold).collect();
         let train = data.subset(&train_idx);

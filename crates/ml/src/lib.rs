@@ -18,8 +18,9 @@
 //! * [`Standardize`] / [`MinMaxNormalize`] filters,
 //! * [`Evaluation`] / [`ConfusionMatrix`] / [`cross_validate`] —
 //!   train/test and k-fold evaluation with per-class metrics,
-//! * [`par`] — a deterministic, ordering-preserving `par_map` used to
-//!   fan training/evaluation loops out across scoped threads,
+//! * [`cross_validate`] fans its folds out through
+//!   [`hbmd_obs::par::try_par_map`], the suite's deterministic,
+//!   order-preserving parallel map,
 //! * [`compiled`] — flat, branchless evaluators ([`CompiledModel`])
 //!   that fitted tree/rule/ensemble schemes lower into for fast
 //!   batched prediction.
@@ -56,7 +57,6 @@ mod ensemble;
 mod eval;
 mod filter;
 mod linalg;
-pub mod par;
 mod pca;
 mod roc;
 pub mod snap;

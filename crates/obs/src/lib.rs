@@ -14,7 +14,7 @@
 //!   [`Histogram`]s that aggregate with atomic integer arithmetic into
 //!   per-thread stripes, so recording takes no shared lock and totals
 //!   are **exact and thread-count-independent** no matter how
-//!   `par_map` shards the work. Exact histograms report exact rank
+//!   [`par::par_map`] shards the work. Exact histograms report exact rank
 //!   percentiles; wall-clock (latency) histograms use fixed log-linear
 //!   buckets, so their memory is bounded and their percentiles are
 //!   within [`WALL_CLOCK_RELATIVE_ERROR`](metrics::WALL_CLOCK_RELATIVE_ERROR)
@@ -37,7 +37,10 @@
 //!   of compact window/health/fault events, drained into atomic
 //!   FNV-checksummed diagnostic bundles by a [`recorder::RecorderHub`]
 //!   when an anomaly (breaker trip, alarm latch, restart-budget
-//!   exhaustion, snapshot refusal, `/debug/bundle`) triggers.
+//!   exhaustion, snapshot refusal, `/debug/bundle`) triggers,
+//! * [`par`] — the suite's one fan-out: a deterministic,
+//!   order-preserving parallel map whose workers report into the
+//!   caller's context.
 //!
 //! # Determinism contract
 //!
@@ -52,12 +55,14 @@
 //!
 //! # Installing a context
 //!
-//! Instrumented code talks to a process-wide [`Obs`] context. The
-//! default context has a live [`Registry`] and no
-//! sinks; harnesses swap in their own with [`install`], which returns a
-//! guard restoring the previous context on drop. Installs are
-//! serialized process-wide, so concurrent tests that each install a
-//! fresh context queue up instead of clobbering each other.
+//! Instrumented code reports into the calling thread's [`Obs`]
+//! context. [`install`] sets it and returns a guard that restores the
+//! thread's previous context on drop, so installs nest and two threads
+//! that each install never count into each other's registry. A thread
+//! with nothing installed reports into one process default (a live
+//! [`Registry`], no sinks) that is never swapped. [`par::par_map`]
+//! workers and threads started with [`spawn`] inherit their spawner's
+//! context; a plain [`std::thread::spawn`] starts in the default.
 //!
 //! # Examples
 //!
@@ -88,6 +93,7 @@ pub mod health;
 pub mod json;
 pub mod manifest;
 pub mod metrics;
+pub mod par;
 pub mod prom;
 pub mod recorder;
 pub mod serve;
@@ -95,7 +101,10 @@ pub mod sink;
 pub mod span;
 pub mod trace;
 
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
+use std::cell::RefCell;
+use std::marker::PhantomData;
+use std::sync::{Arc, OnceLock};
+use std::thread::JoinHandle;
 
 pub use metrics::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 pub use sink::{JsonlSink, MemorySink, SpanSink};
@@ -169,29 +178,38 @@ impl std::fmt::Debug for Obs {
     }
 }
 
-fn current_cell() -> &'static RwLock<Arc<Obs>> {
-    static CURRENT: OnceLock<RwLock<Arc<Obs>>> = OnceLock::new();
-    CURRENT.get_or_init(|| RwLock::new(Arc::new(Obs::new())))
+/// The context of every thread with nothing installed. It is built
+/// once and never swapped.
+fn process_default() -> &'static Arc<Obs> {
+    static DEFAULT: OnceLock<Arc<Obs>> = OnceLock::new();
+    DEFAULT.get_or_init(|| Arc::new(Obs::new()))
 }
 
-/// The process-wide context instrumented code reports into.
+thread_local! {
+    /// This thread's installed context; `None` reports into the
+    /// process default.
+    static CURRENT: RefCell<Option<Arc<Obs>>> = const { RefCell::new(None) };
+}
+
+/// The context instrumented code on the calling thread reports into:
+/// the one most recently [installed](install) on this thread, else the
+/// process default.
 pub fn current() -> Arc<Obs> {
-    Arc::clone(
-        &current_cell()
-            .read()
-            .unwrap_or_else(PoisonError::into_inner),
-    )
+    CURRENT
+        .try_with(|cell| cell.borrow().clone())
+        .ok()
+        .flatten()
+        .unwrap_or_else(|| Arc::clone(process_default()))
 }
 
-/// Guard returned by [`install`]; dropping it restores the previously
-/// installed context. While it lives, no other thread can complete an
-/// [`install`] — tests that each install a fresh context serialize on
-/// this, keeping their counters isolated.
+/// Guard returned by [`install`]; dropping it restores the context the
+/// calling thread had before. It is neither `Send` nor `Sync`: it
+/// restores a slot that belongs to the thread that installed it.
 #[must_use = "dropping the guard immediately would uninstall the context"]
 pub struct ObsGuard {
     installed: Arc<Obs>,
-    previous: Arc<Obs>,
-    _serial: MutexGuard<'static, ()>,
+    previous: Option<Arc<Obs>>,
+    _thread_bound: PhantomData<*const ()>,
 }
 
 impl ObsGuard {
@@ -209,10 +227,10 @@ impl ObsGuard {
 
 impl Drop for ObsGuard {
     fn drop(&mut self) {
-        let mut cell = current_cell()
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        *cell = Arc::clone(&self.previous);
+        let previous = self.previous.take();
+        // During thread teardown the slot may already be gone, and then
+        // there is nothing left to restore.
+        let _ = CURRENT.try_with(|cell| *cell.borrow_mut() = previous);
     }
 }
 
@@ -222,32 +240,40 @@ impl std::fmt::Debug for ObsGuard {
     }
 }
 
-fn install_lock() -> &'static Mutex<()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    &LOCK
-}
-
-/// Install `obs` as the process-wide context, returning a guard that
-/// restores the previous context on drop.
+/// Install `obs` as the calling thread's context, returning a guard
+/// that restores the thread's previous context on drop.
 ///
-/// Installs serialize on a process-wide lock: if another guard is
-/// alive, this call blocks until it drops. Do not nest installs on one
-/// thread — the second would deadlock on the first.
-pub fn install(obs: Obs) -> ObsGuard {
-    let serial = install_lock()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    let installed = Arc::new(obs);
-    let mut cell = current_cell()
-        .write()
-        .unwrap_or_else(PoisonError::into_inner);
-    let previous = std::mem::replace(&mut *cell, Arc::clone(&installed));
-    drop(cell);
+/// Other threads are unaffected: a thread with nothing installed keeps
+/// reporting into the process default. Installs nest; drop the guards
+/// in reverse order. Threads spawned through [`spawn`] or
+/// [`par::par_map`] inherit the spawner's context.
+pub fn install(obs: impl Into<Arc<Obs>>) -> ObsGuard {
+    let installed = obs.into();
+    let previous = CURRENT.with(|cell| cell.replace(Some(Arc::clone(&installed))));
     ObsGuard {
         installed,
         previous,
-        _serial: serial,
+        _thread_bound: PhantomData,
     }
+}
+
+/// Spawn a named thread that runs `f` under the caller's context.
+///
+/// # Errors
+///
+/// Returns the OS error when the thread cannot be created.
+pub fn spawn<F, T>(name: impl Into<String>, f: F) -> std::io::Result<JoinHandle<T>>
+where
+    F: FnOnce() -> T + Send + 'static,
+    T: Send + 'static,
+{
+    let obs = current();
+    std::thread::Builder::new()
+        .name(name.into())
+        .spawn(move || {
+            let _context = install(obs);
+            f()
+        })
 }
 
 /// `true` when the current context has at least one span sink.
@@ -256,8 +282,7 @@ pub fn has_sinks() -> bool {
 }
 
 pub(crate) fn dispatch(record: &SpanRecord) {
-    let obs = current();
-    obs.dispatch(record);
+    current().dispatch(record);
 }
 
 /// Handle to the named counter in the current context's registry.

@@ -10,15 +10,20 @@
 //! randomness must derive their seed from the index (or the item), not
 //! from shared mutable state.
 //!
+//! Every worker runs under the caller's [`Obs`](crate::Obs) context,
+//! so what the tasks count lands in the caller's registry.
+//!
 //! # Examples
 //!
 //! ```
-//! use hbmd_ml::par::par_map;
+//! use hbmd_obs::par::par_map;
 //!
 //! let inputs = [1u64, 2, 3, 4, 5];
 //! let squares = par_map(&inputs, 4, |_, &x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16, 25]);
 //! ```
+
+use std::sync::Arc;
 
 /// Number of worker threads to use by default: the machine's available
 /// parallelism (1 when it cannot be determined).
@@ -37,7 +42,8 @@ pub fn default_threads() -> usize {
 /// paths produce identical output for pure task functions.
 ///
 /// Work is split into contiguous chunks, one per worker, so an item's
-/// index never changes with the thread count.
+/// index never changes with the thread count. Each worker runs under
+/// the caller's context.
 ///
 /// # Panics
 ///
@@ -49,9 +55,6 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     let threads = threads.min(items.len()).max(1);
-    // Item count is thread-count-independent; chunk counts are not, so
-    // only the former is recorded.
-    hbmd_obs::add("par.items", items.len() as u64);
     if threads == 1 {
         return items
             .iter()
@@ -61,6 +64,7 @@ where
     }
     let chunk_len = items.len().div_ceil(threads);
     let task = &task;
+    let obs = &crate::current();
     std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .chunks(chunk_len)
@@ -68,6 +72,7 @@ where
             .map(|(chunk_index, chunk)| {
                 let base = chunk_index * chunk_len;
                 scope.spawn(move || {
+                    let _context = crate::install(Arc::clone(obs));
                     chunk
                         .iter()
                         .enumerate()
@@ -99,14 +104,16 @@ where
     E: Send,
     F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
+    // Item count is thread-count-independent; chunk counts are not, so
+    // only the former is recorded. Collection fans out through
+    // `par_map` and counts its samples under `collect.samples` instead.
+    crate::add("par.items", items.len() as u64);
     par_map(items, threads, task).into_iter().collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
 
     #[test]
     fn preserves_order_at_every_thread_count() {
@@ -121,10 +128,10 @@ mod tests {
     #[test]
     fn index_seeded_randomness_is_thread_count_invariant() {
         let items: Vec<u64> = (0..31).collect();
-        let draw = |i: usize, &seed: &u64| -> f64 {
-            let mut rng = SmallRng::seed_from_u64(seed ^ (i as u64) << 17);
-            rng.gen_range(0.0..1.0)
-        };
+        // A multiplicative hash of the index-derived seed stands in for
+        // a seeded RNG draw.
+        let draw =
+            |i: usize, &seed: &u64| (seed ^ (i as u64) << 17).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let baseline = par_map(&items, 1, draw);
         for threads in [2, 8] {
             assert_eq!(par_map(&items, threads, draw), baseline);

@@ -111,24 +111,20 @@ pub fn serve(addr: impl ToSocketAddrs, context: ServeContext) -> io::Result<Serv
     let local_addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let loop_stop = Arc::clone(&stop);
-    let accept_loop = std::thread::Builder::new()
-        .name("hbmd-obs-serve".to_owned())
-        .spawn(move || {
-            for stream in listener.incoming() {
-                if loop_stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                let context = context.clone();
-                // Short-lived worker per connection so one stuck
-                // client cannot block the next scrape.
-                let _ = std::thread::Builder::new()
-                    .name("hbmd-obs-conn".to_owned())
-                    .spawn(move || {
-                        let _ = handle_connection(stream, &context);
-                    });
+    let accept_loop = crate::spawn("hbmd-obs-serve", move || {
+        for stream in listener.incoming() {
+            if loop_stop.load(Ordering::SeqCst) {
+                break;
             }
-        })?;
+            let Ok(stream) = stream else { continue };
+            let context = context.clone();
+            // Short-lived worker per connection so one stuck
+            // client cannot block the next scrape.
+            let _ = crate::spawn("hbmd-obs-conn", move || {
+                let _ = handle_connection(stream, &context);
+            });
+        }
+    })?;
     Ok(Server {
         local_addr,
         stop,

@@ -377,7 +377,8 @@ impl Collector {
     /// The run is observable: it opens a `collect` span (one
     /// `collect.sample` child per sample) and records exact
     /// `windows_collected`, `collect.*`, and `faults_injected{kind}`
-    /// counters into the installed [`hbmd_obs`] context.
+    /// counters into the calling thread's [`hbmd_obs`] context, which
+    /// its worker threads inherit.
     ///
     /// # Errors
     ///
@@ -399,34 +400,12 @@ impl Collector {
             install_quiet_injection_hook();
         }
         let samples = catalog.samples();
-        let outcomes: Vec<SampleOutcome> = if self.config.threads <= 1 || samples.len() < 2 {
-            samples.iter().map(|s| self.collect_resilient(s)).collect()
-        } else {
-            // Parallel: chunk the catalog across scoped worker threads
-            // and reassemble in order.
-            let threads = self.config.threads.min(samples.len());
-            let chunk_len = samples.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = samples
-                    .chunks(chunk_len)
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            chunk
-                                .iter()
-                                .map(|s| self.collect_resilient(s))
-                                .collect::<Vec<SampleOutcome>>()
-                        })
-                    })
-                    .collect();
-                // Per-sample panics are caught inside collect_resilient;
-                // a panic escaping to here is a harness bug, not a
-                // collection fault.
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("collection worker harness panicked"))
-                    .collect()
-            })
-        };
+        // Per-sample panics are caught inside collect_resilient, so a
+        // worker panic reaching par_map is a harness bug, not a
+        // collection fault.
+        let outcomes = hbmd_obs::par::par_map(samples, self.config.threads, |_, s| {
+            self.collect_resilient(s)
+        });
 
         let mut report = CollectionReport {
             samples_total: samples.len(),
@@ -526,7 +505,7 @@ impl Collector {
     }
 
     /// Attempt-with-retry loop for one sample; never panics. Opens a
-    /// `collect.sample` span (parentless on `par_map`-style worker
+    /// `collect.sample` span (parentless on `par_map` worker
     /// threads — the logical parent lives on the coordinating thread).
     fn collect_resilient(&self, sample: &Sample) -> SampleOutcome {
         let mut span = hbmd_obs::span!("collect.sample", sample = sample.id().0);

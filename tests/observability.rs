@@ -1,11 +1,9 @@
-//! Observability integration: span capture, exact counters, and the
-//! determinism contract, driven through the public facade.
-//!
-//! Each test installs its own [`Obs`] context; installs serialize on a
-//! process-wide lock, so the tests' counters never bleed into each
-//! other even when the harness runs them on parallel threads.
+//! Observability integration: span capture, exact counters, the
+//! determinism contract, and context isolation, driven through the
+//! public facade.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 
 use hbmd::malware::SampleCatalog;
 use hbmd::obs::{MemorySink, Obs};
@@ -158,5 +156,88 @@ fn per_source_window_counter_labels_the_active_backend() {
         .sum();
     assert_eq!(by_source, collection.dataset.len() as u64);
     assert_eq!(snapshot.counter("collect.starved_windows"), 0);
+    drop(guard);
+}
+
+#[test]
+fn an_installed_context_is_isolated_from_a_concurrent_default_workload() {
+    // Collect on four workers under a fresh context; the workers must
+    // count into it too.
+    let installed_run = || {
+        let guard = hbmd::obs::install(Obs::new());
+        let mut config = faulted_config();
+        config.threads = 4;
+        let _ = collect(config, &SampleCatalog::scaled(0.02, 29));
+        hbmd::obs::incr("isolation.installed_only");
+        let json = guard.registry().snapshot().deterministic().to_json();
+        drop(guard);
+        json
+    };
+    let alone = installed_run();
+
+    let barrier = Barrier::new(2);
+    let done = AtomicBool::new(false);
+    let together = std::thread::scope(|scope| {
+        let installing = scope.spawn(|| {
+            barrier.wait();
+            let json = installed_run();
+            done.store(true, Ordering::SeqCst);
+            json
+        });
+        // The same workload with nothing installed, repeated until the
+        // installing thread is done so the two overlap.
+        scope.spawn(|| {
+            barrier.wait();
+            loop {
+                let _ = collect(faulted_config(), &SampleCatalog::scaled(0.02, 29));
+                hbmd::obs::incr("isolation.default_only");
+                if done.load(Ordering::SeqCst) {
+                    break;
+                }
+            }
+            let default = hbmd::obs::current().registry().snapshot();
+            assert_eq!(default.counter("isolation.installed_only"), 0);
+            assert!(default.counter("isolation.default_only") > 0);
+        });
+        installing.join().expect("installing thread")
+    });
+    assert_eq!(together, alone);
+    assert!(!alone.contains("isolation.default_only"));
+}
+
+#[test]
+fn nested_installs_restore_the_outer_context() {
+    let outer = hbmd::obs::install(Obs::new());
+    hbmd::obs::incr("nesting.outer");
+    let inner = hbmd::obs::install(Obs::new());
+    hbmd::obs::incr("nesting.inner");
+    let _ = collect(CollectorConfig::fast(), &SampleCatalog::scaled(0.01, 3));
+    let inner_snapshot = inner.registry().snapshot();
+    drop(inner);
+    hbmd::obs::incr("nesting.outer");
+
+    assert_eq!(inner_snapshot.counter("nesting.inner"), 1);
+    assert_eq!(inner_snapshot.counter("nesting.outer"), 0);
+    assert!(inner_snapshot.counter("windows_collected") > 0);
+    let outer_snapshot = outer.registry().snapshot();
+    assert_eq!(outer_snapshot.counter("nesting.outer"), 2);
+    assert_eq!(outer_snapshot.counter("nesting.inner"), 0);
+    assert_eq!(outer_snapshot.counter("windows_collected"), 0);
+    drop(outer);
+}
+
+#[test]
+fn library_spawned_threads_inherit_the_spawners_context() {
+    let guard = hbmd::obs::install(Obs::new());
+    hbmd::obs::spawn("inherit-test", || hbmd::obs::incr("spawn.inherited"))
+        .expect("spawn")
+        .join()
+        .expect("join");
+    std::thread::spawn(|| hbmd::obs::incr("spawn.plain"))
+        .join()
+        .expect("join");
+    let snapshot = guard.registry().snapshot();
+    assert_eq!(snapshot.counter("spawn.inherited"), 1);
+    assert_eq!(snapshot.counter("spawn.plain"), 0);
     drop(guard);
 }

@@ -1,9 +1,6 @@
 //! Telemetry roundtrip through the public facade: spans recorded live
 //! go out through the JSONL sink, and the trace analyzer rebuilds the
 //! *exact* span tree — same shape, same durations — from the log.
-//!
-//! Installs serialize on the process-wide obs lock (see
-//! `observability.rs`), so these tests never bleed into each other.
 
 use std::sync::Arc;
 
