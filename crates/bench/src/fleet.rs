@@ -1125,7 +1125,8 @@ fn shard_worker(
                     if cell.state.last_window_suspicious() {
                         // The ensemble-disagreement alarm: the committee
                         // split past the armed threshold (a possible
-                        // evasion attempt).
+                        // evasion attempt). `observe` kept the split, so
+                        // the forest is not walked again here.
                         let permille = |v: f64| (v.clamp(0.0, 1.0) * 1000.0).round() as u16;
                         hub.record(
                             ctx.shard as u32,
@@ -1133,7 +1134,7 @@ fn shard_worker(
                                 stream: cell.stream,
                                 cursor,
                                 dispersion_permille: permille(
-                                    ctx.detector.suspicion(&window).unwrap_or(0.0),
+                                    cell.state.last_window_dispersion().unwrap_or(0.0),
                                 ),
                                 threshold_permille: permille(
                                     cell.state.suspicion_threshold().unwrap_or(0.0),

@@ -6,7 +6,9 @@
 //!
 //! The served fleet also records the ensemble-disagreement alarm: a
 //! committee detector with an armed suspicion threshold leaves
-//! `disagreement` events in the rings.
+//! `disagreement` events in the rings — one for exactly each recorded
+//! window whose raw dispersion (`Detector::suspicion`) reaches the
+//! threshold, carrying that dispersion.
 //!
 //! Every test here installs its own obs context for its whole run:
 //! each bundle snapshots that registry into `metrics.json`, and the
@@ -124,28 +126,54 @@ fn same_seed_fleet_runs_freeze_into_byte_identical_bundles() {
 fn armed_committee_fleet_records_disagreement_events() {
     let guard = hbmd_obs::install(Obs::new());
     let shards = 2;
+    let threshold = 0.05;
     let hub = Arc::new(RecorderHub::new(shards, 4096));
     let config = FleetConfig {
         pristine_stream: StreamState::new(4, 3, 1, 1)
-            .and_then(|state| state.with_suspicion_threshold(0.05))
+            .and_then(|state| state.with_suspicion_threshold(threshold))
             .expect("valid shape and threshold"),
         breaker: (257, usize::MAX, 32),
         recorder: Some(Arc::clone(&hub)),
         ..FleetConfig::lossless(4, shards, 32)
     };
-    run_fleet(
-        &trained(ClassifierKind::RandomForest),
-        &SamplerConfig::fast(),
-        &config,
-    )
-    .expect("fleet run");
-    let disagreements = (0..shards as u32)
+    let detector = trained(ClassifierKind::RandomForest);
+    run_fleet(&detector, &SamplerConfig::fast(), &config).expect("fleet run");
+    let events: Vec<Event> = (0..shards as u32)
         .flat_map(|shard| hub.ring(shard).drain())
-        .filter(|(_, event)| matches!(event, Event::Disagreement { .. }))
-        .count();
+        .map(|(_, event)| event)
+        .collect();
     drop(guard);
+    let permille = |v: f64| (v.clamp(0.0, 1.0) * 1000.0).round() as u16;
+    let mut recorded = Vec::new();
+    let mut expected = Vec::new();
+    for event in &events {
+        match *event {
+            Event::Disagreement {
+                stream,
+                cursor,
+                dispersion_permille,
+                threshold_permille,
+            } => recorded.push((stream, cursor, dispersion_permille, threshold_permille)),
+            Event::Window {
+                stream,
+                cursor,
+                ref features,
+                ..
+            } => {
+                let window = FeatureVector::from_slice(features.as_slice()).expect("full width");
+                let dispersion = detector.suspicion(&window).expect("a committee");
+                if dispersion >= threshold {
+                    expected.push((stream, cursor, permille(dispersion), permille(threshold)));
+                }
+            }
+            _ => {}
+        }
+    }
+    recorded.sort_unstable();
+    expected.sort_unstable();
     assert!(
-        disagreements >= 1,
+        !recorded.is_empty(),
         "an armed RandomForest fleet recorded no disagreement events"
     );
+    assert_eq!(recorded, expected);
 }

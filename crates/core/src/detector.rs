@@ -308,19 +308,58 @@ impl Detector {
             SanitizeOutcome::Clean(features) | SanitizeOutcome::Repaired { features, .. } => {
                 self.classify(&features)
             }
-            SanitizeOutcome::Unusable { .. } => {
-                self.metrics.verdict_abstain.incr();
-                Verdict::Abstain
-            }
+            SanitizeOutcome::Unusable { .. } => self.abstain(),
         }
+    }
+
+    /// [`classify_sanitized`](Self::classify_sanitized) plus the
+    /// [`suspicion`](Self::suspicion) of the raw window, as the armed
+    /// online monitor needs them.
+    ///
+    /// When the model's input row is the same before and after
+    /// sanitizing — always for a clean window, and for a repaired one
+    /// whose repairs all fall outside the model's columns — the verdict
+    /// and the dispersion come from one committee walk, the one
+    /// `classify_ns` times. Otherwise the dispersion is of the raw
+    /// window, from a separate walk.
+    pub(crate) fn classify_sanitized_with_suspicion(
+        &self,
+        window: &FeatureVector,
+    ) -> (Verdict, Option<f64>) {
+        match self.sanitizer.sanitize(window) {
+            SanitizeOutcome::Clean(features) | SanitizeOutcome::Repaired { features, .. } => {
+                let (raw, sanitized) = (window.as_slice(), features.as_slice());
+                if self
+                    .feature_indices
+                    .iter()
+                    .all(|&i| raw[i].to_bits() == sanitized[i].to_bits())
+                {
+                    self.classify_with_suspicion(&features)
+                } else {
+                    (self.classify(&features), self.suspicion(window))
+                }
+            }
+            SanitizeOutcome::Unusable { .. } => (self.abstain(), self.suspicion(window)),
+        }
+    }
+
+    fn abstain(&self) -> Verdict {
+        self.metrics.verdict_abstain.incr();
+        Verdict::Abstain
     }
 
     /// Classify one sampling window.
     pub fn classify(&self, window: &FeatureVector) -> Verdict {
+        self.classify_with_suspicion(window).0
+    }
+
+    /// Classify one window and report its committee dispersion, both
+    /// from the one timed walk.
+    fn classify_with_suspicion(&self, window: &FeatureVector) -> (Verdict, Option<f64>) {
         let started = Instant::now();
-        let label = self.with_row(window, |row| match &self.compiled {
-            Some(compiled) => compiled.predict(row),
-            None => self.model.predict(row),
+        let (label, dispersion) = self.with_row(window, |row| match &self.compiled {
+            Some(compiled) => compiled.predict_with_disagreement(row),
+            None => (self.model.predict(row), None),
         });
         self.metrics.classify_ns.record_since(started);
         let verdict = match self.mode {
@@ -342,7 +381,7 @@ impl Detector {
             Verdict::Malware(_) => self.metrics.verdict_malware.incr(),
             Verdict::Abstain => self.metrics.verdict_abstain.incr(),
         }
-        verdict
+        (verdict, dispersion)
     }
 
     /// Gather `window`'s model input columns into a stack row and call
@@ -411,6 +450,14 @@ impl Detector {
     /// flips the majority but leaves a near-even vote split behind;
     /// high dispersion on a benign-voted window is therefore suspicious
     /// even though the verdict reads clean.
+    ///
+    /// The dispersion is always that of the raw `window`, unsanitized.
+    /// An armed [`StreamState`](crate::StreamState) shares the walk
+    /// with classification when the window is clean, or repaired only
+    /// outside the model's columns: the verdict and the dispersion are
+    /// read off one vote tally, and `classify_ns{scheme}` times that one
+    /// walk. It calls this only for a window whose model row the
+    /// sanitizer changed or abstained on.
     pub fn suspicion(&self, window: &FeatureVector) -> Option<f64> {
         let compiled = self.compiled.as_ref()?;
         self.with_row(window, |row| compiled.disagreement(row))

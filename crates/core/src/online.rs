@@ -52,7 +52,12 @@ pub enum OnlineVerdict {
 /// alarm decision as the exact `online.alarm_votes` histogram. With a
 /// [suspicion threshold](OnlineDetectorBuilder::suspicion_threshold)
 /// armed, every window whose committee dispersion reaches it counts
-/// into `online.disagreement_trips`.
+/// into `online.disagreement_trips`. The dispersion is that of the raw
+/// window. When sanitizing leaves the model's input row unchanged — a
+/// clean window, or one repaired only outside the model's columns — it
+/// is read off the same vote tally as the verdict, so an armed
+/// committee walks its members once for that window and
+/// `classify_ns{scheme}` times that one walk.
 ///
 /// # Examples
 ///
@@ -112,9 +117,10 @@ pub struct StreamState {
     /// pre-adversarial behaviour, and the only option for single-model
     /// schemes, which report no dispersion).
     suspicion_threshold: Option<f64>,
-    /// Whether the most recent window tripped the disagreement alarm
-    /// (transient, like the derived caches — not snapshotted).
-    last_suspicious: bool,
+    /// Committee dispersion of the most recent raw window, measured
+    /// only while the alarm is armed (transient, like the derived
+    /// caches — not snapshotted).
+    last_dispersion: Option<f64>,
 }
 
 /// Builder for [`OnlineDetector`]: voting window, alarm threshold, and
@@ -179,6 +185,13 @@ impl OnlineDetectorBuilder {
     /// `threshold`. Disarmed by default. Only committee schemes
     /// (RandomForest / Bagging / AdaBoost) produce the signal —
     /// single-model detectors never trip it.
+    ///
+    /// The dispersion is of the raw window, before sanitizing. When
+    /// sanitizing leaves the model's input row unchanged (a clean
+    /// window, or one repaired only outside the model's columns), the
+    /// verdict and the dispersion share one committee walk and one vote
+    /// tally, which `classify_ns{scheme}` times; otherwise the raw
+    /// window's dispersion takes a separate walk.
     pub fn suspicion_threshold(mut self, threshold: f64) -> OnlineDetectorBuilder {
         self.suspicion_threshold = Some(threshold);
         self
@@ -225,7 +238,7 @@ impl OnlineDetectorBuilder {
                 clean_streak: 0,
                 latched: None,
                 suspicion_threshold: self.suspicion_threshold,
-                last_suspicious: false,
+                last_dispersion: None,
             },
         })
     }
@@ -331,7 +344,7 @@ impl StreamState {
             clean_streak: 0,
             latched: None,
             suspicion_threshold: None,
-            last_suspicious: false,
+            last_dispersion: None,
         })
     }
 
@@ -375,7 +388,18 @@ impl StreamState {
     /// fleet records into its flight recorder. Always `false` while no
     /// [suspicion threshold](Self::with_suspicion_threshold) is armed.
     pub fn last_window_suspicious(&self) -> bool {
-        self.last_suspicious
+        self.last_dispersion
+            .zip(self.suspicion_threshold)
+            .is_some_and(|(dispersion, limit)| dispersion >= limit)
+    }
+
+    /// Committee dispersion ([`Detector::suspicion`]) of the most
+    /// recently observed raw window — what the disagreement alarm
+    /// compared against its threshold, and what the fleet's flight
+    /// recorder reports. `None` while no threshold is armed, for
+    /// single-model schemes, and before the first window.
+    pub fn last_window_dispersion(&self) -> Option<f64> {
+        self.last_dispersion
     }
 
     /// The armed disagreement threshold, if any.
@@ -389,16 +413,17 @@ impl StreamState {
         let started = Instant::now();
         let metrics = detector.metrics();
         metrics.windows_observed.incr();
-        self.last_suspicious = false;
-        if let Some(limit) = self.suspicion_threshold {
-            if let Some(dispersion) = detector.suspicion(window) {
-                if dispersion >= limit {
-                    self.last_suspicious = true;
+        let verdict = match self.suspicion_threshold {
+            Some(_) => {
+                let (verdict, dispersion) = detector.classify_sanitized_with_suspicion(window);
+                self.last_dispersion = dispersion;
+                if self.last_window_suspicious() {
                     metrics.disagreement_trips.incr();
                 }
+                verdict
             }
-        }
-        let verdict = detector.classify_sanitized(window);
+            None => detector.classify_sanitized(window),
+        };
         if self.history.len() == self.window {
             self.history.pop_front();
         }
@@ -506,7 +531,7 @@ impl StreamState {
         self.alarm_streak = 0;
         self.clean_streak = 0;
         self.latched = None;
-        self.last_suspicious = false;
+        self.last_dispersion = None;
     }
 }
 
@@ -535,7 +560,7 @@ impl Snap for StreamState {
                 votes.snap(w);
             }
         }
-        // The disagreement-alarm arm state. `last_suspicious` is
+        // The disagreement-alarm arm state. `last_dispersion` is
         // transient and rebuilt at the next observe, not encoded.
         match self.suspicion_threshold {
             None => w.put_u8(0),
@@ -605,7 +630,7 @@ impl Snap for StreamState {
             clean_streak,
             latched,
             suspicion_threshold,
-            last_suspicious: false,
+            last_dispersion: None,
         })
     }
 }

@@ -3,7 +3,10 @@
 //! with its pointer-walking interpreter on arbitrary probe windows —
 //! including NaN- and infinity-bearing ones — both per-window and
 //! batched, and a detector restored from an `HBMDFLTS` fleet snapshot
-//! must recompile to an evaluator identical to the original's.
+//! must recompile to an evaluator identical to the original's. The
+//! one-tally call that serves an armed committee must give exactly what
+//! `predict` and `disagreement` give on their own, for committees of
+//! every size around the lockstep chunk boundaries.
 
 use std::sync::OnceLock;
 
@@ -11,7 +14,7 @@ use hbmd::core::snapshot::{decode_fleet, encode_fleet};
 use hbmd::core::{ClassifierKind, Detector, DetectorBuilder, FeatureSet};
 use hbmd::events::{FeatureVector, HpcEvent};
 use hbmd::malware::{AppClass, SampleId};
-use hbmd::ml::{Classifier, Dataset, RowsView};
+use hbmd::ml::{Bagging, Classifier, CompiledModel, Dataset, RandomForest, RowsView, J48};
 use hbmd::perf::{DataRow, HpcDataset};
 use proptest::prelude::*;
 
@@ -65,6 +68,11 @@ fn window_strategy() -> impl Strategy<Value = Vec<f64>> {
     });
     prop::collection::vec(value, WIDTH)
 }
+
+/// Committee sizes on both sides of every chunk boundary of the
+/// single-window lockstep walk (four members at a time) and of the
+/// eight-row batch walk.
+const MEMBER_COUNTS: [usize; 8] = [1, 3, 4, 5, 7, 8, 9, 20];
 
 fn features(level: f64) -> FeatureVector {
     FeatureVector::from_slice(&[level; HpcEvent::COUNT]).expect("full-width vector")
@@ -166,6 +174,50 @@ proptest! {
             // Fitted training rows must round-trip too.
             let on_train: Vec<usize> = data.rows().iter().map(|r| model.predict(r)).collect();
             prop_assert_eq!(compiled.predict_batch(data.rows()), on_train);
+        }
+    }
+
+    /// The one-tally call equals `(predict, disagreement)` bit for bit,
+    /// for every compilable scheme and for forests and bagging
+    /// committees of every size in `MEMBER_COUNTS`, whose compiled
+    /// verdicts must also match their interpreters.
+    #[test]
+    fn one_tally_matches_predict_and_disagreement(
+        data in dataset_strategy(),
+        probes in prop::collection::vec(window_strategy(), 1..24),
+    ) {
+        let mut models: Vec<(String, Box<dyn Classifier>, CompiledModel)> = Vec::new();
+        for kind in COMPILABLE {
+            let mut model = kind.instantiate();
+            if model.fit(&data).is_err() {
+                continue;
+            }
+            let compiled = model.compile().expect("fitted models compile");
+            models.push((kind.name().to_owned(), Box::new(model), compiled));
+        }
+        for members in MEMBER_COUNTS {
+            let mut forest = RandomForest::new(members);
+            forest.fit(&data).expect("forests fit any labelled set");
+            let compiled = CompiledModel::Forest(forest.compile().expect("fitted"));
+            models.push((format!("RandomForest({members})"), Box::new(forest), compiled));
+            let mut bagging = Bagging::new(J48::new(), members);
+            bagging.fit(&data).expect("bagging fits any labelled set");
+            let compiled = CompiledModel::Forest(bagging.compile().expect("fitted"));
+            models.push((format!("Bagging({members})"), Box::new(bagging), compiled));
+        }
+        for (name, model, compiled) in &models {
+            for probe in &probes {
+                let (label, dispersion) = compiled.predict_with_disagreement(probe);
+                prop_assert_eq!(label, compiled.predict(probe), "{} label on {:?}", name, probe);
+                prop_assert_eq!(label, model.predict(probe), "{} interpreter on {:?}", name, probe);
+                prop_assert_eq!(
+                    dispersion.map(f64::to_bits),
+                    compiled.disagreement(probe).map(f64::to_bits),
+                    "{} dispersion on {:?}",
+                    name,
+                    probe
+                );
+            }
         }
     }
 
