@@ -1,5 +1,4 @@
-//! Shared plumbing for the `repro` binary, the Criterion benches and
-//! the `perfbench` package: experiment-scale handling, the run
+//! Shared plumbing for the `repro` binary and the `perfbench` package: experiment-scale handling, the run
 //! configuration digest, plain-text table rendering, and the
 //! supervised, sharded [`fleet`] pipeline that `repro serve`,
 //! `repro chaos` and `perfbench` run.

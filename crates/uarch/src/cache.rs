@@ -90,17 +90,21 @@ impl Access {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// LRU stamp; larger is more recent.
-    lru: u64,
-}
-
 /// A set-associative, write-back, write-allocate cache with LRU
 /// replacement.
+///
+/// Each set's tags are contiguous, so a lookup scans one dense run of
+/// `u64`s; the LRU stamps and dirty bits are touched only when a hit
+/// refreshes them or a miss picks a victim. Ways fill from 0 upward and
+/// are only ever replaced, never invalidated one by one, so a set's
+/// valid ways are always its first `filled[set]`. The victim is the
+/// lowest-index invalid way, else the lowest-index least recently used
+/// one.
+///
+/// Another access to the line accessed last is answered before the set
+/// is searched. That line is already the most recent in its set, so its
+/// stamp is left alone: only the order of stamps within a set decides a
+/// victim, and re-stamping it would not change that order.
 ///
 /// # Examples
 ///
@@ -115,9 +119,19 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    lines: Vec<Line>,
+    /// Tag per line, `associativity` consecutive lines per set.
+    tags: Vec<u64>,
+    /// LRU stamp per line; larger is more recent.
+    stamps: Vec<u64>,
+    dirty: Vec<bool>,
+    /// Valid ways per set: ways `0..filled[set]` hold lines.
+    filled: Vec<usize>,
+    /// Line address and line index of the previous access, which hit or
+    /// filled that line.
+    last: Option<(u64, usize)>,
     set_mask: u64,
     line_shift: u32,
+    tag_shift: u32,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -136,11 +150,17 @@ impl Cache {
             panic!("invalid cache config: {msg}");
         }
         let sets = config.sets();
+        let lines = sets * config.associativity;
         Cache {
             config,
-            lines: vec![Line::default(); sets * config.associativity],
+            tags: vec![0; lines],
+            stamps: vec![0; lines],
+            dirty: vec![false; lines],
+            filled: vec![0; sets],
+            last: None,
             set_mask: (sets - 1) as u64,
             line_shift: config.line_bytes.trailing_zeros(),
+            tag_shift: sets.trailing_zeros(),
             clock: 0,
             hits: 0,
             misses: 0,
@@ -157,53 +177,62 @@ impl Cache {
     ///
     /// On a miss the line is filled (write-allocate) and the LRU victim
     /// evicted; a dirty victim reports `writeback: true`.
+    #[inline]
     pub fn access(&mut self, addr: u64, write: bool) -> Access {
         self.clock += 1;
         let line_addr = addr >> self.line_shift;
-        let set = (line_addr & self.set_mask) as usize;
-        let tag = line_addr >> self.set_mask.count_ones();
-        let ways = self.config.associativity;
-        let base = set * ways;
-
-        // Hit path.
-        for way in 0..ways {
-            let line = &mut self.lines[base + way];
-            if line.valid && line.tag == tag {
-                line.lru = self.clock;
-                line.dirty |= write;
+        if let Some((last_addr, line)) = self.last {
+            if last_addr == line_addr {
+                self.dirty[line] |= write;
                 self.hits += 1;
                 return Access::Hit;
             }
         }
+        self.search(line_addr, write)
+    }
 
-        // Miss: pick the invalid way, else the LRU way.
-        self.misses += 1;
-        let mut victim = base;
-        let mut oldest = u64::MAX;
-        for way in 0..ways {
-            let line = &self.lines[base + way];
-            if !line.valid {
-                victim = base + way;
-                break;
+    /// Look `line_addr` up in its set, filling it on a miss.
+    #[inline(never)]
+    fn search(&mut self, line_addr: u64, write: bool) -> Access {
+        let set = (line_addr & self.set_mask) as usize;
+        let tag = line_addr >> self.tag_shift;
+        let base = set * self.config.associativity;
+        let valid = &self.tags[base..base + self.filled[set]];
+        match valid.iter().position(|&t| t == tag) {
+            Some(way) => {
+                let line = base + way;
+                self.stamps[line] = self.clock;
+                self.dirty[line] |= write;
+                self.hits += 1;
+                self.last = Some((line_addr, line));
+                Access::Hit
             }
-            if line.lru < oldest {
-                oldest = line.lru;
-                victim = base + way;
-            }
+            None => self.fill(line_addr, set, base, tag, write),
         }
-        let evicted_dirty = {
-            let line = &self.lines[victim];
-            line.valid && line.dirty
+    }
+
+    fn fill(&mut self, line_addr: u64, set: usize, base: usize, tag: u64, write: bool) -> Access {
+        self.misses += 1;
+        let ways = self.config.associativity;
+        let filled = self.filled[set];
+        let (victim, evicted_dirty) = if filled < ways {
+            self.filled[set] += 1;
+            (base + filled, false)
+        } else {
+            let stamps = &self.stamps[base..base + ways];
+            // The first least recently used way.
+            let way = (0..ways)
+                .min_by_key(|&way| stamps[way])
+                .expect("a set has at least one way");
+            (base + way, self.dirty[base + way])
         };
         if evicted_dirty {
             self.writebacks += 1;
         }
-        self.lines[victim] = Line {
-            tag,
-            valid: true,
-            dirty: write,
-            lru: self.clock,
-        };
+        self.tags[victim] = tag;
+        self.stamps[victim] = self.clock;
+        self.dirty[victim] = write;
+        self.last = Some((line_addr, victim));
         Access::Miss {
             writeback: evicted_dirty,
         }
@@ -236,7 +265,8 @@ impl Cache {
 
     /// Invalidate all lines and zero the statistics.
     pub fn reset(&mut self) {
-        self.lines.fill(Line::default());
+        self.filled.fill(0);
+        self.last = None;
         self.clock = 0;
         self.hits = 0;
         self.misses = 0;
@@ -346,6 +376,27 @@ mod tests {
         assert_eq!(c.hits(), 0);
         assert_eq!(c.misses(), 0);
         assert!(!c.access(0, false).is_hit(), "reset invalidates lines");
+    }
+
+    #[test]
+    fn one_byte_lines_in_one_set_do_not_alias_the_top_line() {
+        // With 1-byte lines and one set the tag is the whole address,
+        // so `u64::MAX` is a real tag; a cold cache must miss it.
+        let mut c = Cache::new(CacheConfig {
+            size_bytes: 2,
+            associativity: 2,
+            line_bytes: 1,
+        });
+        assert_eq!(
+            c.access(u64::MAX, true),
+            Access::Miss { writeback: false },
+            "cold cache reported a hit"
+        );
+        assert!(c.access(u64::MAX, false).is_hit());
+        c.access(0, false);
+        // Evicting the dirty top line writes it back.
+        assert_eq!(c.access(1, false), Access::Miss { writeback: true });
+        assert_eq!(c.writebacks(), 1);
     }
 
     #[test]

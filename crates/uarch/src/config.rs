@@ -130,6 +130,8 @@ impl CpuConfig {
         self.l1i.validate().map_err(|e| format!("l1i: {e}"))?;
         self.l1d.validate().map_err(|e| format!("l1d: {e}"))?;
         self.llc.validate().map_err(|e| format!("llc: {e}"))?;
+        self.itlb.validate().map_err(|e| format!("itlb: {e}"))?;
+        self.dtlb.validate().map_err(|e| format!("dtlb: {e}"))?;
         if self.clock_hz == 0 {
             return Err("clock_hz must be non-zero".to_owned());
         }
@@ -162,6 +164,14 @@ mod tests {
         c.llc.line_bytes = 48;
         let err = c.validate().unwrap_err();
         assert!(err.starts_with("llc:"), "{err}");
+    }
+
+    #[test]
+    fn bad_tlb_is_reported_with_prefix() {
+        let mut c = CpuConfig::haswell();
+        c.dtlb.page_bytes = 3000;
+        let err = c.validate().unwrap_err();
+        assert!(err.starts_with("dtlb:"), "{err}");
     }
 
     #[test]

@@ -68,6 +68,8 @@ pub struct Cpu {
     stats: ExecutionStats,
     /// Fractional cycle accumulator for the base-IPC issue model.
     issue_debt: f64,
+    /// `1.0 / config.base_ipc`: the issue cost of one instruction.
+    cycles_per_instruction: f64,
 }
 
 impl Cpu {
@@ -90,6 +92,7 @@ impl Cpu {
             counters: CounterSet::new(),
             stats: ExecutionStats::default(),
             issue_debt: 0.0,
+            cycles_per_instruction: 1.0 / config.base_ipc,
             config,
         }
     }
@@ -139,6 +142,7 @@ impl Cpu {
     /// | store LLC miss / dirty eviction | `cache-misses`, `node-stores` |
     /// | data page dTLB miss | `dTLB-load-misses` |
     /// | any LLC-visible reference | `cache-references` |
+    #[inline]
     pub fn execute(&mut self, pc: u64, op: Op) {
         let mut penalty: u64 = 0;
 
@@ -227,7 +231,7 @@ impl Cpu {
         }
 
         // --- Timing: fractional base issue cost plus stall penalties ---
-        self.issue_debt += 1.0 / self.config.base_ipc;
+        self.issue_debt += self.cycles_per_instruction;
         let issued = self.issue_debt as u64;
         self.issue_debt -= issued as f64;
         self.stats.instructions += 1;

@@ -1,3 +1,4 @@
+use rand::distributions::Bernoulli;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -119,10 +120,61 @@ const FUNCTION_GRAIN: u64 = 256;
 #[derive(Debug, Clone)]
 pub struct SyntheticStream {
     params: StreamParams,
+    phase: PhaseConstants,
     rng: SmallRng,
     pc: u64,
     function_base: u64,
     data_cursor: u64,
+}
+
+/// What each instruction would otherwise rederive from the current
+/// [`StreamParams`]: computed once per phase, with the same arithmetic,
+/// so every value is the same bit pattern.
+#[derive(Debug, Clone, Copy)]
+struct PhaseConstants {
+    /// Data working set in bytes, at least 8.
+    data_span: u64,
+    /// Code footprint in bytes, at least 4.
+    code_span: u64,
+    /// One past the last code byte: `CODE_BASE + code_span`.
+    code_end: u64,
+    /// Function entry points in the code region, at least 1.
+    functions: u64,
+    /// A roll below this loads or stores: `load_frac + store_frac`.
+    memory_below: f64,
+    /// A roll below this is not ALU work: `memory_below + branch_frac`.
+    branch_below: f64,
+    /// Draws of `data_locality`, `branch_predictability`,
+    /// `branch_taken_bias` and `code_locality`, each consuming the words
+    /// `gen_bool` with that probability would.
+    data_locality: Bernoulli,
+    branch_predictability: Bernoulli,
+    branch_taken_bias: Bernoulli,
+    code_locality: Bernoulli,
+}
+
+impl PhaseConstants {
+    fn of(params: &StreamParams) -> PhaseConstants {
+        let code_span = params.code_footprint.max(4);
+        let memory_below = params.load_frac + params.store_frac;
+        PhaseConstants {
+            data_span: params.data_working_set.max(8),
+            code_span,
+            code_end: CODE_BASE + code_span,
+            functions: (code_span / (FUNCTION_GRAIN * 4)).max(1),
+            memory_below,
+            branch_below: memory_below + params.branch_frac,
+            data_locality: bernoulli(params.data_locality),
+            branch_predictability: bernoulli(params.branch_predictability),
+            branch_taken_bias: bernoulli(params.branch_taken_bias),
+            code_locality: bernoulli(params.code_locality),
+        }
+    }
+}
+
+/// A probability [`StreamParams::validate`] has already checked.
+fn bernoulli(p: f64) -> Bernoulli {
+    Bernoulli::new(p).expect("validated probability")
 }
 
 impl SyntheticStream {
@@ -136,11 +188,13 @@ impl SyntheticStream {
         if let Err(msg) = params.validate() {
             panic!("invalid stream params: {msg}");
         }
+        let phase = PhaseConstants::of(&params);
         let mut rng = SmallRng::seed_from_u64(seed);
-        let function_base = CODE_BASE + (rng.gen_range(0..params.code_footprint.max(4)) & !3);
-        let data_cursor = DATA_BASE + (rng.gen_range(0..params.data_working_set.max(8)) & !7);
+        let function_base = CODE_BASE + (rng.gen_range(0..phase.code_span) & !3);
+        let data_cursor = DATA_BASE + (rng.gen_range(0..phase.data_span) & !7);
         SyntheticStream {
             params,
+            phase,
             rng,
             pc: function_base,
             function_base,
@@ -164,41 +218,44 @@ impl SyntheticStream {
             panic!("invalid stream params: {msg}");
         }
         self.params = params;
+        self.phase = PhaseConstants::of(&params);
         // Re-clamp cursors into the possibly-smaller new regions.
-        self.function_base =
-            CODE_BASE + (self.function_base - CODE_BASE) % self.params.code_footprint.max(4);
+        self.function_base = CODE_BASE + (self.function_base - CODE_BASE) % self.phase.code_span;
         self.pc = self.function_base;
-        self.data_cursor =
-            DATA_BASE + (self.data_cursor - DATA_BASE) % self.params.data_working_set.max(8);
+        self.data_cursor = DATA_BASE + (self.data_cursor - DATA_BASE) % self.phase.data_span;
     }
 
     fn next_data_addr(&mut self) -> u64 {
-        let ws = self.params.data_working_set.max(8);
-        if self.rng.gen_bool(self.params.data_locality) {
-            // Sequential walk, wrapping within the working set.
-            self.data_cursor = DATA_BASE + ((self.data_cursor - DATA_BASE) + 8) % ws;
+        let span = self.phase.data_span;
+        if self.rng.sample(self.phase.data_locality) {
+            // Sequential walk, wrapping within the working set. The
+            // offset is always below `span` and `span >= 8`, so one
+            // subtraction is the remainder.
+            let mut offset = self.data_cursor - DATA_BASE + 8;
+            if offset >= span {
+                offset -= span;
+            }
+            self.data_cursor = DATA_BASE + offset;
         } else {
-            self.data_cursor = DATA_BASE + (self.rng.gen_range(0..ws) & !7);
+            self.data_cursor = DATA_BASE + (self.rng.gen_range(0..span) & !7);
         }
         self.data_cursor
     }
 
     fn next_branch(&mut self) -> Op {
-        let p = &self.params;
+        let phase = &self.phase;
         let stable_taken = !(self.pc >> 2).is_multiple_of(8); // per-site stable pattern
-        let taken = if self.rng.gen_bool(p.branch_predictability) {
+        let taken = if self.rng.sample(phase.branch_predictability) {
             stable_taken
         } else {
-            self.rng.gen_bool(p.branch_taken_bias)
+            self.rng.sample(phase.branch_taken_bias)
         };
-        let target = if self.rng.gen_bool(p.code_locality) {
+        let target = if self.rng.sample(phase.code_locality) {
             // Local transfer: loop back toward the function entry.
             self.function_base
         } else {
             // Call a random function in the code region.
-            let footprint = p.code_footprint.max(4);
-            let functions = (footprint / (FUNCTION_GRAIN * 4)).max(1);
-            let which = self.rng.gen_range(0..functions);
+            let which = self.rng.gen_range(0..phase.functions);
             CODE_BASE + which * FUNCTION_GRAIN * 4
         };
         Op::Branch { target, taken }
@@ -206,15 +263,15 @@ impl SyntheticStream {
 }
 
 impl InstructionSource for SyntheticStream {
+    #[inline]
     fn next_instruction(&mut self) -> Instruction {
         let pc = self.pc;
-        let p = self.params;
         let roll: f64 = self.rng.gen();
-        let op = if roll < p.load_frac {
+        let op = if roll < self.params.load_frac {
             Op::Load(self.next_data_addr())
-        } else if roll < p.load_frac + p.store_frac {
+        } else if roll < self.phase.memory_below {
             Op::Store(self.next_data_addr())
-        } else if roll < p.load_frac + p.store_frac + p.branch_frac {
+        } else if roll < self.phase.branch_below {
             self.next_branch()
         } else {
             Op::Alu
@@ -232,7 +289,7 @@ impl InstructionSource for SyntheticStream {
             _ => {
                 self.pc = pc + 4;
                 // Keep straight-line runs inside the code footprint.
-                if self.pc >= CODE_BASE + self.params.code_footprint.max(4) {
+                if self.pc >= self.phase.code_end {
                     self.pc = self.function_base;
                 }
             }

@@ -23,9 +23,36 @@ impl TlbConfig {
             page_bytes: 4096,
         }
     }
+
+    /// Check the sizing is usable.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated constraint: no
+    /// entries, or a page size that is not a power of two.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.entries == 0 {
+            return Err("TLB needs at least one entry".to_owned());
+        }
+        if !self.page_bytes.is_power_of_two() {
+            return Err(format!(
+                "page size {} is not a power of two",
+                self.page_bytes
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// A fully-associative, LRU translation lookaside buffer.
+///
+/// Entries fill from index 0 upward and are only ever replaced, never
+/// invalidated one by one, so the valid entries are always the first
+/// `len`. A lookup probes the most recently used entry, then scans the
+/// dense page array. Recency is a doubly linked list through the
+/// entries, so a hit moves its entry to the front and a miss in a full
+/// TLB evicts the back without searching. The victim is the lowest-index
+/// invalid entry, else the least recently used one.
 ///
 /// # Examples
 ///
@@ -39,32 +66,44 @@ impl TlbConfig {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
-    /// `(page_number, lru_stamp)` per entry; `u64::MAX` page = invalid.
-    entries: Vec<(u64, u64)>,
+    /// Page number per entry; only `pages[..len]` are valid.
+    pages: Vec<u64>,
+    /// The next more recently used entry, toward `mru`.
+    newer: Vec<usize>,
+    /// The next less recently used entry, toward `lru`.
+    older: Vec<usize>,
+    len: usize,
+    /// Most recently used valid entry (meaningless while `len == 0`).
+    mru: usize,
+    /// Least recently used valid entry (meaningless while `len == 0`).
+    lru: usize,
     page_shift: u32,
-    clock: u64,
     hits: u64,
     misses: u64,
 }
+
+/// End of the recency list.
+const NIL: usize = usize::MAX;
 
 impl Tlb {
     /// Build a TLB with the given sizing.
     ///
     /// # Panics
     ///
-    /// Panics when `entries` is zero or `page_bytes` is not a power of
-    /// two.
+    /// Panics when `config` fails [`TlbConfig::validate`].
     pub fn new(config: TlbConfig) -> Tlb {
-        assert!(config.entries > 0, "TLB needs at least one entry");
-        assert!(
-            config.page_bytes.is_power_of_two(),
-            "page size must be a power of two"
-        );
+        if let Err(msg) = config.validate() {
+            panic!("invalid TLB config: {msg}");
+        }
         Tlb {
             config,
-            entries: vec![(u64::MAX, 0); config.entries],
+            pages: vec![0; config.entries],
+            newer: vec![NIL; config.entries],
+            older: vec![NIL; config.entries],
+            len: 0,
+            mru: 0,
+            lru: 0,
             page_shift: config.page_bytes.trailing_zeros(),
-            clock: 0,
             hits: 0,
             misses: 0,
         }
@@ -77,25 +116,76 @@ impl Tlb {
 
     /// Translate `addr`; returns `true` on a hit. A miss installs the
     /// translation, evicting the LRU entry.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
-        self.clock += 1;
         let page = addr >> self.page_shift;
-        let mut victim = 0usize;
-        let mut oldest = u64::MAX;
-        for (i, entry) in self.entries.iter_mut().enumerate() {
-            if entry.0 == page {
-                entry.1 = self.clock;
+        if self.len != 0 && self.pages[self.mru] == page {
+            self.hits += 1;
+            return true;
+        }
+        self.search(page)
+    }
+
+    /// Look `page` up past the most recently used entry.
+    #[inline(never)]
+    fn search(&mut self, page: u64) -> bool {
+        match self.pages[..self.len].iter().position(|&p| p == page) {
+            Some(entry) => {
                 self.hits += 1;
-                return true;
+                self.touch(entry);
+                true
             }
-            if entry.1 < oldest {
-                oldest = entry.1;
-                victim = i;
+            None => {
+                self.fill(page);
+                false
             }
         }
+    }
+
+    fn fill(&mut self, page: u64) {
         self.misses += 1;
-        self.entries[victim] = (page, self.clock);
-        false
+        let entry = if self.len < self.pages.len() {
+            self.len += 1;
+            let entry = self.len - 1;
+            if entry == 0 {
+                self.newer[0] = NIL;
+                self.older[0] = NIL;
+                self.mru = 0;
+                self.lru = 0;
+            } else {
+                self.push_front(entry);
+            }
+            entry
+        } else {
+            let victim = self.lru;
+            self.touch(victim);
+            victim
+        };
+        self.pages[entry] = page;
+    }
+
+    /// Move valid `entry` to the front of the recency list.
+    fn touch(&mut self, entry: usize) {
+        if entry == self.mru {
+            return;
+        }
+        // Not the front, so it has a newer neighbour.
+        let (newer, older) = (self.newer[entry], self.older[entry]);
+        self.older[newer] = older;
+        if older == NIL {
+            self.lru = newer;
+        } else {
+            self.newer[older] = newer;
+        }
+        self.push_front(entry);
+    }
+
+    /// Link `entry`, not currently in the list, in front of `mru`.
+    fn push_front(&mut self, entry: usize) {
+        self.newer[entry] = NIL;
+        self.older[entry] = self.mru;
+        self.newer[self.mru] = entry;
+        self.mru = entry;
     }
 
     /// Hits so far.
@@ -120,8 +210,7 @@ impl Tlb {
 
     /// Invalidate all entries and zero statistics.
     pub fn reset(&mut self) {
-        self.entries.fill((u64::MAX, 0));
-        self.clock = 0;
+        self.len = 0;
         self.hits = 0;
         self.misses = 0;
     }
@@ -176,6 +265,29 @@ mod tests {
         t.reset();
         assert_eq!(t.misses(), 0);
         assert!(!t.access(0));
+    }
+
+    #[test]
+    fn one_byte_pages_do_not_alias_the_top_page() {
+        // Page `u64::MAX` is a real page here; a cold TLB must miss it.
+        let mut t = Tlb::new(TlbConfig {
+            entries: 4,
+            page_bytes: 1,
+        });
+        assert!(!t.access(u64::MAX), "cold TLB reported a hit");
+        assert!(t.access(u64::MAX), "installed page missed");
+        assert!(!t.access(u64::MAX - 1));
+        assert_eq!((t.hits(), t.misses()), (1, 2));
+    }
+
+    #[test]
+    fn zero_entries_rejected() {
+        let config = TlbConfig {
+            entries: 0,
+            page_bytes: 4096,
+        };
+        assert!(config.validate().is_err());
+        assert!(TlbConfig::haswell_dtlb().validate().is_ok());
     }
 
     #[test]
