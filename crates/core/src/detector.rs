@@ -302,7 +302,8 @@ impl Detector {
     /// corrupted-but-repairable windows are median-imputed before
     /// classification, unsalvageable ones yield [`Verdict::Abstain`]
     /// instead of a guess. [`Detector::classify`] is the raw path and
-    /// never abstains.
+    /// never abstains. The classification, not the screening, is timed
+    /// into `classify_ns{scheme}`.
     pub fn classify_sanitized(&self, window: &FeatureVector) -> Verdict {
         match self.sanitizer.sanitize(window) {
             SanitizeOutcome::Clean(features) | SanitizeOutcome::Repaired { features, .. } => {
@@ -312,34 +313,41 @@ impl Detector {
         }
     }
 
-    /// [`classify_sanitized`](Self::classify_sanitized) plus the
-    /// [`suspicion`](Self::suspicion) of the raw window, as the armed
-    /// online monitor needs them.
+    /// The served form of [`classify_sanitized`](Self::classify_sanitized)
+    /// for one [`StreamState`](crate::StreamState) window: untimed, since
+    /// `online.observe_ns` times the window whole, and, when `armed`,
+    /// paired with the [`suspicion`](Self::suspicion) of the raw window.
     ///
     /// When the model's input row is the same before and after
     /// sanitizing — always for a clean window, and for a repaired one
     /// whose repairs all fall outside the model's columns — the verdict
-    /// and the dispersion come from one committee walk, the one
-    /// `classify_ns` times. Otherwise the dispersion is of the raw
-    /// window, from a separate walk.
-    pub(crate) fn classify_sanitized_with_suspicion(
+    /// and the dispersion come from one committee walk. Otherwise the
+    /// dispersion is of the raw window, from a separate walk.
+    pub(crate) fn classify_served(
         &self,
         window: &FeatureVector,
+        armed: bool,
     ) -> (Verdict, Option<f64>) {
         match self.sanitizer.sanitize(window) {
             SanitizeOutcome::Clean(features) | SanitizeOutcome::Repaired { features, .. } => {
+                if !armed {
+                    return (self.walk(&features).0, None);
+                }
                 let (raw, sanitized) = (window.as_slice(), features.as_slice());
                 if self
                     .feature_indices
                     .iter()
                     .all(|&i| raw[i].to_bits() == sanitized[i].to_bits())
                 {
-                    self.classify_with_suspicion(&features)
+                    self.walk(&features)
                 } else {
-                    (self.classify(&features), self.suspicion(window))
+                    (self.walk(&features).0, self.suspicion(window))
                 }
             }
-            SanitizeOutcome::Unusable { .. } => (self.abstain(), self.suspicion(window)),
+            SanitizeOutcome::Unusable { .. } => {
+                let dispersion = if armed { self.suspicion(window) } else { None };
+                (self.abstain(), dispersion)
+            }
         }
     }
 
@@ -348,20 +356,23 @@ impl Detector {
         Verdict::Abstain
     }
 
-    /// Classify one sampling window.
+    /// Classify one sampling window, timed into `classify_ns{scheme}`.
     pub fn classify(&self, window: &FeatureVector) -> Verdict {
-        self.classify_with_suspicion(window).0
+        let started = Instant::now();
+        let (verdict, _) = self.walk(window);
+        self.metrics.classify_ns.record_since(started);
+        verdict
     }
 
     /// Classify one window and report its committee dispersion, both
-    /// from the one timed walk.
-    fn classify_with_suspicion(&self, window: &FeatureVector) -> (Verdict, Option<f64>) {
-        let started = Instant::now();
+    /// from one walk, and count the verdict. Untimed:
+    /// [`classify`](Self::classify) times it into `classify_ns{scheme}`,
+    /// and `online.observe_ns` times a served window whole.
+    fn walk(&self, window: &FeatureVector) -> (Verdict, Option<f64>) {
         let (label, dispersion) = self.with_row(window, |row| match &self.compiled {
             Some(compiled) => compiled.predict_with_disagreement(row),
             None => (self.model.predict(row), None),
         });
-        self.metrics.classify_ns.record_since(started);
         let verdict = match self.mode {
             DetectorMode::Binary => {
                 if label == 0 {
@@ -455,9 +466,10 @@ impl Detector {
     /// An armed [`StreamState`](crate::StreamState) shares the walk
     /// with classification when the window is clean, or repaired only
     /// outside the model's columns: the verdict and the dispersion are
-    /// read off one vote tally, and `classify_ns{scheme}` times that one
-    /// walk. It calls this only for a window whose model row the
-    /// sanitizer changed or abstained on.
+    /// read off one vote tally. It calls this only for a window whose
+    /// model row the sanitizer changed or abstained on. Neither walk of
+    /// a served window is timed on its own: `online.observe_ns` times
+    /// the window whole.
     pub fn suspicion(&self, window: &FeatureVector) -> Option<f64> {
         let compiled = self.compiled.as_ref()?;
         self.with_row(window, |row| compiled.disagreement(row))

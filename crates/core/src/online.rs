@@ -43,21 +43,24 @@ pub enum OnlineVerdict {
 ///
 /// The monitor reports into the [`hbmd_obs`] context its [`Detector`]
 /// was trained or restored under — the handles are resolved once then,
-/// as `classify_ns` and the verdict counters are, so a context installed
-/// later does not see this monitor's windows. It reports alarm
-/// raise/clear transitions as `online.alarms_raised` /
-/// `online.alarms_cleared` counters, every fed window as
-/// `online.windows_observed`, per-call wall latency as the
-/// `online.observe_ns` timing histogram, and the vote margin of each
-/// alarm decision as the exact `online.alarm_votes` histogram. With a
+/// as the verdict counters are, so a context installed later does not
+/// see this monitor's windows. It reports alarm raise/clear transitions
+/// as `online.alarms_raised` / `online.alarms_cleared` counters, every
+/// fed window as `online.windows_observed` and its verdict as
+/// `verdict{verdict}`, per-call wall latency as the `online.observe_ns`
+/// timing histogram, and the vote margin of each alarm decision as the
+/// exact `online.alarm_votes` histogram. `online.observe_ns` times a
+/// window whole — sanitizing, classifying and voting — with one clock
+/// pair; nothing inside it is timed on its own, so an observed window
+/// records nothing into `classify_ns{scheme}`, which times direct
+/// [`Detector::classify`] calls. With a
 /// [suspicion threshold](OnlineDetectorBuilder::suspicion_threshold)
 /// armed, every window whose committee dispersion reaches it counts
 /// into `online.disagreement_trips`. The dispersion is that of the raw
 /// window. When sanitizing leaves the model's input row unchanged — a
 /// clean window, or one repaired only outside the model's columns — it
 /// is read off the same vote tally as the verdict, so an armed
-/// committee walks its members once for that window and
-/// `classify_ns{scheme}` times that one walk.
+/// committee walks its members once for that window.
 ///
 /// # Examples
 ///
@@ -190,8 +193,8 @@ impl OnlineDetectorBuilder {
     /// sanitizing leaves the model's input row unchanged (a clean
     /// window, or one repaired only outside the model's columns), the
     /// verdict and the dispersion share one committee walk and one vote
-    /// tally, which `classify_ns{scheme}` times; otherwise the raw
-    /// window's dispersion takes a separate walk.
+    /// tally; otherwise the raw window's dispersion takes a separate
+    /// walk. Either way `online.observe_ns` times the window whole.
     pub fn suspicion_threshold(mut self, threshold: f64) -> OnlineDetectorBuilder {
         self.suspicion_threshold = Some(threshold);
         self
@@ -413,24 +416,20 @@ impl StreamState {
         let started = Instant::now();
         let metrics = detector.metrics();
         metrics.windows_observed.incr();
-        let verdict = match self.suspicion_threshold {
-            Some(_) => {
-                let (verdict, dispersion) = detector.classify_sanitized_with_suspicion(window);
-                self.last_dispersion = dispersion;
-                if self.last_window_suspicious() {
-                    metrics.disagreement_trips.incr();
-                }
-                verdict
-            }
-            None => detector.classify_sanitized(window),
-        };
+        let (verdict, dispersion) =
+            detector.classify_served(window, self.suspicion_threshold.is_some());
+        self.last_dispersion = dispersion;
+        if self.last_window_suspicious() {
+            metrics.disagreement_trips.incr();
+        }
         if self.history.len() == self.window {
             self.history.pop_front();
         }
         self.history.push_back(verdict);
         let was_latched = self.latched.is_some();
 
-        match self.raw_decision() {
+        let raw = self.raw_decision();
+        match raw {
             OnlineVerdict::Alarm { family, votes, .. } => {
                 self.alarm_streak += 1;
                 self.clean_streak = 0;
@@ -456,7 +455,7 @@ impl StreamState {
         } else if was_latched && self.latched.is_none() {
             metrics.alarms_cleared.incr();
         }
-        let decision = self.decision();
+        let decision = self.settle(raw);
         if let OnlineVerdict::Alarm { votes, .. } = decision {
             // Exact (deterministic-domain) histogram: how much of the
             // window agreed each time an alarm decision was returned.
@@ -470,21 +469,25 @@ impl StreamState {
     /// the latched alarm while hysteresis holds it, otherwise the raw
     /// majority vote (suppressed until `raise_after` is met).
     pub fn decision(&self) -> OnlineVerdict {
-        if self.history.len() < self.window {
-            return OnlineVerdict::Warmup;
-        }
-        if let Some((family, votes)) = self.latched {
-            return OnlineVerdict::Alarm {
+        self.settle(self.raw_decision())
+    }
+
+    /// The decision given `raw`, the current history's
+    /// [`raw_decision`](Self::raw_decision): the latched alarm while
+    /// hysteresis holds it, otherwise `raw` with an alarm suppressed
+    /// until `raise_after` is met.
+    fn settle(&self, raw: OnlineVerdict) -> OnlineVerdict {
+        match (raw, self.latched) {
+            (OnlineVerdict::Warmup, _) => OnlineVerdict::Warmup,
+            (_, Some((family, votes))) => OnlineVerdict::Alarm {
                 family,
                 votes,
                 of: self.window,
-            };
-        }
-        match self.raw_decision() {
-            OnlineVerdict::Alarm { .. } if self.alarm_streak < self.raise_after => {
+            },
+            (OnlineVerdict::Alarm { .. }, None) if self.alarm_streak < self.raise_after => {
                 OnlineVerdict::Clean
             }
-            decision => decision,
+            (raw, None) => raw,
         }
     }
 

@@ -98,15 +98,23 @@ impl SanitizeOutcome {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sanitizer {
     /// Per-column training median (imputation value).
-    medians: Vec<f64>,
+    medians: Column,
     /// Per-column ceiling: training max × [`RANGE_SLACK`]; infinite for
     /// columns with no finite training data.
-    ceilings: Vec<f64>,
+    ceilings: Column,
+    /// `ceilings` with `+inf` lowered to `f64::MAX`, so that one
+    /// comparison refuses an infinite value as well as a high one.
+    limits: Column,
     /// Per-column training mean (outlier screening).
-    means: Vec<f64>,
+    means: Column,
     /// Per-column training standard deviation; non-finite or zero
     /// excludes the column from outlier screening.
-    stds: Vec<f64>,
+    stds: Column,
+    /// Bit `j` set when column `j` has usable spread (`std` finite and
+    /// positive): the columns the outlier screen sums over.
+    spread: u32,
+    /// Columns set in `spread`.
+    spread_count: u32,
     /// Invalid columns tolerated before the window is unusable.
     max_repair: usize,
     /// RMS z-score at which a finite, in-range window still abstains
@@ -114,15 +122,26 @@ pub struct Sanitizer {
     outlier_margin: f64,
 }
 
+/// One value per feature column.
+type Column = [f64; HpcEvent::COUNT];
+
+// Column masks are `u32` bit sets.
+const _: () = assert!(HpcEvent::COUNT <= 32);
+
+/// `true` when bit `j` of `mask` is set.
+fn has(mask: u32, j: usize) -> bool {
+    mask >> j & 1 == 1
+}
+
 impl Sanitizer {
     /// Fit medians and ceilings per feature column on `dataset`
     /// (normally the training split). Never panics: an empty dataset
     /// yields a sanitizer that accepts any finite non-negative window.
     pub fn fit(dataset: &HpcDataset) -> Sanitizer {
-        let mut medians = Vec::with_capacity(HpcEvent::COUNT);
-        let mut ceilings = Vec::with_capacity(HpcEvent::COUNT);
-        let mut means = Vec::with_capacity(HpcEvent::COUNT);
-        let mut stds = Vec::with_capacity(HpcEvent::COUNT);
+        let mut medians = [0.0; HpcEvent::COUNT];
+        let mut ceilings = [f64::INFINITY; HpcEvent::COUNT];
+        let mut means = [0.0; HpcEvent::COUNT];
+        let mut stds = [f64::INFINITY; HpcEvent::COUNT];
         for j in 0..HpcEvent::COUNT {
             let mut finite: Vec<f64> = dataset
                 .rows()
@@ -131,34 +150,55 @@ impl Sanitizer {
                 .filter(|v| v.is_finite() && *v >= 0.0)
                 .collect();
             if finite.is_empty() {
-                medians.push(0.0);
-                ceilings.push(f64::INFINITY);
-                means.push(0.0);
-                stds.push(f64::INFINITY);
                 continue;
             }
             finite.sort_by(|a, b| a.total_cmp(b));
             let mid = finite.len() / 2;
-            let median = if finite.len() % 2 == 1 {
+            medians[j] = if finite.len() % 2 == 1 {
                 finite[mid]
             } else {
                 (finite[mid - 1] + finite[mid]) / 2.0
             };
-            medians.push(median);
-            ceilings.push(finite[finite.len() - 1] * RANGE_SLACK);
+            ceilings[j] = finite[finite.len() - 1] * RANGE_SLACK;
             let n = finite.len() as f64;
             let mean = finite.iter().sum::<f64>() / n;
             let var = finite.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
-            means.push(mean);
-            stds.push(var.sqrt());
+            means[j] = mean;
+            stds[j] = var.sqrt();
         }
-        Sanitizer {
+        Sanitizer::from_columns(
             medians,
             ceilings,
             means,
             stds,
-            max_repair: HpcEvent::COUNT / 4,
-            outlier_margin: OUTLIER_MARGIN,
+            HpcEvent::COUNT / 4,
+            OUTLIER_MARGIN,
+        )
+    }
+
+    /// Assemble a sanitizer and precompute its spread mask — the single
+    /// funnel of fitting and snapshot restore.
+    fn from_columns(
+        medians: Column,
+        ceilings: Column,
+        means: Column,
+        stds: Column,
+        max_repair: usize,
+        outlier_margin: f64,
+    ) -> Sanitizer {
+        let spread = (0..HpcEvent::COUNT)
+            .filter(|&j| stds[j] > 0.0 && stds[j].is_finite())
+            .fold(0u32, |mask, j| mask | 1 << j);
+        Sanitizer {
+            medians,
+            ceilings,
+            limits: ceilings.map(|c| if c == f64::INFINITY { f64::MAX } else { c }),
+            means,
+            stds,
+            spread,
+            spread_count: spread.count_ones(),
+            max_repair,
+            outlier_margin,
         }
     }
 
@@ -187,21 +227,30 @@ impl Sanitizer {
 
     /// RMS z-score of a window against the training distribution, over
     /// the columns with usable spread. `0.0` when no column qualifies.
+    /// Values past the last feature column are ignored.
     pub fn rms_z(&self, values: &[f64]) -> f64 {
+        let width = values.len().min(HpcEvent::COUNT);
+        let mut padded = [0.0; HpcEvent::COUNT];
+        padded[..width].copy_from_slice(&values[..width]);
+        let spread = self.spread & !(u32::MAX << width);
+        self.rms(&padded, spread, spread.count_ones())
+    }
+
+    /// RMS z-score over the columns in `spread` (`count` of them),
+    /// summed in ascending column order.
+    fn rms(&self, values: &Column, spread: u32, count: u32) -> f64 {
         let mut sum = 0.0f64;
-        let mut n = 0usize;
-        for (j, &v) in values.iter().enumerate().take(self.stds.len()) {
-            let std = self.stds[j];
-            if std > 0.0 && std.is_finite() {
-                let z = (v - self.means[j]) / std;
-                sum += z * z;
-                n += 1;
-            }
+        let stats = self.means.iter().zip(&self.stds);
+        for (j, (&v, (&mean, &std))) in values.iter().zip(stats).enumerate() {
+            let z = (v - mean) / std;
+            // Adding +0.0 leaves the sum's bits as they are: it is never
+            // -0.0, since it starts at +0.0 and only gains squares.
+            sum += if has(spread, j) { z * z } else { 0.0 };
         }
-        if n == 0 {
+        if count == 0 {
             0.0
         } else {
-            (sum / n as f64).sqrt()
+            (sum / f64::from(count)).sqrt()
         }
     }
 
@@ -212,63 +261,65 @@ impl Sanitizer {
 
     /// Screen one window. Never panics, whatever the input holds.
     pub fn sanitize(&self, window: &FeatureVector) -> SanitizeOutcome {
-        let values = window.as_slice();
-        let mut columns = [0usize; HpcEvent::COUNT];
-        let mut found = 0;
-        for (j, &v) in values.iter().enumerate() {
-            if !self.is_valid(j, v) {
-                columns[found] = j;
-                found += 1;
-            }
-        }
-        let invalid = &columns[..found];
-        if invalid.is_empty() {
-            if let Some(outliers) = self.joint_outliers(values) {
-                return SanitizeOutcome::Unusable { invalid: outliers };
-            }
-            return SanitizeOutcome::Clean(window.clone());
-        }
-        if invalid.len() > self.max_repair {
-            return SanitizeOutcome::Unusable {
-                invalid: invalid.len(),
+        let values: &Column = window
+            .as_slice()
+            .try_into()
+            .expect("a feature vector holds one value per column");
+        let invalid = self.invalid_columns(values);
+        if invalid == 0 {
+            return match self.joint_outliers(values) {
+                Some(outliers) => SanitizeOutcome::Unusable { invalid: outliers },
+                None => SanitizeOutcome::Clean(window.clone()),
             };
         }
-        let mut repaired = [0.0f64; HpcEvent::COUNT];
-        repaired.copy_from_slice(values);
-        for &j in invalid {
-            repaired[j] = self.medians[j];
+        let repaired = invalid.count_ones() as usize;
+        if repaired > self.max_repair {
+            return SanitizeOutcome::Unusable { invalid: repaired };
         }
-        if let Some(outliers) = self.joint_outliers(&repaired) {
+        let features: Column = std::array::from_fn(|j| {
+            if has(invalid, j) {
+                self.medians[j]
+            } else {
+                values[j]
+            }
+        });
+        if let Some(outliers) = self.joint_outliers(&features) {
             return SanitizeOutcome::Unusable {
-                invalid: invalid.len().max(outliers),
+                invalid: repaired.max(outliers),
             };
         }
         SanitizeOutcome::Repaired {
-            features: FeatureVector::from_slice(&repaired).expect("same width"),
-            repaired: invalid.len(),
+            features: FeatureVector::from_slice(&features).expect("same width"),
+            repaired,
         }
     }
 
-    fn is_valid(&self, column: usize, value: f64) -> bool {
-        value.is_finite() && value >= 0.0 && value <= self.ceilings[column]
+    /// Bit `j` set when `values[j]` is non-finite, negative, or above
+    /// its column's ceiling.
+    fn invalid_columns(&self, values: &Column) -> u32 {
+        let mut invalid = 0u32;
+        for (j, (&v, &limit)) in values.iter().zip(&self.limits).enumerate() {
+            // Finite, non-negative and under the ceiling, in two
+            // comparisons that a NaN fails.
+            let valid = (v >= 0.0) & (v <= limit);
+            invalid |= u32::from(!valid) << j;
+        }
+        invalid
     }
 
     /// When the window's RMS z-score reaches the outlier margin,
     /// returns how many columns individually exceed it (at least one:
     /// the RMS is bounded by the max |z|). `None` below the margin.
-    fn joint_outliers(&self, values: &[f64]) -> Option<usize> {
-        if !self.outlier_margin.is_finite() || self.rms_z(values) < self.outlier_margin {
+    fn joint_outliers(&self, values: &Column) -> Option<usize> {
+        if !self.outlier_margin.is_finite()
+            || self.rms(values, self.spread, self.spread_count) < self.outlier_margin
+        {
             return None;
         }
-        let count = values
-            .iter()
-            .enumerate()
-            .take(self.stds.len())
-            .filter(|&(j, &v)| {
-                let std = self.stds[j];
-                std > 0.0
-                    && std.is_finite()
-                    && ((v - self.means[j]) / std).abs() >= self.outlier_margin
+        let count = (0..HpcEvent::COUNT)
+            .filter(|&j| {
+                has(self.spread, j)
+                    && ((values[j] - self.means[j]) / self.stds[j]).abs() >= self.outlier_margin
             })
             .count();
         Some(count.max(1))
@@ -277,51 +328,56 @@ impl Sanitizer {
 
 use hbmd_ml::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
+/// Encoded as a `Vec<f64>`, so the bytes match a variable-width column.
+fn snap_column(column: &Column, w: &mut SnapWriter) {
+    w.put_usize(column.len());
+    for v in column {
+        v.snap(w);
+    }
+}
+
+/// Decode a column, refusing any width but one value per feature.
+fn unsnap_column(r: &mut SnapReader<'_>, name: &str) -> Result<Column, SnapError> {
+    let column: Vec<f64> = Snap::unsnap(r)?;
+    column.try_into().map_err(|column: Vec<f64>| {
+        SnapError::Invalid(format!(
+            "sanitizer {name} hold {} columns, expected {}",
+            column.len(),
+            HpcEvent::COUNT
+        ))
+    })
+}
+
 impl Snap for Sanitizer {
     fn snap(&self, w: &mut SnapWriter) {
-        self.medians.snap(w);
-        self.ceilings.snap(w);
+        snap_column(&self.medians, w);
+        snap_column(&self.ceilings, w);
         self.max_repair.snap(w);
         // v2 tail: the outlier screen's training stats and margin.
-        self.means.snap(w);
-        self.stds.snap(w);
+        snap_column(&self.means, w);
+        snap_column(&self.stds, w);
         self.outlier_margin.snap(w);
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let medians: Vec<f64> = Snap::unsnap(r)?;
-        let ceilings: Vec<f64> = Snap::unsnap(r)?;
-        if medians.len() != ceilings.len() {
-            return Err(SnapError::Invalid(format!(
-                "sanitizer medians/ceilings length mismatch: {} vs {}",
-                medians.len(),
-                ceilings.len()
-            )));
-        }
+        let medians = unsnap_column(r, "medians")?;
+        let ceilings = unsnap_column(r, "ceilings")?;
         let max_repair = Snap::unsnap(r)?;
-        let means: Vec<f64> = Snap::unsnap(r)?;
-        let stds: Vec<f64> = Snap::unsnap(r)?;
-        if means.len() != medians.len() || stds.len() != medians.len() {
-            return Err(SnapError::Invalid(format!(
-                "sanitizer means/stds length mismatch: {} / {} vs {}",
-                means.len(),
-                stds.len(),
-                medians.len()
-            )));
-        }
+        let means = unsnap_column(r, "means")?;
+        let stds = unsnap_column(r, "stds")?;
         let outlier_margin: f64 = Snap::unsnap(r)?;
         if outlier_margin.is_nan() || outlier_margin <= 0.0 {
             return Err(SnapError::Invalid(format!(
                 "sanitizer outlier margin {outlier_margin} must be positive"
             )));
         }
-        Ok(Sanitizer {
+        Ok(Sanitizer::from_columns(
             medians,
             ceilings,
             means,
             stds,
             max_repair,
             outlier_margin,
-        })
+        ))
     }
 }
 
@@ -450,6 +506,31 @@ mod tests {
         let restored = Sanitizer::unsnap(&mut SnapReader::new(&bytes)).expect("roundtrip");
         assert_eq!(restored, sanitizer);
         assert_eq!(restored.outlier_margin(), 9.5);
+    }
+
+    #[test]
+    fn a_snapshot_of_the_wrong_width_is_refused() {
+        use hbmd_ml::snap::{Snap, SnapError, SnapReader, SnapWriter};
+        // Columns of equal but wrong width: restoring a short one would
+        // index past its end at the first sanitized window.
+        for width in [HpcEvent::COUNT - 1, HpcEvent::COUNT + 1, 0] {
+            let column = vec![1.0f64; width];
+            let mut w = SnapWriter::new();
+            column.snap(&mut w);
+            column.snap(&mut w);
+            4usize.snap(&mut w);
+            column.snap(&mut w);
+            column.snap(&mut w);
+            OUTLIER_MARGIN.snap(&mut w);
+            let bytes = w.into_bytes();
+            assert!(
+                matches!(
+                    Sanitizer::unsnap(&mut SnapReader::new(&bytes)),
+                    Err(SnapError::Invalid(_))
+                ),
+                "width {width} restored"
+            );
+        }
     }
 
     #[test]

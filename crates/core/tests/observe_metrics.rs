@@ -78,6 +78,18 @@ fn observe_counts_into_the_context_the_detector_was_trained_under() {
         .histogram("online.observe_ns", &[])
         .expect("observe latency histogram");
     assert_eq!(latency.count, observed);
+    // `online.observe_ns` times a window whole: the classify inside it
+    // records nothing into `classify_ns{scheme}`, which times direct
+    // calls only.
+    let scheme = [("scheme", "J48")];
+    let served = snapshot.histogram("classify_ns", &scheme);
+    assert_eq!(served.map_or(0, |h| h.count), 0);
+    monitor.detector().classify(&features(1.0));
+    let classified = trained_under.snapshot();
+    let direct = classified
+        .histogram("classify_ns", &scheme)
+        .expect("classify latency histogram");
+    assert_eq!(direct.count, 1);
 
     let elsewhere = later.registry().snapshot();
     assert_eq!(elsewhere.counter("online.windows_observed"), 0);
