@@ -315,8 +315,9 @@ impl Detector {
 
     /// The served form of [`classify_sanitized`](Self::classify_sanitized)
     /// for one [`StreamState`](crate::StreamState) window: untimed, since
-    /// `online.observe_ns` times the window whole, and, when `armed`,
-    /// paired with the [`suspicion`](Self::suspicion) of the raw window.
+    /// `online.observe_ns` times a sample of served windows (about one in
+    /// 16 per thread) whole, and, when `armed`, paired with the
+    /// [`suspicion`](Self::suspicion) of the raw window.
     ///
     /// When the model's input row is the same before and after
     /// sanitizing — always for a clean window, and for a repaired one
@@ -356,7 +357,8 @@ impl Detector {
         Verdict::Abstain
     }
 
-    /// Classify one sampling window, timed into `classify_ns{scheme}`.
+    /// Classify one sampling window, timed into `classify_ns{scheme}` on
+    /// every call.
     pub fn classify(&self, window: &FeatureVector) -> Verdict {
         let started = Instant::now();
         let (verdict, _) = self.walk(window);
@@ -366,8 +368,9 @@ impl Detector {
 
     /// Classify one window and report its committee dispersion, both
     /// from one walk, and count the verdict. Untimed:
-    /// [`classify`](Self::classify) times it into `classify_ns{scheme}`,
-    /// and `online.observe_ns` times a served window whole.
+    /// [`classify`](Self::classify) times every call into
+    /// `classify_ns{scheme}`, and `online.observe_ns` times about one
+    /// served window in 16 per thread whole.
     fn walk(&self, window: &FeatureVector) -> (Verdict, Option<f64>) {
         let (label, dispersion) = self.with_row(window, |row| match &self.compiled {
             Some(compiled) => compiled.predict_with_disagreement(row),
@@ -469,7 +472,7 @@ impl Detector {
     /// read off one vote tally. It calls this only for a window whose
     /// model row the sanitizer changed or abstained on. Neither walk of
     /// a served window is timed on its own: `online.observe_ns` times
-    /// the window whole.
+    /// about one served window in 16 per thread, whole.
     pub fn suspicion(&self, window: &FeatureVector) -> Option<f64> {
         let compiled = self.compiled.as_ref()?;
         self.with_row(window, |row| compiled.disagreement(row))

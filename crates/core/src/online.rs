@@ -1,6 +1,5 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
 
 use hbmd_events::FeatureVector;
 use hbmd_malware::AppClass;
@@ -47,13 +46,18 @@ pub enum OnlineVerdict {
 /// see this monitor's windows. It reports alarm raise/clear transitions
 /// as `online.alarms_raised` / `online.alarms_cleared` counters, every
 /// fed window as `online.windows_observed` and its verdict as
-/// `verdict{verdict}`, per-call wall latency as the `online.observe_ns`
-/// timing histogram, and the vote margin of each alarm decision as the
-/// exact `online.alarm_votes` histogram. `online.observe_ns` times a
-/// window whole — sanitizing, classifying and voting — with one clock
-/// pair; nothing inside it is timed on its own, so an observed window
-/// records nothing into `classify_ns{scheme}`, which times direct
-/// [`Detector::classify`] calls. With a
+/// `verdict{verdict}`, a sample of per-call wall latency as the
+/// `online.observe_ns` timing histogram, and the vote margin of each
+/// alarm decision as the exact `online.alarm_votes` histogram. Every
+/// count is exact except `online.observe_ns`: it times about one served
+/// window in [`SAMPLE_EVERY`](hbmd_obs::SAMPLE_EVERY) (16) per thread,
+/// following the thread's [`SampleSchedule`](hbmd_obs::SampleSchedule)
+/// (its first window, then jittered gaps), and `online.windows_observed`
+/// is the exact window count. A timed window is timed whole —
+/// sanitizing, classifying and voting — with one clock pair; the other
+/// windows read no clock. Nothing inside a window is timed on its own,
+/// so an observed window records nothing into `classify_ns{scheme}`,
+/// which times every direct [`Detector::classify`] call. With a
 /// [suspicion threshold](OnlineDetectorBuilder::suspicion_threshold)
 /// armed, every window whose committee dispersion reaches it counts
 /// into `online.disagreement_trips`. The dispersion is that of the raw
@@ -194,7 +198,8 @@ impl OnlineDetectorBuilder {
     /// window, or one repaired only outside the model's columns), the
     /// verdict and the dispersion share one committee walk and one vote
     /// tally; otherwise the raw window's dispersion takes a separate
-    /// walk. Either way `online.observe_ns` times the window whole.
+    /// walk. Either way a window that `online.observe_ns` samples (about
+    /// one in 16 per thread) is timed whole.
     pub fn suspicion_threshold(mut self, threshold: f64) -> OnlineDetectorBuilder {
         self.suspicion_threshold = Some(threshold);
         self
@@ -204,45 +209,22 @@ impl OnlineDetectorBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Config`] when the window is zero, the
-    /// threshold exceeds the window, or either hysteresis count is
-    /// zero.
+    /// Returns [`CoreError::Config`] when the window or the threshold is
+    /// zero, the threshold exceeds the window, either hysteresis count
+    /// is zero, or the suspicion threshold is outside `(0, 1]`.
     pub fn build(self) -> Result<OnlineDetector, CoreError> {
-        if self.window == 0 {
-            return Err(CoreError::Config("window must be non-zero".to_owned()));
-        }
-        if self.threshold > self.window {
-            return Err(CoreError::Config(format!(
-                "threshold {} cannot exceed the window {}",
-                self.threshold, self.window
-            )));
-        }
-        if self.raise_after == 0 || self.clear_after == 0 {
-            return Err(CoreError::Config(
-                "hysteresis counts must be non-zero".to_owned(),
-            ));
-        }
-        if let Some(t) = self.suspicion_threshold {
-            if !(t.is_finite() && t > 0.0 && t <= 1.0) {
-                return Err(CoreError::Config(format!(
-                    "suspicion threshold {t} is outside (0, 1]"
-                )));
-            }
+        let mut state = StreamState::new(
+            self.window,
+            self.threshold,
+            self.raise_after,
+            self.clear_after,
+        )?;
+        if let Some(threshold) = self.suspicion_threshold {
+            state = state.with_suspicion_threshold(threshold)?;
         }
         Ok(OnlineDetector {
             detector: self.detector,
-            state: StreamState {
-                window: self.window,
-                threshold: self.threshold,
-                history: VecDeque::with_capacity(self.window),
-                raise_after: self.raise_after,
-                clear_after: self.clear_after,
-                alarm_streak: 0,
-                clean_streak: 0,
-                latched: None,
-                suspicion_threshold: self.suspicion_threshold,
-                last_dispersion: None,
-            },
+            state,
         })
     }
 
@@ -315,9 +297,9 @@ impl StreamState {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Config`] when the window is zero, the
-    /// threshold exceeds the window, or either hysteresis count is
-    /// zero.
+    /// Returns [`CoreError::Config`] when the window or the threshold is
+    /// zero, the threshold exceeds the window, or either hysteresis
+    /// count is zero.
     pub fn new(
         window: usize,
         threshold: usize,
@@ -327,9 +309,11 @@ impl StreamState {
         if window == 0 {
             return Err(CoreError::Config("window must be non-zero".to_owned()));
         }
-        if threshold > window {
+        // A snapshot refuses threshold 0, so a stream built with it
+        // could be checkpointed but never restored.
+        if threshold == 0 || threshold > window {
             return Err(CoreError::Config(format!(
-                "threshold {threshold} cannot exceed the window {window}"
+                "threshold {threshold} is outside 1..={window} (the window)"
             )));
         }
         if raise_after == 0 || clear_after == 0 {
@@ -413,8 +397,8 @@ impl StreamState {
     /// Feed one sampling window through `detector`; returns the
     /// aggregated decision for this stream.
     pub fn observe(&mut self, detector: &Detector, window: &FeatureVector) -> OnlineVerdict {
-        let started = Instant::now();
         let metrics = detector.metrics();
+        let started = metrics.observe_ns.sampled_start();
         metrics.windows_observed.incr();
         let (verdict, dispersion) =
             detector.classify_served(window, self.suspicion_threshold.is_some());
@@ -461,7 +445,9 @@ impl StreamState {
             // window agreed each time an alarm decision was returned.
             metrics.alarm_votes.record(votes as u64);
         }
-        metrics.observe_ns.record_since(started);
+        if let Some(started) = started {
+            metrics.observe_ns.record_since(started);
+        }
         decision
     }
 
@@ -750,6 +736,33 @@ mod tests {
             .hysteresis(0, 1)
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn every_shape_that_builds_restores_from_its_snapshot() {
+        use hbmd_ml::snap::Snap;
+        // Threshold 0 used to build and checkpoint, then fail to restore.
+        assert!(matches!(
+            StreamState::new(4, 0, 1, 1),
+            Err(CoreError::Config(_))
+        ));
+        assert!(matches!(
+            OnlineDetector::builder(trained()).threshold(0).build(),
+            Err(CoreError::Config(_))
+        ));
+        for window in 0..=5 {
+            for threshold in 0..=6 {
+                let Ok(state) = StreamState::new(window, threshold, 1, 1) else {
+                    continue;
+                };
+                let mut w = hbmd_ml::snap::SnapWriter::new();
+                state.snap(&mut w);
+                let bytes = w.into_bytes();
+                let restored = StreamState::unsnap(&mut hbmd_ml::snap::SnapReader::new(&bytes))
+                    .unwrap_or_else(|e| panic!("{window}/{threshold} built but: {e}"));
+                assert_eq!(restored.window(), window);
+            }
+        }
     }
 
     #[test]

@@ -150,6 +150,8 @@ pub struct CircuitBreaker {
     state: BreakerState,
     /// Ring of recent fault flags, oldest first (only while closed).
     recent: std::collections::VecDeque<bool>,
+    /// Faulted flags in `recent`.
+    recent_faults: usize,
     cooldown_left: u64,
     probation_clean: usize,
     trips: u64,
@@ -167,6 +169,7 @@ impl CircuitBreaker {
             cooldown_ticks,
             state: BreakerState::Closed,
             recent: std::collections::VecDeque::with_capacity(window),
+            recent_faults: 0,
             cooldown_left: 0,
             probation_clean: 0,
             trips: 0,
@@ -196,11 +199,12 @@ impl CircuitBreaker {
         match self.state {
             BreakerState::Closed => {
                 if self.recent.len() == self.window {
-                    self.recent.pop_front();
+                    let aged_out = self.recent.pop_front() == Some(true);
+                    self.recent_faults -= usize::from(aged_out);
                 }
                 self.recent.push_back(faulted);
-                let faults = self.recent.iter().filter(|&&f| f).count();
-                if faults >= self.trip_threshold {
+                self.recent_faults += usize::from(faulted);
+                if self.recent_faults >= self.trip_threshold {
                     self.trip();
                 }
             }
@@ -218,7 +222,7 @@ impl CircuitBreaker {
                     self.probation_clean += 1;
                     if self.probation_clean >= self.window {
                         self.state = BreakerState::Closed;
-                        self.recent.clear();
+                        self.clear_recent();
                     }
                 }
             }
@@ -230,7 +234,12 @@ impl CircuitBreaker {
         self.state = BreakerState::Open;
         self.trips += 1;
         self.cooldown_left = self.cooldown_ticks.max(1);
+        self.clear_recent();
+    }
+
+    fn clear_recent(&mut self) {
         self.recent.clear();
+        self.recent_faults = 0;
     }
 }
 

@@ -19,7 +19,7 @@ use hbmd_core::{
 use hbmd_events::{FeatureVector, HpcEvent};
 use hbmd_malware::SampleCatalog;
 use hbmd_ml::snap::{Snap, SnapReader, SnapWriter};
-use hbmd_obs::{install, MetricsSnapshot, Obs};
+use hbmd_obs::{install, MetricsSnapshot, Obs, SampleSchedule};
 use hbmd_perf::{Collector, CollectorConfig, FaultPlan, HpcDataset};
 
 /// Low enough that some windows trip and others do not.
@@ -142,28 +142,38 @@ fn one_walk_serving_matches_suspicion_then_classify() {
         .suspicion_threshold(SUSPICION)
         .build_stream()
         .expect("stream state");
-    let mut trips = 0u64;
-    for window in &windows {
-        let dispersion = reference.suspicion(window);
-        let expected = reference.classify_sanitized(window);
-        let decision = stream.observe(&detector, window);
-        let verdict = if stream.last_window_abstained() {
-            Verdict::Abstain
-        } else if let OnlineVerdict::Alarm { family, .. } = decision {
-            Verdict::Malware(family)
-        } else {
-            Verdict::Benign
-        };
-        assert_eq!(verdict, expected, "verdict on {window:?}");
-        assert_eq!(
-            stream.last_window_dispersion().map(f64::to_bits),
-            dispersion.map(f64::to_bits),
-            "dispersion on {window:?}"
-        );
-        let suspicious = dispersion.is_some_and(|d| d >= SUSPICION);
-        assert_eq!(stream.last_window_suspicious(), suspicious);
-        trips += u64::from(suspicious);
-    }
+    // Served on a fresh thread, so its sampled `online.observe_ns` count
+    // is the documented schedule's.
+    let trips = std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                let mut trips = 0u64;
+                for window in &windows {
+                    let dispersion = reference.suspicion(window);
+                    let expected = reference.classify_sanitized(window);
+                    let decision = stream.observe(&detector, window);
+                    let verdict = if stream.last_window_abstained() {
+                        Verdict::Abstain
+                    } else if let OnlineVerdict::Alarm { family, .. } = decision {
+                        Verdict::Malware(family)
+                    } else {
+                        Verdict::Benign
+                    };
+                    assert_eq!(verdict, expected, "verdict on {window:?}");
+                    assert_eq!(
+                        stream.last_window_dispersion().map(f64::to_bits),
+                        dispersion.map(f64::to_bits),
+                        "dispersion on {window:?}"
+                    );
+                    let suspicious = dispersion.is_some_and(|d| d >= SUSPICION);
+                    assert_eq!(stream.last_window_suspicious(), suspicious);
+                    trips += u64::from(suspicious);
+                }
+                trips
+            })
+            .join()
+            .expect("serving thread")
+    });
     let n = windows.len() as u64;
     assert!(trips > 0 && trips < n, "{trips} of {n} windows tripped");
 
@@ -182,7 +192,14 @@ fn one_walk_serving_matches_suspicion_then_classify() {
         unusable as u64
     );
     assert_eq!(served.counter("online.windows_observed"), n);
-    assert_eq!(timed(&served, "online.observe_ns", &[]), n);
+    // `online.observe_ns` is a sample, not a census: a fresh thread
+    // times the windows its `SampleSchedule` marks, the first among them.
+    let sampled = SampleSchedule::new()
+        .take(windows.len())
+        .filter(|&t| t)
+        .count() as u64;
+    assert!(sampled > 0 && sampled < n, "{sampled} of {n} windows timed");
+    assert_eq!(timed(&served, "online.observe_ns", &[]), sampled);
     // One classify walk per classified window, abstentions none: each
     // walk counts one benign or malware verdict, and a walk for the
     // dispersion alone counts none.
@@ -191,8 +208,8 @@ fn one_walk_serving_matches_suspicion_then_classify() {
             + labelled(&served, "verdict", ("verdict", "malware")),
         n - unusable as u64
     );
-    // `online.observe_ns` times a served window whole; nothing inside
-    // it is timed on its own. The reference's direct calls are timed.
+    // A sampled window is timed whole; nothing inside it is timed on its
+    // own. The reference's direct calls are timed.
     let scheme = [("scheme", "RandomForest")];
     assert_eq!(timed(&served, "classify_ns", &scheme), 0);
     assert_eq!(

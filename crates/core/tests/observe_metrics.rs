@@ -5,7 +5,7 @@
 use hbmd_core::{ClassifierKind, DetectorBuilder, FeatureSet, OnlineDetector, OnlineVerdict};
 use hbmd_events::{FeatureVector, HpcEvent};
 use hbmd_malware::{AppClass, SampleId};
-use hbmd_obs::{install, Obs};
+use hbmd_obs::{install, Obs, SampleSchedule};
 use hbmd_perf::{DataRow, HpcDataset};
 
 fn features(level: f64) -> FeatureVector {
@@ -52,18 +52,27 @@ fn observe_counts_into_the_context_the_detector_was_trained_under() {
         .expect("valid monitor config");
     // Malware, then benign, then malware again: alarms raise, clear and
     // raise, so some decisions are alarms and some are not.
+    // Served on a fresh thread, so its sampled `online.observe_ns` count
+    // is the documented schedule's.
     let levels = [100.0; 20].into_iter().chain([1.0; 20]).chain([100.0; 10]);
-    let mut observed = 0u64;
-    let mut alarms = 0u64;
-    for level in levels {
-        observed += 1;
-        if matches!(
-            monitor.observe(&features(level)),
-            OnlineVerdict::Alarm { .. }
-        ) {
-            alarms += 1;
-        }
-    }
+    let (observed, alarms) = std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                let (mut observed, mut alarms) = (0u64, 0u64);
+                for level in levels {
+                    observed += 1;
+                    if matches!(
+                        monitor.observe(&features(level)),
+                        OnlineVerdict::Alarm { .. }
+                    ) {
+                        alarms += 1;
+                    }
+                }
+                (observed, alarms)
+            })
+            .join()
+            .expect("serving thread")
+    });
     assert!(alarms > 0 && alarms < observed, "{alarms} of {observed}");
 
     let snapshot = trained_under.snapshot();
@@ -77,10 +86,17 @@ fn observe_counts_into_the_context_the_detector_was_trained_under() {
     let latency = snapshot
         .histogram("online.observe_ns", &[])
         .expect("observe latency histogram");
-    assert_eq!(latency.count, observed);
-    // `online.observe_ns` times a window whole: the classify inside it
-    // records nothing into `classify_ns{scheme}`, which times direct
-    // calls only.
+    // A sample, not a census: the windows the fresh thread's
+    // `SampleSchedule` marks, the first among them. `windows_observed`
+    // above is the exact count.
+    let sampled = SampleSchedule::new()
+        .take(observed as usize)
+        .filter(|&timed| timed)
+        .count() as u64;
+    assert!(sampled > 0 && sampled < observed, "{sampled} of {observed}");
+    assert_eq!(latency.count, sampled);
+    // A sampled window is timed whole: the classify inside it records
+    // nothing into `classify_ns{scheme}`, which times every direct call.
     let scheme = [("scheme", "J48")];
     let served = snapshot.histogram("classify_ns", &scheme);
     assert_eq!(served.map_or(0, |h| h.count), 0);

@@ -106,7 +106,9 @@ use std::marker::PhantomData;
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
-pub use metrics::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
+pub use metrics::{
+    Counter, Gauge, Histogram, MetricsSnapshot, Registry, SampleSchedule, SAMPLE_EVERY,
+};
 pub use sink::{JsonlSink, MemorySink, SpanSink};
 pub use span::{SpanGuard, SpanRecord};
 

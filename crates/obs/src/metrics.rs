@@ -32,6 +32,10 @@
 //! Both kinds derive the power-of-two bit-length buckets of the
 //! Prometheus exposition exactly, since every log-linear bucket lies
 //! within one power of two.
+//!
+//! A hot path can time a sample of its calls instead of every one:
+//! [`Histogram::sampled_start`] reads the clock on about one call in
+//! [`SAMPLE_EVERY`] per thread, following a fixed [`SampleSchedule`].
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -92,6 +96,80 @@ fn stripe_of<T>(stripes: &[T]) -> &T {
         slot.get()
     });
     &stripes[slot & (stripes.len() - 1)]
+}
+
+/// Calls to [`Histogram::sampled_start`] per timed one, on average, on
+/// each thread.
+pub const SAMPLE_EVERY: u32 = 16;
+
+/// Seed of every thread's [`SampleSchedule`].
+const SAMPLE_SEED: u64 = 0x5A3D_1E0F_C0FF_EE16;
+
+/// SplitMix64's output mixer.
+fn splitmix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The sequence of timed (`true`) and untimed calls that
+/// [`Histogram::sampled_start`] follows on every thread.
+///
+/// The first call is timed. After each timed call, the gap to the next
+/// one is drawn uniformly from `1..=2 * SAMPLE_EVERY - 1` (mean
+/// [`SAMPLE_EVERY`]) by a SplitMix64 generator with a fixed seed, so
+/// which of a fresh thread's calls are timed depends only on how many
+/// it has made. The gap is not fixed because a fixed period aliases
+/// with round-robin serving: a thread serving 1,000 streams in turn and
+/// timing every 16th window would time only streams ≡ 0 or 8 (mod 16).
+#[derive(Debug, Clone, Copy)]
+pub struct SampleSchedule {
+    /// Untimed calls left before the next timed one.
+    left: u32,
+    /// SplitMix64 state.
+    state: u64,
+}
+
+impl SampleSchedule {
+    /// The schedule of a thread that has made no call yet.
+    pub const fn new() -> SampleSchedule {
+        SampleSchedule {
+            left: 0,
+            state: SAMPLE_SEED,
+        }
+    }
+
+    /// Advance by one call; `true` when that call is timed.
+    fn advance(&mut self) -> bool {
+        if self.left > 0 {
+            self.left -= 1;
+            return false;
+        }
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let gap = 1 + splitmix64(self.state) % u64::from(2 * SAMPLE_EVERY - 1);
+        self.left = gap as u32 - 1;
+        true
+    }
+}
+
+impl Default for SampleSchedule {
+    fn default() -> SampleSchedule {
+        SampleSchedule::new()
+    }
+}
+
+impl Iterator for SampleSchedule {
+    type Item = bool;
+
+    fn next(&mut self) -> Option<bool> {
+        Some(self.advance())
+    }
+}
+
+thread_local! {
+    /// This thread's place in its [`SampleSchedule`], shared by every
+    /// histogram it samples into.
+    static SCHEDULE: Cell<SampleSchedule> = const { Cell::new(SampleSchedule::new()) };
 }
 
 /// Aligns its content to its own pair of cache lines (adjacent-line
@@ -272,6 +350,22 @@ impl Histogram {
     pub fn record_since(&self, started: Instant) {
         let nanos = started.elapsed().as_nanos();
         self.record(u64::try_from(nanos).unwrap_or(u64::MAX));
+    }
+
+    /// The current time on about one call in [`SAMPLE_EVERY`] on this
+    /// thread, following its [`SampleSchedule`], and `None` on the
+    /// rest: a hot path times the calls this returns `Some` for, with
+    /// [`record_since`](Self::record_since), and skips the clock on the
+    /// others. The histogram then holds a sample of the calls, not all
+    /// of them, so its count is not a call count.
+    pub fn sampled_start(&self) -> Option<Instant> {
+        let timed = SCHEDULE.with(|cell| {
+            let mut schedule = cell.get();
+            let timed = schedule.advance();
+            cell.set(schedule);
+            timed
+        });
+        timed.then(Instant::now)
     }
 
     /// Observations recorded so far.
@@ -987,6 +1081,72 @@ mod tests {
         }
         for v in 0..32 {
             assert_eq!(log_linear_midpoint(log_linear_index(v)), v);
+        }
+    }
+
+    /// Indices of the timed calls among a fresh thread's first `calls`.
+    fn timed_calls(calls: usize) -> Vec<usize> {
+        SampleSchedule::new()
+            .take(calls)
+            .enumerate()
+            .filter_map(|(i, timed)| timed.then_some(i))
+            .collect()
+    }
+
+    #[test]
+    fn sampled_gaps_average_sample_every() {
+        let calls = 1_000_000;
+        let timed = timed_calls(calls);
+        let mean_gap = calls as f64 / timed.len() as f64;
+        let error = (mean_gap - f64::from(SAMPLE_EVERY)).abs() / f64::from(SAMPLE_EVERY);
+        assert!(error <= 0.02, "mean gap {mean_gap:.3}");
+        let gaps = || timed.windows(2).map(|pair| pair[1] - pair[0]);
+        assert_eq!(gaps().min(), Some(1));
+        assert_eq!(gaps().max(), Some(2 * SAMPLE_EVERY as usize - 1));
+    }
+
+    #[test]
+    fn a_threads_first_call_is_timed_and_follows_the_schedule() {
+        let registry = Registry::new();
+        let h = registry.timing("sampled_ns");
+        let starts = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    (0..1_000)
+                        .map(|_| {
+                            let started = h.sampled_start();
+                            if let Some(started) = started {
+                                h.record_since(started);
+                            }
+                            started.is_some()
+                        })
+                        .collect::<Vec<bool>>()
+                })
+                .join()
+                .expect("sampling thread")
+        });
+        assert!(starts[0], "the first call is timed");
+        assert_eq!(
+            starts,
+            SampleSchedule::new().take(1_000).collect::<Vec<_>>()
+        );
+        let timed = starts.iter().filter(|&&t| t).count() as u64;
+        assert_eq!(h.count(), timed);
+    }
+
+    #[test]
+    fn round_robin_serving_times_every_stream() {
+        // Stream `i % streams` takes call `i`. A fixed period of
+        // `SAMPLE_EVERY` would time only the streams that are multiples
+        // of gcd(streams, SAMPLE_EVERY), however many rounds ran.
+        const ROUNDS: usize = 400;
+        for streams in [16, 1_000, 2_000] {
+            let mut timed = vec![false; streams];
+            for call in timed_calls(streams * ROUNDS) {
+                timed[call % streams] = true;
+            }
+            let missed = timed.iter().filter(|&&t| !t).count();
+            assert_eq!(missed, 0, "{missed} of {streams} streams never timed");
         }
     }
 
