@@ -3,15 +3,15 @@
 
 use std::process::Command;
 
-/// Run `repro` with `args` and assert it refused them up front: a
-/// nonzero exit, nothing on stdout, and the offending argument named on
+/// Run `repro` with `args` and assert it refused them up front: exit
+/// status 1, nothing on stdout, and the offending argument named on
 /// stderr.
 fn assert_refused(args: &[&str], offending: &str) {
     let output = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
         .output()
         .expect("repro runs");
-    assert!(!output.status.success(), "{args:?} exited 0");
+    assert_eq!(output.status.code(), Some(1), "{args:?} exit status");
     assert!(
         output.stdout.is_empty(),
         "{args:?} printed to stdout:\n{}",
@@ -40,4 +40,14 @@ fn unknown_flag_is_not_swallowed_by_all() {
 #[test]
 fn unknown_experiment_is_refused_before_earlier_ones_run() {
     assert_refused(&["--fast", "table1", "nope"], "nope");
+}
+
+#[test]
+fn unknown_serve_flag_is_refused_before_serving() {
+    assert_refused(&["serve", "--bogus"], "--bogus");
+}
+
+#[test]
+fn unknown_chaos_flag_is_refused_before_the_drills() {
+    assert_refused(&["chaos", "--bogus"], "--bogus");
 }

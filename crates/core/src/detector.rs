@@ -11,7 +11,7 @@ use hbmd_perf::HpcDataset;
 use crate::convert::{to_binary_dataset, to_multiclass_dataset};
 use crate::error::CoreError;
 use crate::features::{FeaturePlan, FeatureSet};
-use crate::sanitize::{SanitizeOutcome, Sanitizer};
+use crate::sanitize::{Sanitizer, Screen};
 use crate::suite::{ClassifierKind, TrainedModel};
 
 /// Detection granularity.
@@ -305,11 +305,10 @@ impl Detector {
     /// never abstains. The classification, not the screening, is timed
     /// into `classify_ns{scheme}`.
     pub fn classify_sanitized(&self, window: &FeatureVector) -> Verdict {
-        match self.sanitizer.sanitize(window) {
-            SanitizeOutcome::Clean(features) | SanitizeOutcome::Repaired { features, .. } => {
-                self.classify(&features)
-            }
-            SanitizeOutcome::Unusable { .. } => self.abstain(),
+        match self.sanitizer.screen(window) {
+            Screen::Clean => self.classify(window),
+            Screen::Repaired(features, _) => self.classify(&features),
+            Screen::Unusable(_) => self.abstain(),
         }
     }
 
@@ -319,33 +318,37 @@ impl Detector {
     /// 16 per thread) whole, and, when `armed`, paired with the
     /// [`suspicion`](Self::suspicion) of the raw window.
     ///
-    /// When the model's input row is the same before and after
-    /// sanitizing — always for a clean window, and for a repaired one
-    /// whose repairs all fall outside the model's columns — the verdict
-    /// and the dispersion come from one committee walk. Otherwise the
-    /// dispersion is of the raw window, from a separate walk.
+    /// A clean window is walked where it lies, uncopied. When the model's
+    /// input row is the same before and after sanitizing — always for a
+    /// clean window, and for a repaired one whose repairs all fall
+    /// outside the model's columns — the verdict and the dispersion come
+    /// from one committee walk. Otherwise the dispersion is of the raw
+    /// window, from a separate walk.
     pub(crate) fn classify_served(
         &self,
         window: &FeatureVector,
         armed: bool,
     ) -> (Verdict, Option<f64>) {
-        match self.sanitizer.sanitize(window) {
-            SanitizeOutcome::Clean(features) | SanitizeOutcome::Repaired { features, .. } => {
+        match self.sanitizer.screen(window) {
+            Screen::Clean => {
+                let (verdict, dispersion) = self.walk(window);
+                (verdict, if armed { dispersion } else { None })
+            }
+            Screen::Repaired(features, _) => {
+                let (verdict, dispersion) = self.walk(&features);
                 if !armed {
-                    return (self.walk(&features).0, None);
-                }
-                let (raw, sanitized) = (window.as_slice(), features.as_slice());
-                if self
+                    (verdict, None)
+                } else if self
                     .feature_indices
                     .iter()
-                    .all(|&i| raw[i].to_bits() == sanitized[i].to_bits())
+                    .all(|&i| window.as_slice()[i].to_bits() == features.as_slice()[i].to_bits())
                 {
-                    self.walk(&features)
+                    (verdict, dispersion)
                 } else {
-                    (self.walk(&features).0, self.suspicion(window))
+                    (verdict, self.suspicion(window))
                 }
             }
-            SanitizeOutcome::Unusable { .. } => {
+            Screen::Unusable(_) => {
                 let dispersion = if armed { self.suspicion(window) } else { None };
                 (self.abstain(), dispersion)
             }

@@ -109,6 +109,9 @@ pub struct StreamState {
     window: usize,
     threshold: usize,
     history: VecDeque<Verdict>,
+    /// The malicious votes in `history`, kept as verdicts enter and
+    /// leave it (derived, like `last_dispersion` — not snapshotted).
+    tally: VoteTally,
     /// Consecutive over-threshold decisions required to raise the
     /// alarm (1 = raise immediately, the pre-hysteresis behaviour).
     raise_after: usize,
@@ -128,6 +131,54 @@ pub struct StreamState {
     /// only while the alarm is armed (transient, like the derived
     /// caches — not snapshotted).
     last_dispersion: Option<f64>,
+}
+
+/// The malicious votes among a stream's recent verdicts, in total and
+/// per family, updated as each verdict enters or leaves the history so
+/// that a decision reads them instead of rescanning it.
+#[derive(Debug, Clone, Copy, Default)]
+struct VoteTally {
+    malicious: usize,
+    family_votes: [usize; AppClass::COUNT],
+}
+
+impl VoteTally {
+    /// The tally of `history`, counted from scratch.
+    fn of<'a>(history: impl IntoIterator<Item = &'a Verdict>) -> VoteTally {
+        let mut tally = VoteTally::default();
+        for &verdict in history {
+            tally.enter(verdict);
+        }
+        tally
+    }
+
+    /// Count `verdict` in.
+    fn enter(&mut self, verdict: Verdict) {
+        if let Verdict::Malware(family) = verdict {
+            self.malicious += 1;
+            self.family_votes[family.index()] += 1;
+        }
+    }
+
+    /// Count `verdict`, which entered earlier, back out.
+    fn leave(&mut self, verdict: Verdict) {
+        if let Verdict::Malware(family) = verdict {
+            self.malicious -= 1;
+            self.family_votes[family.index()] -= 1;
+        }
+    }
+
+    /// The most-voted family; ties resolve deterministically to the
+    /// lowest class index.
+    fn leader(&self) -> AppClass {
+        let mut best = 0;
+        for (i, &votes) in self.family_votes.iter().enumerate() {
+            if votes > self.family_votes[best] {
+                best = i;
+            }
+        }
+        AppClass::from_index(best).expect("vote index is a class")
+    }
 }
 
 /// Builder for [`OnlineDetector`]: voting window, alarm threshold, and
@@ -325,6 +376,7 @@ impl StreamState {
             window,
             threshold,
             history: VecDeque::with_capacity(window),
+            tally: VoteTally::default(),
             raise_after,
             clear_after,
             alarm_streak: 0,
@@ -407,9 +459,12 @@ impl StreamState {
             metrics.disagreement_trips.incr();
         }
         if self.history.len() == self.window {
-            self.history.pop_front();
+            if let Some(left) = self.history.pop_front() {
+                self.tally.leave(left);
+            }
         }
         self.history.push_back(verdict);
+        self.tally.enter(verdict);
         let was_latched = self.latched.is_some();
 
         let raw = self.raw_decision();
@@ -477,35 +532,17 @@ impl StreamState {
         }
     }
 
-    /// The un-hysteresised majority vote over the current history.
-    /// Abstaining windows occupy history slots but vote neither way.
+    /// The un-hysteresised majority vote over the current history, read
+    /// off its running tally. Abstaining windows occupy history slots
+    /// but vote neither way.
     fn raw_decision(&self) -> OnlineVerdict {
         if self.history.len() < self.window {
             return OnlineVerdict::Warmup;
         }
-        let mut family_votes = [0usize; AppClass::COUNT];
-        let mut malicious = 0usize;
-        for verdict in &self.history {
-            if let Verdict::Malware(family) = verdict {
-                malicious += 1;
-                family_votes[family.index()] += 1;
-            }
-        }
-        if malicious >= self.threshold {
-            // Most-voted family; ties resolve deterministically to the
-            // lowest class index (the reversed iterator makes
-            // `max_by_key`, which keeps the *last* maximum, land on the
-            // first index among equals).
-            let family = family_votes
-                .iter()
-                .enumerate()
-                .rev()
-                .max_by_key(|&(_, &v)| v)
-                .map(|(i, _)| AppClass::from_index(i).expect("vote index is a class"))
-                .expect("family_votes is non-empty");
+        if self.tally.malicious >= self.threshold {
             OnlineVerdict::Alarm {
-                family,
-                votes: malicious,
+                family: self.tally.leader(),
+                votes: self.tally.malicious,
                 of: self.window,
             }
         } else {
@@ -517,6 +554,7 @@ impl StreamState {
     /// process switch).
     pub fn reset(&mut self) {
         self.history.clear();
+        self.tally = VoteTally::default();
         self.alarm_streak = 0;
         self.clean_streak = 0;
         self.latched = None;
@@ -612,6 +650,7 @@ impl Snap for StreamState {
         Ok(StreamState {
             window,
             threshold,
+            tally: VoteTally::of(&history),
             history,
             raise_after,
             clear_after,

@@ -4,7 +4,8 @@
 //! to run: it tests each column's validity one by one into a list of
 //! invalid columns, and re-tests every column's spread while it sums
 //! the outlier screen's z-scores. The production screen precomputes the
-//! spread mask and builds the invalid-column mask in one pass, but must
+//! spread mask, builds the invalid-column mask in one pass and accepts
+//! most windows off a fast bound before any exact z-score, but must
 //! reach exactly the same outcome: the same variant, the same
 //! `repaired` / `invalid` counts and the same feature bits. The
 //! reference reads its statistics out of the sanitizer's snapshot, so
@@ -435,5 +436,129 @@ fn the_generated_windows_reach_every_outcome() {
         ("unusable: outlier", outliers),
     ] {
         assert!(count >= 20, "{outcome}: {count} of 2048 windows");
+    }
+}
+
+/// The sanitizers the outlier margin's boundary is probed on: the
+/// fitted one, the fitted one re-armed at other margins, and the fitted
+/// statistics restored from a snapshot with their ceilings lifted to
+/// `+inf`, so a window far out in z is still in range and the joint
+/// screen alone decides it, at the same margins.
+fn boundary_sanitizers() -> Vec<Sanitizer> {
+    let fitted = Sanitizer::fit(collected());
+    let oracle = RefSanitizer::of(&fitted);
+    let mut w = SnapWriter::new();
+    oracle.medians.snap(&mut w);
+    vec![f64::INFINITY; HpcEvent::COUNT].snap(&mut w);
+    (HpcEvent::COUNT / 4).snap(&mut w);
+    oracle.means.snap(&mut w);
+    oracle.stds.snap(&mut w);
+    fitted.outlier_margin().snap(&mut w);
+    let bytes = w.into_bytes();
+    let restored = Sanitizer::unsnap(&mut SnapReader::new(&bytes)).expect("well-formed snapshot");
+    let mut sanitizers = vec![fitted.clone(), restored.clone()];
+    for margin in [0.5, 3.0, 16.0, 1e150] {
+        sanitizers.push(fitted.clone().with_outlier_margin(margin));
+        sanitizers.push(restored.clone().with_outlier_margin(margin));
+    }
+    sanitizers
+}
+
+/// The window `mean + t · direction · std` on the columns with spread,
+/// the mean elsewhere.
+fn along(oracle: &RefSanitizer, direction: &[f64], t: f64) -> FeatureVector {
+    let values: Vec<f64> = (0..HpcEvent::COUNT)
+        .map(|j| {
+            let (mean, std) = (oracle.means[j], oracle.stds[j]);
+            if std > 0.0 && std.is_finite() {
+                mean + t * direction[j] * std
+            } else {
+                mean
+            }
+        })
+        .collect();
+    FeatureVector::from_slice(&values).expect("one value per column")
+}
+
+/// Adjacent `(below, at)` scales along `direction`: the window at
+/// `below` scores under `target` and the one at `at` reaches it, by
+/// the exact RMS z-score.
+fn straddle(oracle: &RefSanitizer, direction: &[f64], target: f64) -> (f64, f64) {
+    let rms = |t: f64| oracle.rms_z(along(oracle, direction, t).as_slice());
+    let (mut below, mut at) = (0.0f64, 1.0f64);
+    while rms(at) < target {
+        below = at;
+        at *= 2.0;
+    }
+    while below.next_up() < at {
+        let mid = below + (at - below) / 2.0;
+        if mid <= below || mid >= at {
+            break;
+        }
+        if rms(mid) < target {
+            below = mid;
+        } else {
+            at = mid;
+        }
+    }
+    (below, at)
+}
+
+/// Windows whose exact RMS z-score sits at the outlier margin × (1 + d)
+/// for relative offsets d down to one ulp either side, and at the
+/// margin itself, on both sides of each target: the screen must reach
+/// the reference's outcome on every one. The screen's fast bound
+/// decides almost all served windows, so these are where a bound too
+/// loose, not refreshed with the margin, or compared the wrong way
+/// would show.
+#[test]
+fn the_outlier_margin_boundary_matches_reference() {
+    let directions: [[f64; HpcEvent::COUNT]; 4] = [
+        [1.0; HpcEvent::COUNT],
+        std::array::from_fn(|j| (j + 1) as f64),
+        std::array::from_fn(|j| if j % 5 == 2 { 1.0 } else { 0.0 }),
+        std::array::from_fn(|j| ((j * 7919) % 13) as f64 / 13.0 + 0.05),
+    ];
+    for sanitizer in boundary_sanitizers() {
+        let oracle = RefSanitizer::of(&sanitizer);
+        let margin = sanitizer.outlier_margin();
+        let targets = [
+            margin * (1.0 - 1e-6),
+            margin * (1.0 - 1e-9),
+            margin * (1.0 - 1e-12),
+            margin.next_down(),
+            margin,
+            margin.next_up(),
+            margin * (1.0 + 1e-12),
+            margin * (1.0 + 1e-9),
+        ];
+        let (mut probed, mut in_range) = (0, 0);
+        for direction in &directions {
+            for target in targets {
+                let (below, at) = straddle(&oracle, direction, target);
+                for t in [below, at] {
+                    let window = along(&oracle, direction, t);
+                    assert_eq!(
+                        key(&sanitizer.sanitize(&window)),
+                        key(&oracle.sanitize(&window)),
+                        "margin {margin}, target {target}, window {:?}",
+                        window.as_slice()
+                    );
+                    probed += 1;
+                    in_range += usize::from(
+                        window
+                            .as_slice()
+                            .iter()
+                            .zip(&oracle.ceilings)
+                            .all(|(&v, &ceiling)| v <= ceiling),
+                    );
+                }
+            }
+        }
+        // The lifted-ceiling sanitizers keep every probe in range, so
+        // the joint screen decides each one.
+        if oracle.ceilings.iter().all(|c| c.is_infinite()) {
+            assert_eq!(in_range, probed, "margin {margin}");
+        }
     }
 }

@@ -16,15 +16,19 @@
 //!
 //! * **Exact** histograms ([`Registry::histogram`]) hold the full value
 //!   multiset, so their percentiles are exact rank statistics. Values
-//!   below 128 are counted in a dense per-stripe array; larger ones in
-//!   a locked value → count map.
+//!   below 128 are counted in a dense per-stripe array, so recording one
+//!   is a single relaxed atomic add; larger ones go to a locked value →
+//!   count map. The multiset is all they keep: a snapshot derives the
+//!   count, sum, minimum and maximum from it, so they always agree with
+//!   its buckets, even mid-recording.
 //! * **Wall-clock** histograms ([`Registry::timing`]) hold latencies,
 //!   which are almost all distinct, so a multiset would grow without
 //!   bound. They count into fixed HDR-style log-linear buckets instead
 //!   (each power of two split into 32), and their percentiles are the
 //!   midpoint of the bucket holding the rank — within
 //!   [`WALL_CLOCK_RELATIVE_ERROR`] (1/64, about 1.6 %) of the exact
-//!   rank statistic. Memory is fixed: one bucket array per stripe,
+//!   rank statistic. Each stripe also keeps its exact count, sum,
+//!   minimum and maximum. Memory is fixed: one bucket array per stripe,
 //!   allocated on that stripe's first record. They also carry a
 //!   `wall_clock` marker so [`MetricsSnapshot::deterministic`] can
 //!   strip them from byte-comparison fingerprints.
@@ -252,7 +256,9 @@ fn log_linear_midpoint(index: usize) -> u64 {
     low + ((1u64 << shift) - 1) / 2
 }
 
-/// One recorder's share of a [`Histogram`].
+/// One recorder's share of a [`Histogram`]. `count`, `sum`, `min` and
+/// `max` are kept for wall-clock histograms only; an exact histogram
+/// derives them from its buckets.
 #[derive(Debug)]
 #[repr(align(128))]
 struct Stripe {
@@ -280,12 +286,15 @@ impl Default for Stripe {
 /// A distribution of unsigned integer observations, recorded into
 /// per-thread stripes and merged at snapshot time.
 ///
-/// Exact histograms keep the full value multiset (a dense count array
-/// per stripe for small values, one locked map for the rest), so
-/// counts, sums and **percentiles are exact** and independent of
-/// recording order and thread interleaving. Wall-clock histograms keep
-/// fixed log-linear buckets: counts, sums, minima, maxima and
-/// power-of-two buckets are exact, percentiles are within
+/// Exact histograms keep the full value multiset and nothing else (a
+/// dense count array per stripe for small values, one locked map for
+/// the rest): recording a value below 128 is one relaxed atomic add,
+/// and a snapshot derives the count, sum, minimum and maximum from the
+/// merged multiset, so they always match its buckets. Counts, sums and
+/// **percentiles are exact** and independent of recording order and
+/// thread interleaving. Wall-clock histograms keep fixed log-linear
+/// buckets plus a per-stripe count, sum, minimum and maximum: those and
+/// the power-of-two buckets are exact, percentiles are within
 /// [`WALL_CLOCK_RELATIVE_ERROR`], and memory does not grow with the
 /// number of distinct values recorded.
 #[derive(Debug)]
@@ -323,6 +332,19 @@ impl Histogram {
     /// Record one observation.
     pub fn record(&self, value: u64) {
         let stripe = stripe_of(&self.stripes);
+        if !self.wall_clock {
+            if value < DENSE {
+                self.buckets(stripe)[value as usize].fetch_add(1, Ordering::Relaxed);
+            } else {
+                *self
+                    .overflow
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .entry(value)
+                    .or_insert(0) += 1;
+            }
+            return;
+        }
         stripe.count.fetch_add(1, Ordering::Relaxed);
         stripe.sum.fetch_add(value, Ordering::Relaxed);
         if value < stripe.min.load(Ordering::Relaxed) {
@@ -331,19 +353,14 @@ impl Histogram {
         if value > stripe.max.load(Ordering::Relaxed) {
             stripe.max.fetch_max(value, Ordering::Relaxed);
         }
-        if !self.wall_clock && value >= DENSE {
-            *self
-                .overflow
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .entry(value)
-                .or_insert(0) += 1;
-            return;
-        }
-        let buckets = stripe
+        self.buckets(stripe)[log_linear_index(value)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// `stripe`'s bucket array, allocated on its first record.
+    fn buckets<'a>(&self, stripe: &'a Stripe) -> &'a [AtomicU64] {
+        stripe
             .buckets
-            .get_or_init(|| (0..self.bucket_len()).map(|_| AtomicU64::new(0)).collect());
-        buckets[self.bucket_of(value)].fetch_add(1, Ordering::Relaxed);
+            .get_or_init(|| (0..self.bucket_len()).map(|_| AtomicU64::new(0)).collect())
     }
 
     /// Record the nanoseconds elapsed since `started`.
@@ -370,10 +387,14 @@ impl Histogram {
 
     /// Observations recorded so far.
     pub fn count(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.count.load(Ordering::Relaxed))
-            .sum()
+        if self.wall_clock {
+            self.stripes
+                .iter()
+                .map(|s| s.count.load(Ordering::Relaxed))
+                .sum()
+        } else {
+            self.exact_values().iter().map(|&(_, n)| n).sum()
+        }
     }
 
     /// Heap bytes held for recorded values: the allocated stripe bucket
@@ -390,17 +411,26 @@ impl Histogram {
                 * std::mem::size_of::<(u64, u64)>()
     }
 
-    /// The bucket `value` counts in; for exact histograms, values past
-    /// the dense array map to its last slot (they live in the map).
-    fn bucket_of(&self, value: u64) -> usize {
-        if self.wall_clock {
-            log_linear_index(value)
-        } else {
-            value.min(DENSE - 1) as usize
+    /// An exact histogram's multiset: (value, occurrences) in ascending
+    /// value order.
+    fn exact_values(&self) -> Vec<(u64, u64)> {
+        let mut merged = [0u64; DENSE as usize];
+        for buckets in self.stripes.iter().filter_map(|s| s.buckets.get()) {
+            for (total, bucket) in merged.iter_mut().zip(buckets.iter()) {
+                *total += bucket.load(Ordering::Relaxed);
+            }
         }
+        let mut values: Vec<(u64, u64)> = (0..).zip(merged).filter(|&(_, n)| n > 0).collect();
+        let overflow = self.overflow.lock().unwrap_or_else(PoisonError::into_inner);
+        values.extend(overflow.iter().map(|(&v, &n)| (v, n)));
+        values
     }
 
-    fn snapshot(&self, name: &str, labels: &[(String, String)]) -> HistogramSnapshot {
+    /// A wall-clock histogram's stripe-kept count, sum, minimum and
+    /// maximum (`u64::MAX` when empty), and its non-empty log-linear
+    /// buckets as (midpoint kept inside the observed range, occurrences)
+    /// in ascending order.
+    fn wall_clock_values(&self) -> (u64, u64, u64, u64, Vec<(u64, u64)>) {
         let (mut count, mut sum, mut min, mut max) = (0u64, 0u64, u64::MAX, 0u64);
         for stripe in self.stripes.iter() {
             count += stripe.count.load(Ordering::Relaxed);
@@ -411,37 +441,45 @@ impl Histogram {
         // Only the buckets between the extremes can be non-empty: merge
         // just those, so a scrape costs the spread of the data, not the
         // size of the layout.
-        let (low, high) = (self.bucket_of(min.min(max)), self.bucket_of(max));
+        let (low, high) = (log_linear_index(min.min(max)), log_linear_index(max));
         let mut merged = vec![0u64; high + 1 - low];
         for buckets in self.stripes.iter().filter_map(|s| s.buckets.get()) {
             for (total, bucket) in merged.iter_mut().zip(&buckets[low..=high]) {
                 *total += bucket.load(Ordering::Relaxed);
             }
         }
-        // (value, occurrences) in ascending value order: the multiset
-        // itself for exact histograms, bucket midpoints (kept inside the
-        // observed range) for wall-clock ones.
-        let mut values: Vec<(u64, u64)> = merged
+        let values = merged
             .iter()
             .enumerate()
             .filter(|&(_, &n)| n > 0)
             .map(|(offset, &n)| {
-                let index = low + offset;
-                let value = if self.wall_clock {
-                    log_linear_midpoint(index).clamp(min.min(max), max)
-                } else {
-                    index as u64
-                };
-                (value, n)
+                let midpoint = log_linear_midpoint(low + offset);
+                (midpoint.clamp(min.min(max), max), n)
             })
             .collect();
-        if !self.wall_clock {
-            let overflow = self.overflow.lock().unwrap_or_else(PoisonError::into_inner);
-            values.extend(overflow.iter().map(|(&v, &n)| (v, n)));
-        }
-        // Values recorded *while* we read can make `count` exceed the
-        // merged total; quantiles rank against the merged total, so the
-        // percentiles stay internally consistent.
+        (count, sum, min, max, values)
+    }
+
+    fn snapshot(&self, name: &str, labels: &[(String, String)]) -> HistogramSnapshot {
+        // (value, occurrences) in ascending value order: the multiset
+        // itself for exact histograms, bucket midpoints for wall-clock
+        // ones.
+        let (count, sum, min, max, values) = if self.wall_clock {
+            self.wall_clock_values()
+        } else {
+            let values = self.exact_values();
+            let count = values.iter().map(|&(_, n)| n).sum();
+            let sum = values
+                .iter()
+                .fold(0u64, |sum, &(v, n)| sum.wrapping_add(v.wrapping_mul(n)));
+            let min = values.first().map_or(0, |&(v, _)| v);
+            let max = values.last().map_or(0, |&(v, _)| v);
+            (count, sum, min, max, values)
+        };
+        // A wall-clock count is read apart from the buckets, so values
+        // recorded meanwhile can set it off from their total; quantiles
+        // rank against the merged total, so the percentiles stay
+        // internally consistent.
         let total: u64 = values.iter().map(|&(_, n)| n).sum();
         // Percentile by rank: the smallest value whose cumulative count
         // reaches ceil(total * q). No interpolation — for exact
