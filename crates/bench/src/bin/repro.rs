@@ -1,18 +1,10 @@
 //! `repro` — regenerate every table and figure of the reference
 //! evaluation.
 //!
-//! ```text
-//! repro [--scale F] [--paper] [--fast] [--threads N] <experiment>...
-//!
-//! experiments:
-//!   table1 table2 fig6 fig8 fig9 fig10 fig11 fig12
-//!   fig13 fig14 fig15 fig16 fig17 fig18 fig19
-//!   ablate-ensemble ablate-mux ablate-noise ablate-features
-//!   ablate-mlp ablate-prefetch
-//!   roc detect-latency robustness
-//!   predict adversarial emit-hdl
-//!   all
-//! ```
+//! `repro [flags] <experiment>...` runs the named experiments in order.
+//! `repro --help` lists every subcommand with the flags it accepts, and
+//! every experiment name; it is rendered from the same flag tables the
+//! parser reads.
 //!
 //! `--scale F` shrinks the catalog to a fraction `F` (default 0.2);
 //! `--paper` runs the full 3,070-sample catalog; `--fast` is shorthand
@@ -44,21 +36,19 @@
 //! Subcommands (dispatched on the first positional; the default
 //! experiment mode and its byte-identical stdout are untouched):
 //!
-//! * `repro serve [--scale F|--fast|--paper] [--addr HOST:PORT]
-//!   [--windows N] [--threads N] [--streams N] [--shards N]` — train
-//!   one shared J48 detector, then monitor a fleet of independent
-//!   synthetic streams (default 2,000) hash-sharded across supervised
-//!   worker shards, exposing `/metrics` (Prometheus text format
-//!   0.0.4), `/healthz`, per-shard `/readyz` and `/manifest` over HTTP
-//!   until killed (or after `--windows N` per stream);
-//! * `repro chaos [--scale F] [--windows N] [--checkpoint-every N]
-//!   [--dir PATH]` — seeded fault drills against that same supervised
+//! * `repro serve` — train one shared J48 detector, then monitor a
+//!   fleet of independent synthetic streams (default 2,000)
+//!   hash-sharded across supervised worker shards, exposing `/metrics`
+//!   (Prometheus text format 0.0.4), `/healthz`, per-shard `/readyz`
+//!   and `/manifest` over HTTP until killed (or after `--windows N` per
+//!   stream);
+//! * `repro chaos` — seeded fault drills against that same supervised
 //!   fleet (shard kill, snapshot corruption, NaN burst, quarantine,
 //!   breaker-trip bundle); exits nonzero unless every invariant holds;
-//! * `repro trace-report <trace.jsonl> [--collapsed PATH]` — span-tree
-//!   analysis of a `--trace-jsonl` log: per-name aggregates ranked by
-//!   self time, the critical path, and optional folded stacks for
-//!   flamegraph renderers;
+//! * `repro trace-report <trace.jsonl>` — span-tree analysis of a
+//!   `--trace-jsonl` log: per-name aggregates ranked by self time, the
+//!   critical path, and optional folded stacks for flamegraph
+//!   renderers;
 //! * `repro bundle-report <bundle-dir>` — verify a diagnostic bundle's
 //!   checksums and print its incident timeline.
 
@@ -100,74 +90,35 @@ fn main() -> ExitCode {
         Some("bundle-report") => return bundle_report(&args[1..]),
         _ => {}
     }
-    let mut scale = 0.2f64;
-    let mut threads: Option<usize> = None;
-    let mut trace_jsonl: Option<String> = None;
-    let mut metrics_json: Option<String> = None;
-    let mut experiments: Vec<&(&str, Experiment)> = Vec::new();
-    let mut all = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--scale" => match iter.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(f) if f > 0.0 && f <= 1.0 => scale = f,
-                _ => {
-                    eprintln!("--scale needs a fraction in (0, 1]");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--paper" => scale = 1.0,
-            "--fast" => scale = 0.05,
-            "--threads" => match iter.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => threads = Some(n),
-                _ => {
-                    eprintln!("--threads needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--trace-jsonl" => match iter.next() {
-                Some(path) => trace_jsonl = Some(path.clone()),
-                None => {
-                    eprintln!("--trace-jsonl needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--metrics-json" => match iter.next() {
-                Some(path) => metrics_json = Some(path.clone()),
-                None => {
-                    eprintln!("--metrics-json needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--help" | "-h" => {
-                print_usage();
-                return ExitCode::SUCCESS;
-            }
-            "all" => all = true,
-            other => match ALL.iter().chain(BY_NAME).find(|(name, _)| *name == other) {
-                Some(experiment) => experiments.push(experiment),
-                None => {
-                    eprintln!("repro: unexpected argument `{other}`");
-                    return ExitCode::FAILURE;
-                }
-            },
-        }
+    let defaults = Options {
+        scale: 0.2,
+        ..Options::default()
+    };
+    let Some(options) = REPRO.parse(&args, defaults) else {
+        return ExitCode::FAILURE;
+    };
+    if options.help {
+        print_usage();
+        return ExitCode::SUCCESS;
     }
-    if all {
-        experiments = ALL.iter().collect();
-    }
+    let experiments: Vec<&(&str, Experiment)> = if options.operands.iter().any(|o| o == "all") {
+        ALL.iter().collect()
+    } else {
+        options
+            .operands
+            .iter()
+            .filter_map(|o| experiment(o))
+            .collect()
+    };
     if experiments.is_empty() {
         print_usage();
         return ExitCode::FAILURE;
     }
 
-    let mut config = config_at_scale(scale);
-    if let Some(n) = threads {
-        config.threads = n;
-        config.collector.threads = n;
-    }
+    let config = options.config();
     println!(
-        "# hbmd repro — catalog scale {scale} ({} samples), {} windows x {} instructions, {} threads\n",
+        "# hbmd repro — catalog scale {} ({} samples), {} windows x {} instructions, {} threads\n",
+        options.scale,
         config.catalog().len(),
         config.collector.sampler.windows_per_sample,
         config.collector.sampler.instructions_per_window,
@@ -178,10 +129,10 @@ fn main() -> ExitCode {
     // whatever the default registry accumulated. Installed only when an
     // observability flag asks for output, so the default run pays no
     // sink dispatch and prints byte-identical stdout.
-    let observing = trace_jsonl.is_some() || metrics_json.is_some();
+    let observing = options.trace_jsonl.is_some() || options.metrics_json.is_some();
     let obs_guard = if observing {
         let mut obs = Obs::new();
-        if let Some(path) = &trace_jsonl {
+        if let Some(path) = &options.trace_jsonl {
             match JsonlSink::create(path) {
                 Ok(sink) => obs = obs.with_sink(Arc::new(sink)),
                 Err(e) => {
@@ -219,9 +170,9 @@ fn main() -> ExitCode {
 
     if let Some(guard) = obs_guard {
         let snapshot = guard.registry().snapshot();
-        if let Some(path) = &metrics_json {
+        if let Some(path) = &options.metrics_json {
             let names: Vec<String> = experiments.iter().map(|(n, _)| (*n).to_owned()).collect();
-            let mut manifest = build_manifest(scale, &config, &names);
+            let mut manifest = build_manifest(options.scale, &config, &names);
             manifest.wall.total_ms = started.elapsed().as_millis();
 
             let body = snapshot.to_json();
@@ -237,36 +188,334 @@ fn main() -> ExitCode {
             eprintln!("wrote {path}");
         }
         if let Err(e) = guard.obs().flush() {
-            let path = trace_jsonl.as_deref().unwrap_or("trace sink");
+            let path = options.trace_jsonl.as_deref().unwrap_or("trace sink");
             eprintln!("cannot flush {path}: {e}");
             return ExitCode::FAILURE;
         }
-        if trace_jsonl.is_some() {
-            eprintln!("wrote {}", trace_jsonl.as_deref().unwrap_or_default());
+        if options.trace_jsonl.is_some() {
+            eprintln!(
+                "wrote {}",
+                options.trace_jsonl.as_deref().unwrap_or_default()
+            );
         }
         eprint!("\n{}", snapshot.summary());
     }
     ExitCode::SUCCESS
 }
 
+/// Print every command's synopsis and the experiment names, rendered
+/// from the tables the parser and the dispatcher read.
 fn print_usage() {
-    println!(
-        "usage: repro [--scale F | --paper | --fast] [--threads N]\n\
-         \x20      [--trace-jsonl PATH] [--metrics-json PATH] <experiment>...\n\
-         \x20      repro serve [--scale F | --fast] [--addr HOST:PORT] [--windows N]\n\
-         \x20                  [--streams N] [--shards N] [--panic-shard S]\n\
-         \x20                  [--checkpoint PATH] [--checkpoint-every N]\n\
-         \x20                  [--record-ring N] [--bundle-dir PATH]\n\
-         \x20                  [--source sim|perf]\n\
-         \x20      repro chaos [--scale F] [--windows N] [--checkpoint-every N] [--dir PATH]\n\
-         \x20      repro trace-report <trace.jsonl> [--collapsed PATH]\n\
-         \x20      repro bundle-report <bundle-dir>\n\
-         experiments: table1 table2 fig6 fig8 fig9 fig10 fig11 fig12 fig13 fig14\n\
-         \x20            fig15 fig16 fig17 fig18 fig19 ablate-ensemble ablate-mux\n\
-         \x20            ablate-noise ablate-features ablate-mlp ablate-prefetch\n\
-         \x20            roc detect-latency robustness predict adversarial emit-hdl all"
+    let mut lines = Vec::new();
+    for command in [&REPRO, &SERVE, &CHAOS, &TRACE_REPORT, &BUNDLE_REPORT] {
+        let name = match command.name {
+            "repro" => "repro".to_owned(),
+            name => format!("repro {name}"),
+        };
+        let flags = command
+            .flags
+            .iter()
+            .map(|Flag(name, meta, _, kind)| match kind {
+                Kind::Switch(_) => format!("[{name}]"),
+                _ => format!("[{name} {meta}]"),
+            });
+        let operands = (!command.operands.is_empty()).then(|| command.operands.to_owned());
+        wrap(&mut lines, name, flags.chain(operands));
+    }
+    let names = ALL.iter().chain(BY_NAME).map(|(name, _)| *name);
+    wrap(
+        &mut lines,
+        "experiments:".to_owned(),
+        names.chain(["all"]).map(str::to_owned),
     );
+    println!("usage: {}", lines.join("\n       "));
 }
+
+/// Append `head` and `words` to `lines`, wrapped at 72 columns with
+/// continuation lines indented under `head`.
+fn wrap(lines: &mut Vec<String>, head: String, words: impl Iterator<Item = String>) {
+    let mut line = head;
+    for word in words {
+        if line.len() + 1 + word.len() > 72 {
+            lines.push(std::mem::replace(&mut line, "   ".to_owned()));
+        }
+        line.push(' ');
+        line.push_str(&word);
+    }
+    lines.push(line);
+}
+
+/// Everything a `repro` command line sets. Each command starts from
+/// its own defaults and accepts only the flags in its table.
+#[derive(Default)]
+struct Options {
+    /// Fraction of the paper catalog (`--scale`, `--fast`, `--paper`).
+    scale: f64,
+    /// Collector and experiment-layer worker threads.
+    threads: Option<usize>,
+    trace_jsonl: Option<String>,
+    metrics_json: Option<String>,
+    help: bool,
+    /// `serve`'s HTTP address.
+    addr: String,
+    /// Windows *per stream*; for `serve`, 0 = run until killed.
+    windows: u64,
+    checkpoint: Option<PathBuf>,
+    checkpoint_every: u64,
+    /// Monitored endpoint streams in the fleet.
+    streams: u64,
+    /// Worker shards the streams are hashed across.
+    shards: usize,
+    /// Chaos: shards given a single injected worker panic.
+    panic_shards: Vec<usize>,
+    /// Flight-recorder ring capacity per shard; 0 = recorder off.
+    record_ring: usize,
+    /// Where anomaly-triggered diagnostic bundles land.
+    bundle_dir: Option<PathBuf>,
+    /// The counter source `serve` collects from.
+    source: SourceSelect,
+    /// `chaos`'s working directory.
+    dir: Option<PathBuf>,
+    /// Where `trace-report` writes folded stacks.
+    collapsed: Option<String>,
+    /// Experiment names, or `trace-report`'s log.
+    operands: Vec<String>,
+}
+
+impl Options {
+    /// The experiment configuration `--scale` and `--threads` select.
+    fn config(&self) -> ExperimentConfig {
+        let mut config = config_at_scale(self.scale);
+        if let Some(n) = self.threads {
+            config.threads = n;
+            config.collector.threads = n;
+        }
+        config
+    }
+}
+
+/// How a flag's value is read, and the setter it is stored with.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// No value.
+    Switch(fn(&mut Options)),
+    /// A fraction in (0, 1].
+    Fraction(fn(&mut Options, f64)),
+    /// An integer of at least `.0`.
+    Count(u64, fn(&mut Options, u64)),
+    /// A path or `HOST:PORT`, taken as given.
+    Text(fn(&mut Options, String)),
+    /// A counter source: `sim` or `perf`.
+    Source(fn(&mut Options, SourceSelect)),
+}
+
+/// One row of a command's flag table: the flag, what usage shows for
+/// its value, what a missing or bad value is refused with (`<flag>
+/// needs <needs>`), and how the value is read.
+struct Flag(&'static str, &'static str, &'static str, Kind);
+
+/// A flag that takes no value.
+const fn switch(name: &'static str, set: fn(&mut Options)) -> Flag {
+    Flag(name, "", "", Kind::Switch(set))
+}
+
+/// A flag whose value is a count of at least `min`.
+const fn count(
+    name: &'static str,
+    min: u64,
+    needs: &'static str,
+    set: fn(&mut Options, u64),
+) -> Flag {
+    Flag(name, "N", needs, Kind::Count(min, set))
+}
+
+/// A flag whose value is a path.
+const fn path(name: &'static str, set: fn(&mut Options, String)) -> Flag {
+    Flag(name, "PATH", "a path", Kind::Text(set))
+}
+
+const SCALE: Flag = Flag(
+    "--scale",
+    "F",
+    "a fraction in (0, 1]",
+    Kind::Fraction(|o, f| o.scale = f),
+);
+const FAST: Flag = switch("--fast", |o| o.scale = 0.05);
+const PAPER: Flag = switch("--paper", |o| o.scale = 1.0);
+const THREADS: Flag = count("--threads", 1, "a positive integer", |o, n| {
+    o.threads = Some(n as usize)
+});
+const CHECKPOINT_EVERY: Flag = count(
+    "--checkpoint-every",
+    1,
+    "a positive window count",
+    |o, n| o.checkpoint_every = n,
+);
+
+/// A command's flag table and the operands it takes.
+struct Command {
+    /// Its subcommand word, and the prefix of its refusals.
+    name: &'static str,
+    flags: &'static [Flag],
+    /// The operands usage shows after the flags.
+    operands: &'static str,
+    /// Whether an argument that is no flag of the table is an operand.
+    operand: fn(&Options, &str) -> bool,
+}
+
+impl Command {
+    /// Parse `args` over `defaults`. A refusal says why on stderr and
+    /// returns `None`.
+    fn parse(&self, args: &[String], defaults: Options) -> Option<Options> {
+        let mut options = defaults;
+        let mut iter = args.iter();
+        while let Some(arg) = iter.next() {
+            let Some(Flag(name, _, needs, kind)) = self.flags.iter().find(|f| f.0 == arg) else {
+                if !(self.operand)(&options, arg) {
+                    eprintln!("{}: unexpected argument `{arg}`", self.name);
+                    return None;
+                }
+                options.operands.push(arg.clone());
+                continue;
+            };
+            let accepted = match *kind {
+                Kind::Switch(set) => {
+                    set(&mut options);
+                    true
+                }
+                Kind::Fraction(set) => iter
+                    .next()
+                    .and_then(|s| s.parse::<f64>().ok())
+                    .filter(|&f| f > 0.0 && f <= 1.0)
+                    .map(|f| set(&mut options, f))
+                    .is_some(),
+                Kind::Count(min, set) => iter
+                    .next()
+                    .and_then(|s| s.parse::<u64>().ok())
+                    .filter(|&n| n >= min)
+                    .map(|n| set(&mut options, n))
+                    .is_some(),
+                Kind::Text(set) => iter.next().map(|s| set(&mut options, s.clone())).is_some(),
+                Kind::Source(set) => match iter.next().map(|s| s.parse::<SourceSelect>()) {
+                    Some(Ok(source)) => {
+                        set(&mut options, source);
+                        true
+                    }
+                    Some(Err(e)) => {
+                        eprintln!("{e}");
+                        return None;
+                    }
+                    None => false,
+                },
+            };
+            if !accepted {
+                eprintln!("{name} needs {needs}");
+                return None;
+            }
+            if options.help {
+                break;
+            }
+        }
+        Some(options)
+    }
+}
+
+/// The experiment named `name`, whether `all` runs it or not.
+fn experiment(name: &str) -> Option<&'static (&'static str, Experiment)> {
+    ALL.iter().chain(BY_NAME).find(|(n, _)| *n == name)
+}
+
+const REPRO: Command = Command {
+    name: "repro",
+    flags: &[
+        SCALE,
+        PAPER,
+        FAST,
+        THREADS,
+        path("--trace-jsonl", |o, s| o.trace_jsonl = Some(s)),
+        path("--metrics-json", |o, s| o.metrics_json = Some(s)),
+        switch("--help", |o| o.help = true),
+        switch("-h", |o| o.help = true),
+    ],
+    operands: "<experiment>...",
+    operand: |_, arg| arg == "all" || experiment(arg).is_some(),
+};
+
+const SERVE: Command = Command {
+    name: "serve",
+    flags: &[
+        SCALE,
+        FAST,
+        PAPER,
+        THREADS,
+        Flag(
+            "--addr",
+            "HOST:PORT",
+            "HOST:PORT (port 0 = ephemeral)",
+            Kind::Text(|o, s| o.addr = s),
+        ),
+        count("--windows", 1, "a positive count", |o, n| o.windows = n),
+        path("--checkpoint", |o, s| o.checkpoint = Some(s.into())),
+        CHECKPOINT_EVERY,
+        count("--streams", 1, "a positive count", |o, n| o.streams = n),
+        count("--shards", 1, "a positive count", |o, n| {
+            o.shards = n as usize
+        }),
+        Flag(
+            "--panic-shard",
+            "S",
+            "a shard index",
+            Kind::Count(0, |o, n| o.panic_shards.push(n as usize)),
+        ),
+        count("--record-ring", 1, "a positive slot count", |o, n| {
+            o.record_ring = n as usize
+        }),
+        Flag(
+            "--bundle-dir",
+            "PATH",
+            "a directory path",
+            Kind::Text(|o, s| o.bundle_dir = Some(s.into())),
+        ),
+        Flag(
+            "--source",
+            "sim|perf",
+            "`sim` or `perf`",
+            Kind::Source(|o, source| o.source = source),
+        ),
+    ],
+    operands: "",
+    operand: |_, _| false,
+};
+
+const CHAOS: Command = Command {
+    name: "chaos",
+    flags: &[
+        SCALE,
+        count("--windows", 64, "a count of at least 64", |o, n| {
+            o.windows = n
+        }),
+        CHECKPOINT_EVERY,
+        path("--dir", |o, s| o.dir = Some(s.into())),
+    ],
+    operands: "",
+    operand: |_, _| false,
+};
+
+const TRACE_REPORT: Command = Command {
+    name: "trace-report",
+    flags: &[path("--collapsed", |o, s| o.collapsed = Some(s))],
+    operands: "<trace.jsonl>",
+    operand: |o, arg| o.operands.is_empty() && !arg.starts_with("--"),
+};
+
+/// `bundle-report` takes one operand and no flags; it is not parsed
+/// with a table and is listed here for usage only.
+const BUNDLE_REPORT: Command = Command {
+    name: "bundle-report",
+    flags: &[],
+    operands: "<bundle-dir>",
+    operand: |_, _| false,
+};
 
 /// The run's identity card, shared by `--metrics-json` and the
 /// `/manifest` endpoint of `repro serve`.
@@ -345,26 +594,6 @@ fn train_monitor(
         .build()?)
 }
 
-/// Everything `repro serve` parses from its command line.
-struct ServeOptions {
-    scale: f64,
-    addr: String,
-    /// Windows *per stream*; 0 = run until killed.
-    windows_limit: u64,
-    checkpoint: Option<PathBuf>,
-    checkpoint_every: u64,
-    /// Monitored endpoint streams in the fleet.
-    streams: u64,
-    /// Worker shards the streams are hashed across.
-    shards: usize,
-    /// Chaos: shards given a single injected worker panic.
-    panic_shards: Vec<usize>,
-    /// Flight-recorder ring capacity per shard; 0 = recorder off.
-    record_ring: usize,
-    /// Where anomaly-triggered diagnostic bundles land.
-    bundle_dir: Option<PathBuf>,
-}
-
 /// `repro serve` — train one shared detector, then run a *fleet* of
 /// independently-voting monitored streams (default 2,000), hash-sharded
 /// across supervised worker shards, while exposing `/metrics`,
@@ -376,147 +605,34 @@ struct ServeOptions {
 /// multiplexed snapshot and a restart resumes from the last good
 /// sections instead of retraining.
 fn serve_mode(args: &[String]) -> ExitCode {
-    let mut scale = 0.05f64;
-    let mut addr = "127.0.0.1:9185".to_owned();
-    let mut windows_limit = 0u64;
-    let mut threads: Option<usize> = None;
-    let mut checkpoint: Option<PathBuf> = None;
-    let mut checkpoint_every = 64u64;
-    let mut streams = 2_000u64;
-    let mut shards = 8usize;
-    let mut panic_shards: Vec<usize> = Vec::new();
-    let mut record_ring = 0usize;
-    let mut bundle_dir: Option<PathBuf> = None;
-    let mut source = SourceSelect::Sim;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--scale" => match iter.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(f) if f > 0.0 && f <= 1.0 => scale = f,
-                _ => {
-                    eprintln!("--scale needs a fraction in (0, 1]");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--fast" => scale = 0.05,
-            "--paper" => scale = 1.0,
-            "--addr" => match iter.next() {
-                Some(a) => addr = a.clone(),
-                None => {
-                    eprintln!("--addr needs HOST:PORT (port 0 = ephemeral)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--windows" => match iter.next().and_then(|s| s.parse::<u64>().ok()) {
-                Some(n) if n >= 1 => windows_limit = n,
-                _ => {
-                    eprintln!("--windows needs a positive count");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--threads" => match iter.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => threads = Some(n),
-                _ => {
-                    eprintln!("--threads needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--checkpoint" => match iter.next() {
-                Some(path) => checkpoint = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("--checkpoint needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--checkpoint-every" => match iter.next().and_then(|s| s.parse::<u64>().ok()) {
-                Some(n) if n >= 1 => checkpoint_every = n,
-                _ => {
-                    eprintln!("--checkpoint-every needs a positive window count");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--streams" => match iter.next().and_then(|s| s.parse::<u64>().ok()) {
-                Some(n) if n >= 1 => streams = n,
-                _ => {
-                    eprintln!("--streams needs a positive count");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--shards" => match iter.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => shards = n,
-                _ => {
-                    eprintln!("--shards needs a positive count");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--panic-shard" => match iter.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(s) => panic_shards.push(s),
-                _ => {
-                    eprintln!("--panic-shard needs a shard index");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--record-ring" => match iter.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => record_ring = n,
-                _ => {
-                    eprintln!("--record-ring needs a positive slot count");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--bundle-dir" => match iter.next() {
-                Some(path) => bundle_dir = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("--bundle-dir needs a directory path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--source" => match iter.next().map(|s| s.parse::<SourceSelect>()) {
-                Some(Ok(s)) => source = s,
-                Some(Err(e)) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-                None => {
-                    eprintln!("--source needs `sim` or `perf`");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("serve: unexpected argument `{other}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let defaults = Options {
+        scale: 0.05,
+        addr: "127.0.0.1:9185".to_owned(),
+        checkpoint_every: 64,
+        streams: 2_000,
+        shards: 8,
+        ..Options::default()
+    };
+    let Some(mut options) = SERVE.parse(args, defaults) else {
+        return ExitCode::FAILURE;
+    };
     // Live counters are best-effort: an unprivileged or perf-less host
     // degrades gracefully to the simulator instead of refusing to
     // serve (the manifest records which source actually ran).
-    if let Err(PerfError::BackendUnavailable { reason }) = source.probe() {
-        eprintln!("serve: counter source `{source}` unavailable ({reason}); falling back to sim");
-        source = SourceSelect::Sim;
+    if let Err(PerfError::BackendUnavailable { reason }) = options.source.probe() {
+        eprintln!(
+            "serve: counter source `{}` unavailable ({reason}); falling back to sim",
+            options.source
+        );
+        options.source = SourceSelect::Sim;
     }
-    let mut config = config_at_scale(scale);
-    config.collector.source = source;
-    if let Some(n) = threads {
-        config.threads = n;
-        config.collector.threads = n;
-    }
+    let mut config = options.config();
+    config.collector.source = options.source;
     // A bundle directory implies recording: default the ring to 256
     // slots per shard so `--bundle-dir` alone produces useful bundles.
-    if bundle_dir.is_some() && record_ring == 0 {
-        record_ring = 256;
+    if options.bundle_dir.is_some() && options.record_ring == 0 {
+        options.record_ring = 256;
     }
-    let options = ServeOptions {
-        scale,
-        addr,
-        windows_limit,
-        checkpoint,
-        checkpoint_every,
-        streams,
-        shards,
-        panic_shards,
-        record_ring,
-        bundle_dir,
-    };
     match run_monitor(&config, &options) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -528,7 +644,7 @@ fn serve_mode(args: &[String]) -> ExitCode {
 
 fn run_monitor(
     config: &ExperimentConfig,
-    options: &ServeOptions,
+    options: &Options,
 ) -> Result<(), Box<dyn std::error::Error>> {
     // Fresh context so the endpoint exports only this fleet's counters;
     // the guard lives for the whole serve session.
@@ -684,8 +800,8 @@ fn run_monitor(
     // Injected shard panics land a third of the way into bounded runs
     // (48 windows in for unbounded ones), leaving room to observe both
     // the fault and the recovery.
-    let panic_cursor = if options.windows_limit > 0 {
-        (options.windows_limit / 3).max(8)
+    let panic_cursor = if options.windows > 0 {
+        (options.windows / 3).max(8)
     } else {
         48
     };
@@ -699,12 +815,10 @@ fn run_monitor(
         config_digest: config_digest_u64,
         pristine_stream: template,
         // Pace at the paper's 10 ms sampling period when running as a
-        // long-lived monitor; stream at full speed for bounded runs.
-        pace: (options.windows_limit == 0).then(|| Duration::from_millis(10)),
-        // A long-lived fleet sheds load under backpressure (hot streams
-        // last); bounded smoke runs stay lossless so window counts are
-        // exact.
-        shed_when_full: options.windows_limit == 0,
+        // long-lived monitor, which sheds load under backpressure (hot
+        // streams last); bounded runs stream at full speed and stay
+        // lossless so window counts are exact.
+        pace: (options.windows == 0).then(|| Duration::from_millis(10)),
         max_restarts: 16,
         backoff_ms: (100, 5_000),
         sleep_on_backoff: true,
@@ -719,7 +833,7 @@ fn run_monitor(
         capture_verdicts: false,
         verbose: true,
         recorder: recorder.clone(),
-        ..fleet::FleetConfig::lossless(options.streams, options.shards, options.windows_limit)
+        ..fleet::FleetConfig::lossless(options.streams, options.shards, options.windows)
     };
     // Bridge the process-wide SIGINT flag into the fleet's stop flag.
     let stop = fleet_config.stop.clone().expect("stop flag just set");
@@ -777,48 +891,16 @@ fn run_monitor(
 /// keeps its fixed 256 windows); `--checkpoint-every` spaces the
 /// checkpoints. Exits 0 only when every drill passes.
 fn chaos_mode(args: &[String]) -> ExitCode {
-    let mut scale = 0.05f64;
-    let mut windows = 320u64;
-    let mut checkpoint_every = 32u64;
-    let mut dir: Option<PathBuf> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--scale" => match iter.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(f) if f > 0.0 && f <= 1.0 => scale = f,
-                _ => {
-                    eprintln!("--scale needs a fraction in (0, 1]");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--windows" => match iter.next().and_then(|s| s.parse::<u64>().ok()) {
-                Some(n) if n >= 64 => windows = n,
-                _ => {
-                    eprintln!("--windows needs a count of at least 64");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--checkpoint-every" => match iter.next().and_then(|s| s.parse::<u64>().ok()) {
-                Some(n) if n >= 1 => checkpoint_every = n,
-                _ => {
-                    eprintln!("--checkpoint-every needs a positive window count");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--dir" => match iter.next() {
-                Some(path) => dir = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("--dir needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("chaos: unexpected argument `{other}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    match run_chaos(scale, windows, checkpoint_every, dir) {
+    let defaults = Options {
+        scale: 0.05,
+        windows: 320,
+        checkpoint_every: 32,
+        ..Options::default()
+    };
+    let Some(options) = CHAOS.parse(args, defaults) else {
+        return ExitCode::FAILURE;
+    };
+    match run_chaos(&options) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,
         Err(e) => {
@@ -828,24 +910,21 @@ fn chaos_mode(args: &[String]) -> ExitCode {
     }
 }
 
-fn run_chaos(
-    scale: f64,
-    windows: u64,
-    checkpoint_every: u64,
-    dir: Option<PathBuf>,
-) -> Result<bool, Box<dyn std::error::Error>> {
+fn run_chaos(options: &Options) -> Result<bool, Box<dyn std::error::Error>> {
     let guard = hbmd_obs::install(Obs::new());
-    let dir = match dir {
-        Some(d) => d,
+    let (windows, checkpoint_every) = (options.windows, options.checkpoint_every);
+    let dir = match &options.dir {
+        Some(d) => d.clone(),
         None => std::env::temp_dir().join(format!("hbmd-chaos-{}", std::process::id())),
     };
     std::fs::create_dir_all(&dir)?;
     let checkpoint = dir.join("fleet.snap");
     let _ = std::fs::remove_file(&checkpoint);
 
-    let config = config_at_scale(scale);
+    let config = options.config();
     eprintln!(
-        "chaos: training J48 detector at scale {scale} ({} samples)...",
+        "chaos: training J48 detector at scale {} ({} samples)...",
+        options.scale,
         config.catalog().len()
     );
     let (detector, template) = train_monitor(&config, "chaos")?.into_parts();
@@ -919,7 +998,7 @@ fn run_chaos(
         "post-restore verdicts are byte-identical to the unfaulted run",
     );
     check(
-        killed.max_missed_gap <= checkpoint_every + base.queue_capacity as u64,
+        killed.max_missed_gap <= checkpoint_every + fleet::QUEUE_CAPACITY as u64,
         "replay gap is bounded by checkpoint spacing + queue depth",
     );
     check(
@@ -1137,30 +1216,14 @@ fn run_chaos(
 /// the time went: per-name aggregates, the critical path, and
 /// optionally a flamegraph collapsed-stack file.
 fn trace_report(args: &[String]) -> ExitCode {
-    let mut file: Option<String> = None;
-    let mut collapsed_out: Option<String> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--collapsed" => match iter.next() {
-                Some(path) => collapsed_out = Some(path.clone()),
-                None => {
-                    eprintln!("--collapsed needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other if file.is_none() && !other.starts_with("--") => file = Some(other.to_owned()),
-            other => {
-                eprintln!("trace-report: unexpected argument `{other}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let Some(file) = file else {
+    let Some(options) = TRACE_REPORT.parse(args, Options::default()) else {
+        return ExitCode::FAILURE;
+    };
+    let Some(file) = options.operands.first() else {
         eprintln!("usage: repro trace-report <trace.jsonl> [--collapsed PATH]");
         return ExitCode::FAILURE;
     };
-    let text = match std::fs::read_to_string(&file) {
+    let text = match std::fs::read_to_string(file) {
         Ok(text) => text,
         Err(e) => {
             eprintln!("cannot read {file}: {e}");
@@ -1206,8 +1269,8 @@ fn trace_report(args: &[String]) -> ExitCode {
         );
     }
 
-    if let Some(path) = collapsed_out {
-        if let Err(e) = std::fs::write(&path, trace.collapsed()) {
+    if let Some(path) = &options.collapsed {
+        if let Err(e) = std::fs::write(path, trace.collapsed()) {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
@@ -1487,8 +1550,8 @@ fn predict_phase(
 ) -> Result<(), Box<dyn std::error::Error>> {
     println!("## Predict: compiled evaluator footprint and batched throughput");
     let collection = cache.collect(config)?;
-    let data = to_binary_dataset(&collection.dataset);
-    let (train, test) = data.split(0.7, config.split_seed);
+    let (train_hpc, test_hpc) = collection.dataset.split(0.7, config.split_seed);
+    let (train, test) = (to_binary_dataset(&train_hpc), to_binary_dataset(&test_hpc));
     if test.is_empty() {
         return Err("predict phase needs a non-empty test split".into());
     }
@@ -1553,7 +1616,7 @@ fn adversarial_phase(
     let schemes = [ClassifierKind::J48, ClassifierKind::RandomForest];
     let budgets = [0.05, 0.1, 0.2, 0.4];
     let started = Instant::now();
-    let rows = adversarial::accuracy_under_attack_with(cache, config, &schemes, &budgets)?;
+    let rows = adversarial::accuracy_under_attack(cache, config, &schemes, &budgets)?;
     let elapsed = started.elapsed().as_secs_f64();
 
     let mut table = TextTable::new(vec![
@@ -1609,7 +1672,7 @@ fn adversarial_phase(
 
     println!();
     println!("### Behaviour-level camouflage (evasive catalog variants)");
-    let tactic_rows = adversarial::camouflage_sweep_with(cache, config, &schemes)?;
+    let tactic_rows = adversarial::camouflage_sweep(cache, config, &schemes)?;
     let mut camo = TextTable::new(vec!["tactic", "classifier", "detection", "windows"]);
     for row in &tactic_rows {
         camo.row(vec![
@@ -1640,7 +1703,7 @@ fn table1(
 ) -> Result<(), Box<dyn std::error::Error>> {
     println!("## Table 1: samples per application class");
     println!("paper: backdoor 452, rootkit 324, trojan 1169, virus 650, worm 149, benign 326 (3,070 total)");
-    let rows = experiments::census_with(cache, config);
+    let rows = experiments::census(cache, config);
     let mut table = TextTable::new(vec!["class", "samples", "share", "dataset rows"]);
     let mut total = 0usize;
     for row in &rows {
@@ -1665,7 +1728,7 @@ fn table1(
 fn fig6(config: &ExperimentConfig, cache: &CollectCache) -> Result<(), Box<dyn std::error::Error>> {
     println!("## Figure 6: class distribution of the database");
     println!("paper: trojan-dominated, mirroring the in-the-wild distribution (Figure 3)");
-    let rows = experiments::census_with(cache, config);
+    let rows = experiments::census(cache, config);
     let mut table = TextTable::new(vec!["class", "share", "bar"]);
     for row in &rows {
         let bar = "#".repeat((row.share * 60.0).round() as usize);
@@ -1681,7 +1744,7 @@ fn table2(
 ) -> Result<(), Box<dyn std::error::Error>> {
     println!("## Table 2: PCA-reduced features per class");
     println!("paper: 4 common features + custom 8 per malware class");
-    let result = pca::table2_with(cache, config)?;
+    let result = pca::table2(cache, config)?;
     println!("common features: {}", result.common.join(", "));
     let mut table = TextTable::new(vec!["class", "custom top-8 features"]);
     for (class, features) in &result.per_class {
@@ -1693,7 +1756,7 @@ fn table2(
 
 fn fig8(config: &ExperimentConfig, cache: &CollectCache) -> Result<(), Box<dyn std::error::Error>> {
     println!("## Figure 8: PCA eigen summary (WEKA PrincipalComponents -R 0.95)");
-    let summary = pca::eigen_summary_with(cache, config)?;
+    let summary = pca::eigen_summary(cache, config)?;
     println!(
         "components for 95% variance: {} of 16",
         summary.components_for_95
@@ -1725,7 +1788,7 @@ fn scatter(
     figure: &str,
 ) -> Result<(), Box<dyn std::error::Error>> {
     println!("## {figure}: PCA plot for {class} (top-2 components, class vs benign)");
-    let points = pca::scatter_with(cache, config, class)?;
+    let points = pca::scatter(cache, config, class)?;
     // Render as a coarse ASCII density plot: 'b' benign, 'm' malware,
     // '*' both.
     let (width, height) = (64usize, 20usize);
@@ -1779,7 +1842,7 @@ fn fig13(
 ) -> Result<(), Box<dyn std::error::Error>> {
     println!("## Figure 13: binary accuracy, 16 vs PCA top-8 vs top-4 features");
     println!("paper: most classifiers dip slightly at 4 features; J48/OneR barely move");
-    let rows = binary::accuracy_comparison_with(cache, config)?;
+    let rows = binary::accuracy_comparison(cache, config)?;
     let mut table = TextTable::new(vec![
         "classifier",
         "16 features",
@@ -1805,7 +1868,7 @@ fn hardware_figures(
     cache: &CollectCache,
     which: &str,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let rows = hardware::comparison_with(cache, config, &SynthConfig::default())?;
+    let rows = hardware::comparison(cache, config, &SynthConfig::default())?;
     match which {
         "fig14" => {
             println!("## Figure 14: FPGA area comparison (8 vs 4 features)");
@@ -1878,7 +1941,7 @@ fn multiclass_figures(
     cache: &CollectCache,
     which: &str,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let rows = multiclass::accuracy_comparison_with(cache, config)?;
+    let rows = multiclass::accuracy_comparison(cache, config)?;
     if which == "fig17" {
         println!("## Figure 17: average multiclass accuracy (MLR / MLP / SVM)");
         println!("paper: the neural network (MLP) leads the multiclass comparison");
@@ -1911,7 +1974,7 @@ fn fig19(
 ) -> Result<(), Box<dyn std::error::Error>> {
     println!("## Figure 19: PCA-assisted MLR vs normal MLR");
     println!("paper: custom per-class 8-feature sets gain ~7pp over non-custom features");
-    let result = multiclass::pca_assisted_comparison_with(cache, config)?;
+    let result = multiclass::pca_assisted_comparison(cache, config)?;
     let mut table = TextTable::new(vec!["variant", "accuracy"]);
     table.row(vec![
         "MLR, all 16 features (context)".to_owned(),
@@ -1949,7 +2012,7 @@ fn detect_latency(
 ) -> Result<(), Box<dyn std::error::Error>> {
     println!("## Extension: run-time detection latency (windows to alarm)");
     println!("(J48 detector, 4-window vote, 3-vote threshold, unseen specimens)");
-    let rows = latency::windows_to_alarm_with(cache, config, 8, 32)?;
+    let rows = latency::windows_to_alarm(cache, config, 8, 32)?;
     let mut table = TextTable::new(vec![
         "family",
         "detected",
@@ -1989,7 +2052,7 @@ fn robustness_sweep(
         ClassifierKind::NaiveBayes,
     ];
     let rates = [0.0, 0.02, 0.05, 0.1, 0.2];
-    let rows = robustness::degradation_sweep_with(cache, config, &schemes, &rates)?;
+    let rows = robustness::degradation_sweep(cache, config, &schemes, &rates)?;
     let mut table = TextTable::new(vec![
         "fault rate",
         "classifier",
@@ -2024,7 +2087,7 @@ fn roc_analysis(
 ) -> Result<(), Box<dyn std::error::Error>> {
     println!("## Extension: ROC analysis of the score-producing detectors");
     println!("(a deployed monitor is tuned to a false-positive budget, not peak accuracy)");
-    let rows = roc::comparison_with(cache, config)?;
+    let rows = roc::comparison(cache, config)?;
     let mut table = TextTable::new(vec!["scheme", "AUC", "TPR @ 1% FPR", "TPR @ 5% FPR"]);
     for row in &rows {
         table.row(vec![
@@ -2063,7 +2126,7 @@ fn ablate_ensemble(
 ) -> Result<(), Box<dyn std::error::Error>> {
     println!("## Extension: ensemble learning (RAID'15 / DAC'18 follow-ups)");
     println!("(single learners vs boosting, bagging and random forests, top-8 features)");
-    let rows = ensemble::comparison_with(cache, config)?;
+    let rows = ensemble::comparison(cache, config)?;
     let mut table = TextTable::new(vec![
         "scheme",
         "accuracy",
@@ -2090,33 +2153,26 @@ fn ablate_prefetch(
 ) -> Result<(), Box<dyn std::error::Error>> {
     println!("## Ablation: L1D next-line prefetcher vs counter signal");
     println!("(prefetching shifts traffic from demand misses to prefetch references)");
-    let mut table = TextTable::new(vec!["cpu model", "J48 accuracy", "Logistic accuracy"]);
-    for (label, cpu) in [
-        (
-            "no prefetcher (paper model)",
-            hbmd_uarch::CpuConfig::haswell(),
-        ),
-        (
-            "next-line L1D prefetcher",
-            hbmd_uarch::CpuConfig::haswell_prefetch(),
-        ),
-    ] {
+    let variant = |label: &str, cpu| {
         let mut variant = config.clone();
         variant.collector.sampler.cpu = cpu;
-        let collection = cache.collect(&variant)?;
-        let (train_hpc, test_hpc) = collection.dataset.split(0.7, variant.split_seed);
-        let train = to_binary_dataset(&train_hpc);
-        let test = to_binary_dataset(&test_hpc);
-        let mut accs = Vec::new();
-        for kind in [ClassifierKind::J48, ClassifierKind::Logistic] {
-            let mut model = kind.instantiate();
-            hbmd_ml::fit_timed(&mut model, &train)?;
-            accs.push(Evaluation::of(&model, &test).accuracy());
-        }
-        table.row(vec![label.to_owned(), pct(accs[0]), pct(accs[1])]);
-    }
-    print!("{}", table.render());
-    Ok(())
+        (label.to_owned(), variant)
+    };
+    ablation(
+        cache,
+        "cpu model",
+        &[ClassifierKind::J48, ClassifierKind::Logistic],
+        vec![
+            variant(
+                "no prefetcher (paper model)",
+                hbmd_uarch::CpuConfig::haswell(),
+            ),
+            variant(
+                "next-line L1D prefetcher",
+                hbmd_uarch::CpuConfig::haswell_prefetch(),
+            ),
+        ],
+    )
 }
 
 fn ablate_mux(
@@ -2125,35 +2181,27 @@ fn ablate_mux(
 ) -> Result<(), Box<dyn std::error::Error>> {
     println!("## Ablation: PMU multiplexing pressure vs detection accuracy");
     println!("(design note: counter scaling noise is part of the measured signal)");
-    let variants: [(&str, Option<PmuConfig>); 3] = [
-        ("exact counting (no PMU sharing)", None),
-        (
-            "16 events on 8 counters (paper)",
-            Some(PmuConfig::haswell_collected()),
-        ),
-        (
-            "52 events on 8 counters (full catalog)",
-            Some(PmuConfig::haswell_full()),
-        ),
-    ];
-    let mut table = TextTable::new(vec!["pmu mode", "J48 accuracy", "Logistic accuracy"]);
-    for (label, pmu) in variants {
+    let variant = |label: &str, pmu| {
         let mut variant = config.clone();
         variant.collector.sampler.pmu = pmu;
-        let collection = cache.collect(&variant)?;
-        let (train_hpc, test_hpc) = collection.dataset.split(0.7, variant.split_seed);
-        let train = to_binary_dataset(&train_hpc);
-        let test = to_binary_dataset(&test_hpc);
-        let mut accs = Vec::new();
-        for kind in [ClassifierKind::J48, ClassifierKind::Logistic] {
-            let mut model = kind.instantiate();
-            hbmd_ml::fit_timed(&mut model, &train)?;
-            accs.push(Evaluation::of(&model, &test).accuracy());
-        }
-        table.row(vec![label.to_owned(), pct(accs[0]), pct(accs[1])]);
-    }
-    print!("{}", table.render());
-    Ok(())
+        (label.to_owned(), variant)
+    };
+    ablation(
+        cache,
+        "pmu mode",
+        &[ClassifierKind::J48, ClassifierKind::Logistic],
+        vec![
+            variant("exact counting (no PMU sharing)", None),
+            variant(
+                "16 events on 8 counters (paper)",
+                Some(PmuConfig::haswell_collected()),
+            ),
+            variant(
+                "52 events on 8 counters (full catalog)",
+                Some(PmuConfig::haswell_full()),
+            ),
+        ],
+    )
 }
 
 fn ablate_noise(
@@ -2162,20 +2210,45 @@ fn ablate_noise(
 ) -> Result<(), Box<dyn std::error::Error>> {
     println!("## Ablation: container isolation vs shared-host noise");
     println!("(the LXC containers' purpose: keep host activity out of the counters)");
-    let mut table = TextTable::new(vec!["host noise ratio", "J48 accuracy"]);
-    for noise in [0.0, 0.5, 1.0, 2.0] {
+    let variants = [0.0, 0.5, 1.0, 2.0].map(|noise| {
         let mut variant = config.clone();
         variant.collector.sampler.host_noise = noise;
+        (format!("{noise:.1}"), variant)
+    });
+    ablation(
+        cache,
+        "host noise ratio",
+        &[ClassifierKind::J48],
+        variants.into(),
+    )
+}
+
+/// One table row per `(label, config)` variant: collect the variant,
+/// split it by specimen, and print each scheme's held-out accuracy.
+fn ablation(
+    cache: &CollectCache,
+    column: &str,
+    schemes: &[ClassifierKind],
+    variants: Vec<(String, ExperimentConfig)>,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let headers: Vec<String> = schemes.iter().map(|s| format!("{s} accuracy")).collect();
+    let mut table = TextTable::new(
+        std::iter::once(column)
+            .chain(headers.iter().map(String::as_str))
+            .collect(),
+    );
+    for (label, variant) in variants {
         let collection = cache.collect(&variant)?;
         let (train_hpc, test_hpc) = collection.dataset.split(0.7, variant.split_seed);
         let train = to_binary_dataset(&train_hpc);
         let test = to_binary_dataset(&test_hpc);
-        let mut model = ClassifierKind::J48.instantiate();
-        hbmd_ml::fit_timed(&mut model, &train)?;
-        table.row(vec![
-            format!("{noise:.1}"),
-            pct(Evaluation::of(&model, &test).accuracy()),
-        ]);
+        let mut row = vec![label];
+        for kind in schemes {
+            let mut model = kind.instantiate();
+            hbmd_ml::fit_timed(&mut model, &train)?;
+            row.push(pct(Evaluation::of(&model, &test).accuracy()));
+        }
+        table.row(row);
     }
     print!("{}", table.render());
     Ok(())

@@ -123,6 +123,9 @@ impl FleetTimeline {
     }
 }
 
+/// Bounded producer→worker queue depth per shard.
+pub const QUEUE_CAPACITY: usize = 64;
+
 /// How [`run_fleet`] should behave — shared by the live fleet monitor
 /// (paced, shedding) and the chaos/determinism harness (unpaced,
 /// lossless, with injected faults).
@@ -137,8 +140,6 @@ pub struct FleetConfig {
     /// The pristine per-stream vote/hysteresis state, cloned for every
     /// stream that starts (or falls back) fresh.
     pub pristine_stream: StreamState,
-    /// Per-stream health policy (quarantine/probation shape).
-    pub health_policy: StreamHealthConfig,
     /// Checkpoint when a shard has processed this many windows since
     /// its last commit; 0 disables checkpointing.
     pub checkpoint_every: u64,
@@ -146,15 +147,12 @@ pub struct FleetConfig {
     pub checkpoint_path: Option<PathBuf>,
     /// Run-config digest stamped into (and demanded from) snapshots.
     pub config_digest: u64,
-    /// Bounded producer→worker queue depth per shard.
-    pub queue_capacity: usize,
     /// Producer pacing per timeline sweep (one window of every stream
-    /// in the shard), or `None` to stream at full speed.
+    /// in the shard), or `None` to stream at full speed. A paced (live)
+    /// fleet sheds windows with counted priority when a shard's queue
+    /// is full; an unpaced one blocks the producer instead — lossless,
+    /// as replay and determinism require.
     pub pace: Option<Duration>,
-    /// `true`: a full queue sheds windows with counted priority (live
-    /// mode). `false`: the producer blocks — lossless, required for
-    /// replay/determinism.
-    pub shed_when_full: bool,
     /// Give up on a shard after this many worker restarts.
     pub max_restarts: u32,
     /// Exponential backoff (base ms, max ms) between restarts; jittered
@@ -195,13 +193,10 @@ impl FleetConfig {
             shards: shards.max(1),
             windows_limit,
             pristine_stream: StreamState::new(4, 3, 1, 1).expect("static default shape"),
-            health_policy: StreamHealthConfig::default(),
             checkpoint_every: 0,
             checkpoint_path: None,
             config_digest: 0,
-            queue_capacity: 64,
             pace: None,
-            shed_when_full: false,
             max_restarts: 8,
             backoff_ms: (50, 800),
             sleep_on_backoff: false,
@@ -466,7 +461,7 @@ pub fn run_fleet(
             None => StreamCell {
                 stream,
                 state: cfg.pristine_stream.clone(),
-                health: StreamHealth::new(cfg.health_policy),
+                health: StreamHealth::new(StreamHealthConfig::default()),
                 cursor: 0,
             },
         }
@@ -678,7 +673,7 @@ fn shard_supervisor(ctx: ShardCtx, mut cells: Vec<StreamCell>) -> ShardOutcome {
     set_shard_state(&ctx, ServiceState::Ready);
     let interrupted = loop {
         let timeline = FleetTimeline::new(&ctx.sampler_config).map_err(CoreError::from)?;
-        let (tx, rx) = std::sync::mpsc::sync_channel(ctx.cfg.queue_capacity.max(1));
+        let (tx, rx) = std::sync::mpsc::sync_channel(QUEUE_CAPACITY);
         let starts: Vec<u64> = cells.iter().map(|c| c.cursor).collect();
         let producer = spawn_shard_producer(&ctx, timeline, tx, starts);
 
@@ -834,7 +829,7 @@ fn recover_cells(
                 None => StreamCell {
                     stream,
                     state: ctx.cfg.pristine_stream.clone(),
-                    health: StreamHealth::new(ctx.cfg.health_policy),
+                    health: StreamHealth::new(StreamHealthConfig::default()),
                     cursor: 0,
                 },
             };
@@ -857,7 +852,7 @@ fn spawn_shard_producer(
     let streams = ctx.streams.clone();
     let limit = ctx.cfg.windows_limit;
     let pace = ctx.cfg.pace;
-    let shed_when_full = ctx.cfg.shed_when_full;
+    let shed_when_full = pace.is_some();
     let stop = ctx.cfg.stop.clone();
     let hot = ctx.hot.clone();
     let shed_low = Arc::clone(&ctx.shed_low);

@@ -8,7 +8,7 @@
 
 use std::path::PathBuf;
 
-use hbmd_bench::fleet::{run_fleet, FleetConfig};
+use hbmd_bench::fleet::{run_fleet, FleetConfig, QUEUE_CAPACITY};
 use hbmd_core::{shard_of, ClassifierKind, Detector, DetectorBuilder, FeatureSet, StreamState};
 use hbmd_events::{FeatureVector, HpcEvent};
 use hbmd_malware::{AppClass, SampleCatalog, SampleId};
@@ -123,7 +123,7 @@ fn shard_kill_is_invisible_behind_the_bulkhead() {
         faulted.verdicts, baseline.verdicts,
         "post-recovery verdicts must match the unfaulted fleet exactly"
     );
-    let queue = config(streams, shards, windows).queue_capacity as u64;
+    let queue = QUEUE_CAPACITY as u64;
     assert!(
         faulted.max_missed_gap <= 16 + queue,
         "replay gap {} exceeds checkpoint spacing + queue depth",

@@ -145,23 +145,6 @@ pub struct TacticRow {
 
 /// Sweep attack budgets against classifier schemes and defenses.
 ///
-/// See [`accuracy_under_attack_with`].
-///
-/// # Errors
-///
-/// Returns [`CoreError::Config`] for an empty scheme or budget list or
-/// a non-finite/negative budget, and propagates training and collection
-/// errors.
-pub fn accuracy_under_attack(
-    config: &ExperimentConfig,
-    schemes: &[ClassifierKind],
-    budgets: &[f64],
-) -> Result<Vec<AdversarialRow>, CoreError> {
-    accuracy_under_attack_with(CollectCache::global(), config, schemes, budgets)
-}
-
-/// [`accuracy_under_attack`] against an explicit [`CollectCache`].
-///
 /// Per scheme, a detector is trained on the configured clean
 /// collection. Per `(scheme, budget)` cell, an [`EvasionAttack`] —
 /// constrained to a [`PlausibilityEnvelope`] fit on the benign training
@@ -177,7 +160,7 @@ pub fn accuracy_under_attack(
 /// Returns [`CoreError::Config`] for an empty scheme or budget list or
 /// a non-finite/negative budget, and propagates training and collection
 /// errors.
-pub fn accuracy_under_attack_with(
+pub fn accuracy_under_attack(
     cache: &CollectCache,
     config: &ExperimentConfig,
     schemes: &[ClassifierKind],
@@ -241,19 +224,6 @@ pub fn accuracy_under_attack_with(
 /// Returns [`CoreError::Config`] for an empty scheme list and
 /// propagates training and collection errors.
 pub fn camouflage_sweep(
-    config: &ExperimentConfig,
-    schemes: &[ClassifierKind],
-) -> Result<Vec<TacticRow>, CoreError> {
-    camouflage_sweep_with(CollectCache::global(), config, schemes)
-}
-
-/// [`camouflage_sweep`] against an explicit [`CollectCache`].
-///
-/// # Errors
-///
-/// Returns [`CoreError::Config`] for an empty scheme list and
-/// propagates training and collection errors.
-pub fn camouflage_sweep_with(
     cache: &CollectCache,
     config: &ExperimentConfig,
     schemes: &[ClassifierKind],
@@ -471,13 +441,15 @@ fn mean(values: impl Iterator<Item = f64>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::test_cache;
 
     #[test]
     fn attack_erodes_detection_and_a_defense_recovers_it() {
         let schemes = [ClassifierKind::RandomForest];
         let budgets = [0.3];
         let rows =
-            accuracy_under_attack(&ExperimentConfig::fast(), &schemes, &budgets).expect("sweep");
+            accuracy_under_attack(test_cache(), &ExperimentConfig::fast(), &schemes, &budgets)
+                .expect("sweep");
         assert_eq!(rows.len(), DefenseKind::ALL.len());
 
         let by = |d: DefenseKind| {
@@ -518,15 +490,18 @@ mod tests {
     fn sweep_is_deterministic() {
         let schemes = [ClassifierKind::J48];
         let budgets = [0.15];
-        let a = accuracy_under_attack(&ExperimentConfig::fast(), &schemes, &budgets).expect("a");
-        let b = accuracy_under_attack(&ExperimentConfig::fast(), &schemes, &budgets).expect("b");
+        let a = accuracy_under_attack(test_cache(), &ExperimentConfig::fast(), &schemes, &budgets)
+            .expect("a");
+        let b = accuracy_under_attack(test_cache(), &ExperimentConfig::fast(), &schemes, &budgets)
+            .expect("b");
         assert_eq!(a, b);
     }
 
     #[test]
     fn camouflage_sweep_covers_every_tactic_and_stays_bounded() {
         let schemes = [ClassifierKind::J48];
-        let rows = camouflage_sweep(&ExperimentConfig::fast(), &schemes).expect("sweep");
+        let rows =
+            camouflage_sweep(test_cache(), &ExperimentConfig::fast(), &schemes).expect("sweep");
         assert_eq!(rows.len(), 1 + EvasionTactic::ALL.len());
         assert_eq!(rows[0].tactic, "none");
         for row in &rows {
@@ -538,17 +513,23 @@ mod tests {
                 row.detection_rate
             );
         }
-        let again = camouflage_sweep(&ExperimentConfig::fast(), &schemes).expect("again");
+        let again =
+            camouflage_sweep(test_cache(), &ExperimentConfig::fast(), &schemes).expect("again");
         assert_eq!(rows, again, "camouflage sweep is deterministic");
     }
 
     #[test]
     fn degenerate_inputs_are_rejected() {
         let config = ExperimentConfig::fast();
-        assert!(accuracy_under_attack(&config, &[], &[0.1]).is_err());
-        assert!(accuracy_under_attack(&config, &[ClassifierKind::J48], &[]).is_err());
-        assert!(accuracy_under_attack(&config, &[ClassifierKind::J48], &[f64::NAN]).is_err());
-        assert!(accuracy_under_attack(&config, &[ClassifierKind::J48], &[-0.1]).is_err());
-        assert!(camouflage_sweep(&config, &[]).is_err());
+        assert!(accuracy_under_attack(test_cache(), &config, &[], &[0.1]).is_err());
+        assert!(accuracy_under_attack(test_cache(), &config, &[ClassifierKind::J48], &[]).is_err());
+        assert!(
+            accuracy_under_attack(test_cache(), &config, &[ClassifierKind::J48], &[f64::NAN])
+                .is_err()
+        );
+        assert!(
+            accuracy_under_attack(test_cache(), &config, &[ClassifierKind::J48], &[-0.1]).is_err()
+        );
+        assert!(camouflage_sweep(test_cache(), &config, &[]).is_err());
     }
 }

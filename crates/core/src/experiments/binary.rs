@@ -35,15 +35,6 @@ impl BinaryAccuracyRow {
 /// Run the Figure 13 experiment: train/test every scheme of the binary
 /// suite with 16, top-8 and top-4 features over the same 70/30 split.
 ///
-/// # Errors
-///
-/// Propagates collection, feature-plan, and training errors.
-pub fn accuracy_comparison(config: &ExperimentConfig) -> Result<Vec<BinaryAccuracyRow>, CoreError> {
-    accuracy_comparison_with(CollectCache::global(), config)
-}
-
-/// [`accuracy_comparison`] against an explicit [`CollectCache`].
-///
 /// The three feature-reduced train/test pairs are materialized once,
 /// outside the scheme loop, and the eight schemes train in parallel on
 /// `config.threads` workers (byte-identical results at any count).
@@ -51,7 +42,7 @@ pub fn accuracy_comparison(config: &ExperimentConfig) -> Result<Vec<BinaryAccura
 /// # Errors
 ///
 /// Propagates collection, feature-plan, and training errors.
-pub fn accuracy_comparison_with(
+pub fn accuracy_comparison(
     cache: &CollectCache,
     config: &ExperimentConfig,
 ) -> Result<Vec<BinaryAccuracyRow>, CoreError> {
@@ -92,10 +83,12 @@ pub fn accuracy_comparison_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::test_cache;
 
     #[test]
     fn all_schemes_report_and_beat_chance() {
-        let rows = accuracy_comparison(&ExperimentConfig::fast()).expect("experiment");
+        let rows =
+            accuracy_comparison(test_cache(), &ExperimentConfig::fast()).expect("experiment");
         assert_eq!(rows.len(), 8);
         for row in &rows {
             assert!(
@@ -113,7 +106,8 @@ mod tests {
     fn feature_reduction_cost_is_bounded() {
         // The paper's observation: most classifiers lose a little going
         // from 8 to 4 features; none should fall apart.
-        let rows = accuracy_comparison(&ExperimentConfig::fast()).expect("experiment");
+        let rows =
+            accuracy_comparison(test_cache(), &ExperimentConfig::fast()).expect("experiment");
         for row in &rows {
             assert!(
                 row.reduction_cost() < 0.30,

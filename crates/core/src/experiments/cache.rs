@@ -21,16 +21,16 @@
 //! it. Failed collections are never cached; a config whose collection
 //! degrades past the failure threshold errors on every call.
 //!
-//! Experiments accept an explicit `&CollectCache` through their
-//! `*_with` variants; the plain entry points fall back to a
-//! process-wide [`CollectCache::global`]. Harnesses that need exact
-//! hit/miss accounting (the `repro` binary's end-of-run collection
-//! line) create a private cache so other tests' collections don't
-//! pollute the counters.
+//! Every experiment takes the cache it collects through as its first
+//! argument; there is no process-wide cache. A caller that runs several
+//! experiments shares one cache between them (the `repro` binary keeps
+//! one per run, so its hit/miss counters count that run alone), and
+//! hits, misses and collected windows are counted into the caller's
+//! metrics context.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use hbmd_malware::SampleCatalog;
 use hbmd_perf::{Collector, CollectorConfig, DataRow, PerfError};
@@ -73,13 +73,6 @@ impl CollectCache {
     /// An empty cache.
     pub fn new() -> CollectCache {
         CollectCache::default()
-    }
-
-    /// The process-wide cache used by the plain experiment entry
-    /// points.
-    pub fn global() -> &'static CollectCache {
-        static GLOBAL: OnceLock<CollectCache> = OnceLock::new();
-        GLOBAL.get_or_init(CollectCache::new)
     }
 
     /// Collect (or recall) the dataset an [`ExperimentConfig`]
@@ -144,31 +137,12 @@ impl CollectCache {
         ))
     }
 
-    /// Hit/miss counters since construction (or [`clear`]).
-    ///
-    /// [`clear`]: CollectCache::clear
+    /// Hit/miss counters since construction.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
         }
-    }
-
-    /// Cached entries.
-    pub fn len(&self) -> usize {
-        self.entries.lock().expect("collect cache poisoned").len()
-    }
-
-    /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop all entries and reset the counters.
-    pub fn clear(&self) {
-        self.entries.lock().expect("collect cache poisoned").clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
     }
 }
 
@@ -199,7 +173,6 @@ mod tests {
         let second = cache.collect(&config).expect("collect");
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -211,7 +184,6 @@ mod tests {
         cache.collect(&a).expect("collect");
         cache.collect(&b).expect("collect");
         assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
-        assert_eq!(cache.len(), 2);
     }
 
     #[test]
@@ -234,15 +206,5 @@ mod tests {
         let collection = cache.collect(&ExperimentConfig::fast()).expect("collect");
         assert_eq!(collection.report.rows, collection.dataset.len());
         assert!(collection.report.is_clean());
-    }
-
-    #[test]
-    fn clear_resets_entries_and_counters() {
-        let cache = CollectCache::new();
-        cache.collect(&ExperimentConfig::fast()).expect("collect");
-        assert!(!cache.is_empty());
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats(), CacheStats::default());
     }
 }

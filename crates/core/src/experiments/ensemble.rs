@@ -40,23 +40,13 @@ impl EnsembleRow {
 
 /// Compare single learners against their ensemble counterparts:
 /// DecisionStump vs AdaBoostM1(stumps), J48 vs Bagging(J48) vs
-/// RandomForest.
+/// RandomForest. The five schemes train, evaluate and synthesise in
+/// parallel on `config.threads` workers.
 ///
 /// # Errors
 ///
 /// Propagates collection, training, and synthesis errors.
-pub fn comparison(config: &ExperimentConfig) -> Result<Vec<EnsembleRow>, CoreError> {
-    comparison_with(CollectCache::global(), config)
-}
-
-/// [`comparison`] against an explicit [`CollectCache`]; the five
-/// schemes train, evaluate and synthesise in parallel on
-/// `config.threads` workers.
-///
-/// # Errors
-///
-/// Propagates collection, training, and synthesis errors.
-pub fn comparison_with(
+pub fn comparison(
     cache: &CollectCache,
     config: &ExperimentConfig,
 ) -> Result<Vec<EnsembleRow>, CoreError> {
@@ -92,10 +82,11 @@ pub fn comparison_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::test_cache;
 
     #[test]
     fn all_five_schemes_report() {
-        let rows = comparison(&ExperimentConfig::fast()).expect("experiment");
+        let rows = comparison(test_cache(), &ExperimentConfig::fast()).expect("experiment");
         assert_eq!(rows.len(), 5);
         for row in &rows {
             assert!(row.accuracy > 0.5, "{}: {}", row.scheme, row.accuracy);
@@ -106,7 +97,7 @@ mod tests {
 
     #[test]
     fn ensembles_do_not_lose_to_their_base_learners() {
-        let rows = comparison(&ExperimentConfig::fast()).expect("experiment");
+        let rows = comparison(test_cache(), &ExperimentConfig::fast()).expect("experiment");
         let accuracy = |kind: ClassifierKind| {
             rows.iter()
                 .find(|r| r.scheme == kind)
@@ -126,7 +117,7 @@ mod tests {
 
     #[test]
     fn ensembles_cost_more_silicon() {
-        let rows = comparison(&ExperimentConfig::fast()).expect("experiment");
+        let rows = comparison(test_cache(), &ExperimentConfig::fast()).expect("experiment");
         let area = |kind: ClassifierKind| {
             rows.iter()
                 .find(|r| r.scheme == kind)

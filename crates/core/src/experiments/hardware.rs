@@ -43,26 +43,14 @@ pub struct HardwareRow {
 
 /// Run the Figures 14–16 experiment: for every scheme of the binary
 /// suite, train with top-8 and top-4 features, evaluate, and synthesise
-/// both trained models.
+/// both trained models. The two feature-reduced train/test pairs are
+/// materialized once and the eight schemes run in parallel on
+/// `config.threads` workers.
 ///
 /// # Errors
 ///
 /// Propagates collection, training, and synthesis errors.
 pub fn comparison(
-    config: &ExperimentConfig,
-    synth: &SynthConfig,
-) -> Result<Vec<HardwareRow>, CoreError> {
-    comparison_with(CollectCache::global(), config, synth)
-}
-
-/// [`comparison`] against an explicit [`CollectCache`]; the two
-/// feature-reduced train/test pairs are materialized once and the
-/// eight schemes run in parallel on `config.threads` workers.
-///
-/// # Errors
-///
-/// Propagates collection, training, and synthesis errors.
-pub fn comparison_with(
     cache: &CollectCache,
     config: &ExperimentConfig,
     synth: &SynthConfig,
@@ -108,9 +96,15 @@ pub fn comparison_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::test_cache;
 
     fn rows() -> Vec<HardwareRow> {
-        comparison(&ExperimentConfig::fast(), &SynthConfig::default()).expect("experiment")
+        comparison(
+            test_cache(),
+            &ExperimentConfig::fast(),
+            &SynthConfig::default(),
+        )
+        .expect("experiment")
     }
 
     fn find(rows: &[HardwareRow], scheme: ClassifierKind) -> &HardwareRow {

@@ -57,24 +57,6 @@ impl LatencyRow {
 ///
 /// Propagates collection, training, and sampler-configuration errors.
 pub fn windows_to_alarm(
-    config: &ExperimentConfig,
-    specimens_per_class: usize,
-    max_windows: usize,
-) -> Result<Vec<LatencyRow>, CoreError> {
-    windows_to_alarm_with(
-        CollectCache::global(),
-        config,
-        specimens_per_class,
-        max_windows,
-    )
-}
-
-/// [`windows_to_alarm`] against an explicit [`CollectCache`].
-///
-/// # Errors
-///
-/// Propagates collection, training, and sampler-configuration errors.
-pub fn windows_to_alarm_with(
     cache: &CollectCache,
     config: &ExperimentConfig,
     specimens_per_class: usize,
@@ -138,10 +120,12 @@ pub fn windows_to_alarm_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::test_cache;
 
     #[test]
     fn most_families_trip_the_alarm_quickly() {
-        let rows = windows_to_alarm(&ExperimentConfig::fast(), 4, 16).expect("experiment");
+        let rows =
+            windows_to_alarm(test_cache(), &ExperimentConfig::fast(), 4, 16).expect("experiment");
         assert_eq!(rows.len(), 5);
         let total_detected: usize = rows.iter().map(|r| r.detected).sum();
         let total_observed: usize = rows.iter().map(|r| r.observed).sum();
@@ -160,7 +144,7 @@ mod tests {
 
     #[test]
     fn degenerate_budgets_are_rejected() {
-        assert!(windows_to_alarm(&ExperimentConfig::fast(), 0, 8).is_err());
-        assert!(windows_to_alarm(&ExperimentConfig::fast(), 1, 0).is_err());
+        assert!(windows_to_alarm(test_cache(), &ExperimentConfig::fast(), 0, 8).is_err());
+        assert!(windows_to_alarm(test_cache(), &ExperimentConfig::fast(), 1, 0).is_err());
     }
 }

@@ -35,10 +35,9 @@ pub mod robustness;
 pub mod roc;
 
 use hbmd_malware::{AppClass, SampleCatalog};
-use hbmd_perf::{CollectorConfig, HpcDataset, PerfError};
+use hbmd_perf::CollectorConfig;
 
-use cache::{CollectCache, Collection};
-use std::sync::Arc;
+use cache::CollectCache;
 
 /// Shared experiment parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,36 +90,6 @@ impl ExperimentConfig {
             SampleCatalog::scaled(self.catalog_fraction, self.catalog_seed)
         }
     }
-
-    /// Run the collection pipeline over the catalog.
-    ///
-    /// Collection is deterministic, so results are memoized in the
-    /// process-wide [`CollectCache`]: running several experiments
-    /// against the same config (as the `repro all` harness does)
-    /// collects once.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the pipeline degrades past its failure threshold;
-    /// use [`ExperimentConfig::try_collect_with`] to handle that.
-    pub fn collect(&self) -> HpcDataset {
-        self.try_collect_with(CollectCache::global())
-            .expect("collection failed")
-            .dataset
-            .clone()
-    }
-
-    /// Run (or recall) the collection through an explicit cache,
-    /// surfacing the [`CollectionReport`](hbmd_perf::CollectionReport)
-    /// alongside the dataset.
-    ///
-    /// # Errors
-    ///
-    /// Propagates collector-configuration errors and
-    /// [`PerfError::DegradedCollection`].
-    pub fn try_collect_with(&self, cache: &CollectCache) -> Result<Arc<Collection>, PerfError> {
-        cache.collect(self)
-    }
 }
 
 impl Default for ExperimentConfig {
@@ -143,17 +112,12 @@ pub struct CensusRow {
 }
 
 /// Table 1 and Figure 6: the sample census and class distribution.
-pub fn census(config: &ExperimentConfig) -> Vec<CensusRow> {
-    census_with(CollectCache::global(), config)
-}
-
-/// [`census`] against an explicit [`CollectCache`].
 ///
 /// # Panics
 ///
 /// Panics when the collection pipeline degrades past its failure
 /// threshold.
-pub fn census_with(cache: &CollectCache, config: &ExperimentConfig) -> Vec<CensusRow> {
+pub fn census(cache: &CollectCache, config: &ExperimentConfig) -> Vec<CensusRow> {
     let catalog = config.catalog();
     let collection = cache.collect(config).expect("collection failed");
     let counts = collection.dataset.class_counts();
@@ -169,6 +133,14 @@ pub fn census_with(cache: &CollectCache, config: &ExperimentConfig) -> Vec<Censu
         .collect()
 }
 
+/// The collection cache the experiments' unit tests share, so the
+/// test binary collects each configuration once.
+#[cfg(test)]
+pub(crate) fn test_cache() -> &'static CollectCache {
+    static CACHE: std::sync::OnceLock<CollectCache> = std::sync::OnceLock::new();
+    CACHE.get_or_init(CollectCache::new)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,7 +148,7 @@ mod tests {
     #[test]
     fn fast_config_collects_quickly() {
         let config = ExperimentConfig::fast();
-        let dataset = config.collect();
+        let dataset = &test_cache().collect(&config).expect("collect").dataset;
         assert!(!dataset.is_empty());
         assert_eq!(
             dataset.len(),
@@ -186,7 +158,7 @@ mod tests {
 
     #[test]
     fn census_covers_every_class() {
-        let rows = census(&ExperimentConfig::fast());
+        let rows = census(test_cache(), &ExperimentConfig::fast());
         assert_eq!(rows.len(), AppClass::COUNT);
         let share: f64 = rows.iter().map(|r| r.share).sum();
         assert!((share - 1.0).abs() < 1e-9);

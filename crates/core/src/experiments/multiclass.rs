@@ -24,22 +24,13 @@ pub struct MulticlassRow {
 }
 
 /// Run the Figures 17–18 experiment: the three multiclass schemes on
-/// the six-class dataset with all 16 features.
+/// the six-class dataset with all 16 features, trained in parallel on
+/// `config.threads` workers.
 ///
 /// # Errors
 ///
 /// Propagates collection and training errors.
-pub fn accuracy_comparison(config: &ExperimentConfig) -> Result<Vec<MulticlassRow>, CoreError> {
-    accuracy_comparison_with(CollectCache::global(), config)
-}
-
-/// [`accuracy_comparison`] against an explicit [`CollectCache`]; the
-/// three schemes train in parallel on `config.threads` workers.
-///
-/// # Errors
-///
-/// Propagates collection and training errors.
-pub fn accuracy_comparison_with(
+pub fn accuracy_comparison(
     cache: &CollectCache,
     config: &ExperimentConfig,
 ) -> Result<Vec<MulticlassRow>, CoreError> {
@@ -227,16 +218,7 @@ impl Classifier for PcaAssistedMlr {
 /// # Errors
 ///
 /// Propagates collection, feature-plan, and training errors.
-pub fn pca_assisted_comparison(config: &ExperimentConfig) -> Result<PcaAssistedResult, CoreError> {
-    pca_assisted_comparison_with(CollectCache::global(), config)
-}
-
-/// [`pca_assisted_comparison`] against an explicit [`CollectCache`].
-///
-/// # Errors
-///
-/// Propagates collection, feature-plan, and training errors.
-pub fn pca_assisted_comparison_with(
+pub fn pca_assisted_comparison(
     cache: &CollectCache,
     config: &ExperimentConfig,
 ) -> Result<PcaAssistedResult, CoreError> {
@@ -271,10 +253,12 @@ pub fn pca_assisted_comparison_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::test_cache;
 
     #[test]
     fn multiclass_suite_reports_three_schemes() {
-        let rows = accuracy_comparison(&ExperimentConfig::fast()).expect("experiment");
+        let rows =
+            accuracy_comparison(test_cache(), &ExperimentConfig::fast()).expect("experiment");
         assert_eq!(rows.len(), 3);
         for row in &rows {
             assert!(
@@ -289,7 +273,8 @@ mod tests {
 
     #[test]
     fn pca_assisted_beats_generic_reduction() {
-        let result = pca_assisted_comparison(&ExperimentConfig::fast()).expect("experiment");
+        let result =
+            pca_assisted_comparison(test_cache(), &ExperimentConfig::fast()).expect("experiment");
         assert!(
             result.improvement() >= 0.0,
             "assisted {} vs generic top-8 {}",
@@ -302,9 +287,10 @@ mod tests {
 
     #[test]
     fn assisted_classifier_is_usable_directly() {
-        let config = ExperimentConfig::fast();
-        let dataset = config.collect();
-        let (train_hpc, _) = dataset.split(0.7, 1);
+        let collection = test_cache()
+            .collect(&ExperimentConfig::fast())
+            .expect("collect");
+        let (train_hpc, _) = collection.dataset.split(0.7, 1);
         let plan = FeaturePlan::fit(&train_hpc).expect("plan");
         let train = to_multiclass_dataset(&train_hpc);
         let model = PcaAssistedMlr::train(&train, &plan).expect("train");
@@ -315,9 +301,10 @@ mod tests {
 
     #[test]
     fn assisted_fit_via_trait_is_rejected() {
-        let config = ExperimentConfig::fast();
-        let dataset = config.collect();
-        let (train_hpc, _) = dataset.split(0.7, 1);
+        let collection = test_cache()
+            .collect(&ExperimentConfig::fast())
+            .expect("collect");
+        let (train_hpc, _) = collection.dataset.split(0.7, 1);
         let plan = FeaturePlan::fit(&train_hpc).expect("plan");
         let train = to_multiclass_dataset(&train_hpc);
         let mut model = PcaAssistedMlr::train(&train, &plan).expect("train");

@@ -26,16 +26,7 @@ pub struct Table2 {
 /// # Errors
 ///
 /// Propagates collection and feature-plan errors.
-pub fn table2(config: &ExperimentConfig) -> Result<Table2, CoreError> {
-    table2_with(CollectCache::global(), config)
-}
-
-/// [`table2`] against an explicit [`CollectCache`].
-///
-/// # Errors
-///
-/// Propagates collection and feature-plan errors.
-pub fn table2_with(cache: &CollectCache, config: &ExperimentConfig) -> Result<Table2, CoreError> {
+pub fn table2(cache: &CollectCache, config: &ExperimentConfig) -> Result<Table2, CoreError> {
     let collection = cache.collect(config)?;
     let (train_hpc, _) = collection.dataset.split(0.7, config.split_seed);
     let plan = FeaturePlan::fit(&train_hpc)?;
@@ -72,16 +63,7 @@ pub struct EigenSummary {
 /// # Errors
 ///
 /// Propagates collection and PCA errors.
-pub fn eigen_summary(config: &ExperimentConfig) -> Result<EigenSummary, CoreError> {
-    eigen_summary_with(CollectCache::global(), config)
-}
-
-/// [`eigen_summary`] against an explicit [`CollectCache`].
-///
-/// # Errors
-///
-/// Propagates collection and PCA errors.
-pub fn eigen_summary_with(
+pub fn eigen_summary(
     cache: &CollectCache,
     config: &ExperimentConfig,
 ) -> Result<EigenSummary, CoreError> {
@@ -120,17 +102,7 @@ pub struct ScatterPoint {
 ///
 /// Returns [`CoreError::Config`] for `AppClass::Benign` and propagates
 /// collection/PCA errors.
-pub fn scatter(config: &ExperimentConfig, class: AppClass) -> Result<Vec<ScatterPoint>, CoreError> {
-    scatter_with(CollectCache::global(), config, class)
-}
-
-/// [`scatter`] against an explicit [`CollectCache`].
-///
-/// # Errors
-///
-/// Returns [`CoreError::Config`] for `AppClass::Benign` and propagates
-/// collection/PCA errors.
-pub fn scatter_with(
+pub fn scatter(
     cache: &CollectCache,
     config: &ExperimentConfig,
     class: AppClass,
@@ -162,10 +134,11 @@ pub fn scatter_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::test_cache;
 
     #[test]
     fn table2_has_the_paper_shape() {
-        let table = table2(&ExperimentConfig::fast()).expect("experiment");
+        let table = table2(test_cache(), &ExperimentConfig::fast()).expect("experiment");
         assert_eq!(table.common.len(), 4);
         assert_eq!(table.per_class.len(), 5);
         for (_, features) in &table.per_class {
@@ -175,7 +148,7 @@ mod tests {
 
     #[test]
     fn eigen_summary_is_consistent() {
-        let summary = eigen_summary(&ExperimentConfig::fast()).expect("experiment");
+        let summary = eigen_summary(test_cache(), &ExperimentConfig::fast()).expect("experiment");
         assert_eq!(summary.eigenvalues.len(), 16);
         assert_eq!(summary.ranking.len(), 16);
         assert!((summary.explained.iter().sum::<f64>() - 1.0).abs() < 1e-9);
@@ -191,7 +164,8 @@ mod tests {
     fn scatter_separates_a_strong_class() {
         // Worms are behaviourally far from benign: their PC1 centroid
         // must be displaced.
-        let points = scatter(&ExperimentConfig::fast(), AppClass::Worm).expect("experiment");
+        let points =
+            scatter(test_cache(), &ExperimentConfig::fast(), AppClass::Worm).expect("experiment");
         assert!(points.len() > 10);
         let mean = |malware: bool| {
             let values: Vec<f64> = points
@@ -206,6 +180,6 @@ mod tests {
 
     #[test]
     fn benign_scatter_is_rejected() {
-        assert!(scatter(&ExperimentConfig::fast(), AppClass::Benign).is_err());
+        assert!(scatter(test_cache(), &ExperimentConfig::fast(), AppClass::Benign).is_err());
     }
 }

@@ -52,23 +52,6 @@ pub struct RobustnessRow {
 /// the fault seed is derived from the catalog seed and the rate's
 /// index.
 ///
-/// # Errors
-///
-/// Returns [`CoreError::Config`] for an empty scheme or rate list,
-/// propagates training errors, and propagates
-/// [`DegradedCollection`](hbmd_perf::PerfError::DegradedCollection)
-/// when a rate corrupts the evaluation collection beyond the
-/// collector's failure threshold.
-pub fn degradation_sweep(
-    config: &ExperimentConfig,
-    schemes: &[ClassifierKind],
-    fault_rates: &[f64],
-) -> Result<Vec<RobustnessRow>, CoreError> {
-    degradation_sweep_with(CollectCache::global(), config, schemes, fault_rates)
-}
-
-/// [`degradation_sweep`] against an explicit [`CollectCache`].
-///
 /// Detector training is fanned out across schemes and the fault-rate
 /// sweep across rates, both on `config.threads` workers; each rate's
 /// evaluation collection (and its report) is memoized in `cache`, so
@@ -82,7 +65,7 @@ pub fn degradation_sweep(
 /// [`DegradedCollection`](hbmd_perf::PerfError::DegradedCollection)
 /// when a rate corrupts the evaluation collection beyond the
 /// collector's failure threshold.
-pub fn degradation_sweep_with(
+pub fn degradation_sweep(
     cache: &CollectCache,
     config: &ExperimentConfig,
     schemes: &[ClassifierKind],
@@ -163,6 +146,7 @@ pub fn degradation_sweep_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::test_cache;
 
     const SCHEMES: [ClassifierKind; 3] = [
         ClassifierKind::J48,
@@ -173,7 +157,8 @@ mod tests {
     #[test]
     fn accuracy_degrades_gracefully_not_cliff() {
         let rates = [0.0, 0.05, 0.1, 0.2];
-        let rows = degradation_sweep(&ExperimentConfig::fast(), &SCHEMES, &rates).expect("sweep");
+        let rows = degradation_sweep(test_cache(), &ExperimentConfig::fast(), &SCHEMES, &rates)
+            .expect("sweep");
         assert_eq!(rows.len(), SCHEMES.len() * rates.len());
 
         for &scheme in &SCHEMES {
@@ -220,14 +205,22 @@ mod tests {
     fn sweep_is_deterministic() {
         let rates = [0.1];
         let schemes = [ClassifierKind::J48];
-        let a = degradation_sweep(&ExperimentConfig::fast(), &schemes, &rates).expect("sweep");
-        let b = degradation_sweep(&ExperimentConfig::fast(), &schemes, &rates).expect("sweep");
+        let a = degradation_sweep(test_cache(), &ExperimentConfig::fast(), &schemes, &rates)
+            .expect("sweep");
+        let b = degradation_sweep(test_cache(), &ExperimentConfig::fast(), &schemes, &rates)
+            .expect("sweep");
         assert_eq!(a, b);
     }
 
     #[test]
     fn degenerate_inputs_are_rejected() {
-        assert!(degradation_sweep(&ExperimentConfig::fast(), &[], &[0.1]).is_err());
-        assert!(degradation_sweep(&ExperimentConfig::fast(), &[ClassifierKind::J48], &[]).is_err());
+        assert!(degradation_sweep(test_cache(), &ExperimentConfig::fast(), &[], &[0.1]).is_err());
+        assert!(degradation_sweep(
+            test_cache(),
+            &ExperimentConfig::fast(),
+            &[ClassifierKind::J48],
+            &[]
+        )
+        .is_err());
     }
 }

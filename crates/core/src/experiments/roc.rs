@@ -28,22 +28,13 @@ pub struct RocRow {
     pub at_5pct_fpr: RocPoint,
 }
 
-/// Compute ROC rows for MLR and SVM on the top-8 binary task.
-///
-/// # Errors
-///
-/// Propagates collection, feature-plan, training, and curve errors.
-pub fn comparison(config: &ExperimentConfig) -> Result<Vec<RocRow>, CoreError> {
-    comparison_with(CollectCache::global(), config)
-}
-
-/// [`comparison`] against an explicit [`CollectCache`]; the two
+/// Compute ROC rows for MLR and SVM on the top-8 binary task. The two
 /// schemes train and score in parallel on `config.threads` workers.
 ///
 /// # Errors
 ///
 /// Propagates collection, feature-plan, training, and curve errors.
-pub fn comparison_with(
+pub fn comparison(
     cache: &CollectCache,
     config: &ExperimentConfig,
 ) -> Result<Vec<RocRow>, CoreError> {
@@ -100,10 +91,11 @@ fn row(scheme: &str, scores: &[f64], labels: &[bool]) -> Result<RocRow, CoreErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::test_cache;
 
     #[test]
     fn both_schemes_produce_useful_curves() {
-        let rows = comparison(&ExperimentConfig::fast()).expect("roc");
+        let rows = comparison(test_cache(), &ExperimentConfig::fast()).expect("roc");
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert!(r.auc > 0.6, "{}: auc {}", r.scheme, r.auc);

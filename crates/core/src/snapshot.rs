@@ -62,6 +62,7 @@ use std::path::Path;
 
 use hbmd_ml::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use hbmd_obs::manifest::fnv1a_64;
+use hbmd_obs::recorder::write_file_atomic;
 
 use crate::detector::Detector;
 use crate::fleet::StreamHealth;
@@ -165,28 +166,6 @@ impl From<io::Error> for SnapshotError {
     fn from(e: io::Error) -> SnapshotError {
         SnapshotError::Io(e)
     }
-}
-
-/// Write `bytes` crash-safely: `<path>.tmp` in the same directory,
-/// fsync, then an atomic rename over `path`.
-fn write_atomic(bytes: &[u8], path: &Path) -> Result<(), SnapshotError> {
-    let tmp = tmp_path(path);
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        io::Write::write_all(&mut file, bytes)?;
-        file.sync_all()?;
-    }
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(SnapshotError::Io(e));
-    }
-    Ok(())
-}
-
-fn tmp_path(path: &Path) -> std::path::PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
 }
 
 /// One stream's slice of a fleet snapshot: identity, resume cursor,
@@ -426,10 +405,11 @@ pub fn save_fleet(
     sections: &[StreamSection],
     path: &Path,
 ) -> Result<(), SnapshotError> {
-    write_atomic(
-        &encode_fleet(detector, shards, config_digest, sections),
+    write_file_atomic(
         path,
-    )
+        &encode_fleet(detector, shards, config_digest, sections),
+    )?;
+    Ok(())
 }
 
 /// Read and [`decode_fleet`] the snapshot at `path`.
@@ -649,7 +629,7 @@ mod tests {
         let detector = trained_detector();
         let sections = fleet_sections(6);
         save_fleet(&detector, 3, 0x77, &sections, &path).expect("save");
-        assert!(!tmp_path(&path).exists());
+        assert!(!dir.join("fleet.snap.tmp").exists());
         let back = load_fleet(&path, 0x77).expect("load");
         assert_eq!(back.streams.len(), 6);
         assert_eq!(back.lost_sections, 0);

@@ -60,16 +60,6 @@ impl ClassifierKind {
         ]
     }
 
-    /// The ensemble schemes of the related-work comparison (Khasawneh
-    /// et al. RAID'15; Sayadi et al. DAC'18).
-    pub const fn ensemble_suite() -> [ClassifierKind; 3] {
-        [
-            ClassifierKind::AdaBoost,
-            ClassifierKind::Bagging,
-            ClassifierKind::RandomForest,
-        ]
-    }
-
     /// The schemes compared in the multiclass study (Figures 17–18).
     pub const fn multiclass_suite() -> [ClassifierKind; 3] {
         [

@@ -181,11 +181,6 @@ impl CircuitBreaker {
         self.state
     }
 
-    /// `true` while the pipeline must degrade instead of classifying.
-    pub fn is_open(&self) -> bool {
-        self.state == BreakerState::Open
-    }
-
     /// Times the breaker has tripped `Closed/HalfOpen → Open`.
     pub fn trips(&self) -> u64 {
         self.trips

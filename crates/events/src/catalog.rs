@@ -191,13 +191,6 @@ impl HaswellCatalog {
             .filter(|e| e.kind != EventKind::Software)
     }
 
-    /// Software events only.
-    pub fn software_events(&self) -> impl Iterator<Item = &EventDescriptor> {
-        self.entries
-            .iter()
-            .filter(|e| e.kind == EventKind::Software)
-    }
-
     /// The 16 collected detector-feature events, in column order.
     pub fn collected_events(&self) -> impl Iterator<Item = &EventDescriptor> {
         self.entries.iter().filter(|e| e.collected.is_some())
@@ -253,11 +246,5 @@ mod tests {
             Some(HpcEvent::BranchMisses)
         );
         assert!(c.find("no-such-event").is_none());
-    }
-
-    #[test]
-    fn software_events_are_not_collected() {
-        let c = HaswellCatalog::new();
-        assert!(c.software_events().all(|e| e.collected.is_none()));
     }
 }

@@ -75,11 +75,6 @@ impl DatapathSpec {
         self.stages.iter().map(|s| s.multipliers).sum()
     }
 
-    /// Total comparators across stages.
-    pub fn total_comparators(&self) -> u64 {
-        self.stages.iter().map(|s| s.comparators).sum()
-    }
-
     /// Latency in cycles: Σ stage latency × iterations.
     pub fn latency_cycles(&self) -> u64 {
         self.stages

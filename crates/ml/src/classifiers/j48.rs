@@ -71,22 +71,6 @@ impl J48 {
         }
     }
 
-    /// J48 with custom structural limits.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `min_leaf` or `max_depth` is zero.
-    pub fn with_limits(min_leaf: usize, max_depth: usize) -> J48 {
-        assert!(min_leaf > 0, "min_leaf must be non-zero");
-        assert!(max_depth > 0, "max_depth must be non-zero");
-        J48 {
-            min_leaf,
-            confidence_z: 0.6925,
-            max_depth,
-            root: None,
-        }
-    }
-
     /// Disable pruning (grow the full tree).
     pub fn unpruned(mut self) -> J48 {
         self.confidence_z = 0.0;
@@ -412,13 +396,6 @@ mod tests {
         // A binary tree: leaves = inner + 1.
         assert_eq!(tree.num_leaves(), tree.num_internal_nodes() + 1);
         assert!(tree.depth() <= 40);
-    }
-
-    #[test]
-    fn max_depth_is_respected() {
-        let mut tree = J48::with_limits(1, 1);
-        tree.fit(&and_data()).expect("fit");
-        assert!(tree.depth() <= 1);
     }
 
     #[test]

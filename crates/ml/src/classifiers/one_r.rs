@@ -56,19 +56,6 @@ impl OneR {
         }
     }
 
-    /// OneR with a custom minimum bucket size.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `min_bucket` is zero.
-    pub fn with_min_bucket(min_bucket: usize) -> OneR {
-        assert!(min_bucket > 0, "min_bucket must be non-zero");
-        OneR {
-            min_bucket,
-            model: None,
-        }
-    }
-
     /// The attribute the learned rule tests (after a successful fit).
     pub fn chosen_feature(&self) -> Option<usize> {
         self.model.as_ref().map(|m| m.feature)
@@ -291,24 +278,8 @@ mod tests {
     }
 
     #[test]
-    fn min_bucket_controls_granularity() {
-        let data = separable();
-        let mut coarse = OneR::with_min_bucket(15);
-        coarse.fit(&data).expect("fit");
-        let mut fine = OneR::with_min_bucket(1);
-        fine.fit(&data).expect("fit");
-        assert!(fine.num_buckets() >= coarse.num_buckets());
-    }
-
-    #[test]
     fn untrainable_data_is_rejected() {
         let empty = Dataset::new(vec!["f".into()], vec!["a".into(), "b".into()]).expect("schema");
         assert!(OneR::new().fit(&empty).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "min_bucket")]
-    fn zero_bucket_panics() {
-        let _ = OneR::with_min_bucket(0);
     }
 }

@@ -52,22 +52,6 @@ impl LinearSvm {
         }
     }
 
-    /// Custom regularisation and schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lambda` is not positive or `epochs` is zero.
-    pub fn with_params(lambda: f64, epochs: usize) -> LinearSvm {
-        assert!(lambda > 0.0, "lambda must be positive");
-        assert!(epochs > 0, "epochs must be non-zero");
-        LinearSvm {
-            lambda,
-            epochs,
-            seed: 1,
-            model: None,
-        }
-    }
-
     /// Deterministic sampling seed.
     pub fn with_seed(mut self, seed: u64) -> LinearSvm {
         self.seed = seed;
@@ -292,12 +276,6 @@ mod tests {
             svm.decision_values(&[10.0])
         };
         assert_eq!(run(3), run(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "lambda")]
-    fn bad_lambda_panics() {
-        let _ = LinearSvm::with_params(0.0, 10);
     }
 
     #[test]

@@ -319,12 +319,6 @@ impl Dataset {
         &self.values[index * width..(index + 1) * width]
     }
 
-    /// The whole row-major feature matrix as one flat slice
-    /// (`len() * num_features()` values).
-    pub fn flat_values(&self) -> &[f64] {
-        &self.values
-    }
-
     /// Labels, parallel to [`rows`](Dataset::rows).
     pub fn labels(&self) -> &[usize] {
         &self.labels
@@ -615,7 +609,7 @@ mod tests {
         let flat = Dataset::from_flat(
             d.feature_names().to_vec(),
             d.class_names().to_vec(),
-            d.flat_values().to_vec(),
+            (0..d.len()).flat_map(|i| d.row(i).to_vec()).collect(),
             d.labels().to_vec(),
         )
         .expect("rebuild");

@@ -73,11 +73,6 @@ impl<B: Classifier + Clone> AdaBoostM1<B> {
         self.members.len()
     }
 
-    /// The members' vote weights, in training order.
-    pub fn member_weights(&self) -> Vec<f64> {
-        self.members.iter().map(|&(_, w)| w).collect()
-    }
-
     /// The weighted committee plus class count, for the flat compiler
     /// in [`crate::compiled`].
     pub(crate) fn parts(&self) -> (&[(B, f64)], usize) {
@@ -250,13 +245,6 @@ mod tests {
             1,
             "a perfect stump needs no boosting"
         );
-    }
-
-    #[test]
-    fn member_weights_are_positive() {
-        let mut booster = AdaBoostM1::new(DecisionStump::new(), 15);
-        booster.fit(&staircase()).expect("fit");
-        assert!(booster.member_weights().iter().all(|&w| w > 0.0));
     }
 
     #[test]

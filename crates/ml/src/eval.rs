@@ -1,11 +1,7 @@
-//! Classifier evaluation: confusion matrices, accuracy, per-class
-//! metrics, and k-fold cross-validation — the WEKA `Evaluation` module.
+//! Classifier evaluation: confusion matrices, accuracy and per-class
+//! metrics — the WEKA `Evaluation` module.
 
 use std::fmt;
-
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 use crate::classifier::Classifier;
 use crate::data::{Dataset, MlError};
@@ -74,27 +70,6 @@ impl ConfusionMatrix {
             0.0
         } else {
             self.counts[class][class] as f64 / row as f64
-        }
-    }
-
-    /// Precision of one class; 0 when the class is never predicted.
-    pub fn precision(&self, class: usize) -> f64 {
-        let column: usize = self.counts.iter().map(|r| r[class]).sum();
-        if column == 0 {
-            0.0
-        } else {
-            self.counts[class][class] as f64 / column as f64
-        }
-    }
-
-    /// F1 score of one class.
-    pub fn f1(&self, class: usize) -> f64 {
-        let p = self.precision(class);
-        let r = self.recall(class);
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
         }
     }
 
@@ -218,92 +193,6 @@ impl Evaluation {
             .map(|c| self.confusion.recall(c))
             .collect()
     }
-
-    /// Per-class F1, indexed by label.
-    pub fn per_class_f1(&self) -> Vec<f64> {
-        (0..self.confusion.class_names().len())
-            .map(|c| self.confusion.f1(c))
-            .collect()
-    }
-}
-
-/// Stratified k-fold cross-validation: `factory` builds a fresh
-/// classifier per fold; the returned evaluations are one per fold.
-///
-/// Folds are trained and evaluated in parallel on the machine's
-/// available threads; see [`cross_validate_with_threads`] for the
-/// determinism guarantee and an explicit thread knob.
-///
-/// # Errors
-///
-/// Returns [`MlError::Config`] when `k < 2` or `k > data.len()`, and
-/// propagates training errors.
-pub fn cross_validate<C, F>(
-    factory: F,
-    data: &Dataset,
-    k: usize,
-    seed: u64,
-) -> Result<Vec<Evaluation>, MlError>
-where
-    C: Classifier,
-    F: Fn() -> C + Sync,
-{
-    cross_validate_with_threads(factory, data, k, seed, hbmd_obs::par::default_threads())
-}
-
-/// [`cross_validate`] with an explicit worker-thread count.
-///
-/// The seeded fold assignment is computed up front on the calling
-/// thread; each fold's train/evaluate is then a pure function of the
-/// assignment, so the returned evaluations are byte-identical at any
-/// `threads` value (1 = fully sequential).
-///
-/// # Errors
-///
-/// As [`cross_validate`].
-pub fn cross_validate_with_threads<C, F>(
-    factory: F,
-    data: &Dataset,
-    k: usize,
-    seed: u64,
-    threads: usize,
-) -> Result<Vec<Evaluation>, MlError>
-where
-    C: Classifier,
-    F: Fn() -> C + Sync,
-{
-    if k < 2 {
-        return Err(MlError::Config("cross-validation needs k >= 2".to_owned()));
-    }
-    if k > data.len() {
-        return Err(MlError::Config(format!(
-            "k = {k} exceeds the {} instances",
-            data.len()
-        )));
-    }
-    // Stratified fold assignment: spread each class round-robin.
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut fold_of = vec![0usize; data.len()];
-    for class in 0..data.num_classes() {
-        let mut members: Vec<usize> = (0..data.len())
-            .filter(|&i| data.labels()[i] == class)
-            .collect();
-        members.shuffle(&mut rng);
-        for (j, &i) in members.iter().enumerate() {
-            fold_of[i] = j % k;
-        }
-    }
-
-    let folds: Vec<usize> = (0..k).collect();
-    hbmd_obs::par::try_par_map(&folds, threads, |_, &fold| {
-        let train_idx: Vec<usize> = (0..data.len()).filter(|&i| fold_of[i] != fold).collect();
-        let test_idx: Vec<usize> = (0..data.len()).filter(|&i| fold_of[i] == fold).collect();
-        let train = data.subset(&train_idx);
-        let test = data.subset(&test_idx);
-        let mut classifier = factory();
-        classifier.fit(&train)?;
-        Ok(Evaluation::of(&classifier, &test))
-    })
 }
 
 use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
@@ -373,8 +262,6 @@ mod tests {
         assert_eq!(cm.correct(), 17);
         assert!((cm.accuracy() - 0.85).abs() < 1e-12);
         assert!((cm.recall(0) - 0.8).abs() < 1e-12);
-        assert!((cm.precision(0) - 8.0 / 9.0).abs() < 1e-12);
-        assert!(cm.f1(0) > 0.8 && cm.f1(0) < 0.9);
         assert!(cm.kappa() > 0.5);
     }
 
@@ -408,36 +295,6 @@ mod tests {
         let mut zr = ZeroR::new();
         let eval = Evaluation::train_test(&mut zr, &data, &data).expect("train");
         assert!((eval.accuracy() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cross_validation_returns_k_folds() {
-        let data = separable(60);
-        let evals = cross_validate(OneR::new, &data, 5, 3).expect("cv");
-        assert_eq!(evals.len(), 5);
-        let mean: f64 = evals.iter().map(|e| e.accuracy()).sum::<f64>() / 5.0;
-        assert!(mean > 0.85, "mean accuracy {mean}");
-        // Folds cover every instance exactly once.
-        let total: usize = evals.iter().map(|e| e.confusion().total()).sum();
-        assert_eq!(total, 60);
-    }
-
-    #[test]
-    fn cross_validation_is_thread_count_invariant() {
-        let data = separable(60);
-        let baseline = cross_validate_with_threads(OneR::new, &data, 5, 3, 1).expect("cv");
-        for threads in [2, 8] {
-            let parallel = cross_validate_with_threads(OneR::new, &data, 5, 3, threads)
-                .unwrap_or_else(|e| panic!("cv at {threads} threads: {e}"));
-            assert_eq!(parallel, baseline, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn cross_validation_validates_k() {
-        let data = separable(10);
-        assert!(cross_validate(OneR::new, &data, 1, 0).is_err());
-        assert!(cross_validate(OneR::new, &data, 11, 0).is_err());
     }
 
     #[test]

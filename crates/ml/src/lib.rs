@@ -16,11 +16,8 @@
 //! * [`Pca`] — principal component analysis with WEKA-Ranker-style
 //!   attribute ranking (the paper's feature-reduction engine),
 //! * [`Standardize`] / [`MinMaxNormalize`] filters,
-//! * [`Evaluation`] / [`ConfusionMatrix`] / [`cross_validate`] —
-//!   train/test and k-fold evaluation with per-class metrics,
-//! * [`cross_validate`] fans its folds out through
-//!   [`hbmd_obs::par::try_par_map`], the suite's deterministic,
-//!   order-preserving parallel map,
+//! * [`Evaluation`] / [`ConfusionMatrix`] — train/test evaluation
+//!   with per-class metrics,
 //! * [`compiled`] — flat, branchless evaluators ([`CompiledModel`])
 //!   that fitted tree/rule/ensemble schemes lower into for fast
 //!   batched prediction.
@@ -76,7 +73,7 @@ pub use classifiers::zero_r::ZeroR;
 pub use compiled::{CompiledEnsemble, CompiledForest, CompiledModel, CompiledRules, CompiledTree};
 pub use data::{Dataset, MlError, RowsView};
 pub use ensemble::{AdaBoostM1, Bagging, RandomForest};
-pub use eval::{cross_validate, cross_validate_with_threads, ConfusionMatrix, Evaluation};
+pub use eval::{ConfusionMatrix, Evaluation};
 pub use filter::{Impute, MinMaxNormalize, Standardize};
 pub use linalg::{covariance_matrix, jacobi_eigen, Matrix};
 pub use pca::{Pca, RankedAttribute};

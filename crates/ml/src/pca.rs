@@ -89,16 +89,6 @@ impl Pca {
         &self.eigenvalues
     }
 
-    /// Eigenvector (principal component) `k` as a loading vector over
-    /// the original features.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `k` is out of range.
-    pub fn component(&self, k: usize) -> Vec<f64> {
-        self.components.col(k)
-    }
-
     /// Fraction of total variance each component explains.
     pub fn explained_variance_ratio(&self) -> Vec<f64> {
         let total: f64 = self.eigenvalues.iter().sum();

@@ -315,12 +315,6 @@ impl Histogram {
         }
     }
 
-    /// `true` when the histogram holds wall-clock (non-deterministic)
-    /// data, e.g. latencies recorded by [`timer`](crate::timer).
-    pub fn is_wall_clock(&self) -> bool {
-        self.wall_clock
-    }
-
     fn bucket_len(&self) -> usize {
         if self.wall_clock {
             LOG_LINEAR_BUCKETS
@@ -584,11 +578,6 @@ impl Registry {
     /// The named exact (deterministic-domain) histogram.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         self.histogram_inner(name, &[], false)
-    }
-
-    /// The named, labelled exact histogram.
-    pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        self.histogram_inner(name, labels, false)
     }
 
     /// The named wall-clock histogram (latencies; excluded from

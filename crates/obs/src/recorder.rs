@@ -1148,18 +1148,27 @@ fn decode_manifest(bytes: &[u8]) -> Result<Vec<BundleEntry>, BundleError> {
     Ok(entries)
 }
 
-/// Writes one file with the snapshot codec's atomicity idiom: a
-/// same-directory `.tmp`, fsync, then rename into place.
-fn write_file_atomic(path: &Path, bytes: &[u8]) -> Result<(), BundleError> {
+/// Writes `bytes` to `path` crash-safely: `<file name>.tmp` in the
+/// same directory, fsync, then an atomic rename over `path`. The tmp
+/// file is removed when the rename fails, and whatever was at `path`
+/// before survives any failure.
+///
+/// # Errors
+///
+/// Returns the filesystem error of the create, write, fsync or rename.
+pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     use std::io::Write;
-    let tmp = path.with_extension("tmp");
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(".tmp");
+    let tmp = path.with_file_name(name);
     {
         let mut file = std::fs::File::create(&tmp)?;
         file.write_all(bytes)?;
         file.sync_all()?;
     }
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    std::fs::rename(&tmp, path).inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
 }
 
 /// Writes an atomic bundle directory: every data file plus the

@@ -445,17 +445,6 @@ impl Collector {
         })
     }
 
-    /// Collect one sample's rows through the single-attempt path (no
-    /// retry) — the building block the resilient path wraps.
-    ///
-    /// # Errors
-    ///
-    /// Propagates counter-source failures (e.g. [`PerfError::Backend`]
-    /// when a live read fails); the simulator source never errors.
-    pub fn collect_one(&self, sample: &Sample) -> Result<Vec<DataRow>, PerfError> {
-        self.collect_attempt(sample, 0).map(|outcome| outcome.0)
-    }
-
     /// One attempt: inject faults (if configured) keyed on the sample
     /// and attempt number, then read the sample's windows from the
     /// configured counter source and label them. Returns the attempt's
@@ -701,16 +690,6 @@ mod tests {
             .expect("valid");
         assert_eq!(scaled.sampler.windows_per_sample, 7);
         assert_eq!(scaled.sampler.instructions_per_window, 9_000);
-    }
-
-    #[test]
-    fn collect_one_returns_rows_fallibly() {
-        use hbmd_malware::SampleId;
-        let collector = Collector::new(CollectorConfig::fast()).expect("valid config");
-        let sample = Sample::generate(SampleId(3), AppClass::Virus, 5);
-        let rows = collector.collect_one(&sample).expect("sim never fails");
-        assert_eq!(rows.len(), 4);
-        assert!(rows.iter().all(|r| r.sample == sample.id()));
     }
 
     #[test]

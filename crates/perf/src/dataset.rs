@@ -152,18 +152,6 @@ impl HpcDataset {
         (HpcDataset { rows: train }, HpcDataset { rows: test })
     }
 
-    /// Column-major feature matrix plus label vector, the layout the ML
-    /// layer consumes. Labels are [`AppClass::index`] values.
-    pub fn to_matrix(&self) -> (Vec<Vec<f64>>, Vec<usize>) {
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| r.features.as_slice().to_vec())
-            .collect();
-        let labels = self.rows.iter().map(|r| r.class.index()).collect();
-        (rows, labels)
-    }
-
     /// Feature column names in order (the 16 perf event names).
     pub fn feature_names() -> Vec<&'static str> {
         HpcEvent::ALL.iter().map(|e| e.name()).collect()
@@ -270,16 +258,6 @@ mod tests {
     #[should_panic(expected = "train_fraction")]
     fn bad_fraction_panics() {
         let _ = toy(1, 2).split(1.0, 1);
-    }
-
-    #[test]
-    fn to_matrix_matches_rows() {
-        let d = toy(1, 1);
-        let (x, y) = d.to_matrix();
-        assert_eq!(x.len(), d.len());
-        assert_eq!(y.len(), d.len());
-        assert_eq!(x[0].len(), HpcEvent::COUNT);
-        assert_eq!(y[0], AppClass::Benign.index());
     }
 
     #[test]

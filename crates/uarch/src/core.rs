@@ -24,15 +24,6 @@ impl ExecutionStats {
             self.instructions as f64 / self.cycles as f64
         }
     }
-
-    /// Wall-clock seconds at the given core frequency.
-    pub fn seconds_at(&self, clock_hz: u64) -> f64 {
-        if clock_hz == 0 {
-            0.0
-        } else {
-            self.cycles as f64 / clock_hz as f64
-        }
-    }
 }
 
 /// The simulated core: front end (L1I, iTLB, branch predictor), data side
@@ -427,13 +418,11 @@ mod tests {
     }
 
     #[test]
-    fn seconds_at_converts_cycles() {
+    fn ipc_is_instructions_per_cycle() {
         let stats = ExecutionStats {
             instructions: 10,
             cycles: 2_000,
         };
-        assert!((stats.seconds_at(1_000_000) - 0.002).abs() < 1e-12);
-        assert_eq!(stats.seconds_at(0), 0.0);
         assert!((stats.ipc() - 0.005).abs() < 1e-12);
     }
 

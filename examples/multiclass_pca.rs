@@ -6,6 +6,7 @@
 //! ```
 
 use hbmd::core::experiments::{multiclass, pca, ExperimentConfig};
+use hbmd::core::CollectCache;
 use hbmd::perf::CollectorConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -16,9 +17,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         split_seed: 42,
         threads: hbmd::core::par::default_threads(),
     };
+    // The three experiments share one collection of the catalog.
+    let cache = CollectCache::new();
 
     // Table 2: the PCA-reduced feature sets.
-    let table2 = pca::table2(&config)?;
+    let table2 = pca::table2(&cache, &config)?;
     println!("common features: {}", table2.common.join(", "));
     for (class, features) in &table2.per_class {
         println!("{class:<9} custom-8: {}", features.join(", "));
@@ -26,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Figures 17–18: the three multiclass schemes.
     println!("\nmulticlass accuracy (benign + 5 families):");
-    for row in multiclass::accuracy_comparison(&config)? {
+    for row in multiclass::accuracy_comparison(&cache, &config)? {
         println!(
             "  {:<22} {:.1}%",
             row.scheme.name(),
@@ -39,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Figure 19: custom-8 per class vs the generic top-8.
-    let result = multiclass::pca_assisted_comparison(&config)?;
+    let result = multiclass::pca_assisted_comparison(&cache, &config)?;
     println!("\nPCA-assisted MLR vs normal MLR:");
     println!(
         "  MLR, 16 features (context):       {:.1}%",

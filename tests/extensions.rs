@@ -3,11 +3,19 @@
 //! folded synthesis — all through the public facade.
 
 use hbmd::core::experiments::{latency, roc, ExperimentConfig};
-use hbmd::core::{ClassifierKind, FeatureSet, VotingDetector};
+use hbmd::core::{ClassifierKind, CollectCache, FeatureSet, VotingDetector};
 use hbmd::fpga::{emit_system_verilog, synthesize, SynthConfig};
 use hbmd::malware::SampleCatalog;
 use hbmd::ml::{Classifier, RocCurve};
 use hbmd::perf::{Collector, CollectorConfig, HpcDataset};
+use std::sync::OnceLock;
+
+/// One cache for the whole test binary, so each configuration is
+/// collected once.
+fn cache() -> &'static CollectCache {
+    static CACHE: OnceLock<CollectCache> = OnceLock::new();
+    CACHE.get_or_init(CollectCache::new)
+}
 
 fn collected() -> HpcDataset {
     let catalog = SampleCatalog::scaled(0.03, 71);
@@ -52,7 +60,7 @@ fn voting_committee_detects_on_real_data() {
 
 #[test]
 fn roc_of_a_real_detector_beats_chance_strongly() {
-    let rows = roc::comparison(&ExperimentConfig::fast()).expect("roc");
+    let rows = roc::comparison(cache(), &ExperimentConfig::fast()).expect("roc");
     let logistic = rows.iter().find(|r| r.scheme == "Logistic").expect("row");
     assert!(logistic.auc > 0.7, "auc {}", logistic.auc);
     // Relaxing the FPR budget never loses recall.
@@ -77,7 +85,8 @@ fn roc_curve_matches_manual_counts() {
 
 #[test]
 fn detection_latency_has_warmup_floor() {
-    let rows = latency::windows_to_alarm(&ExperimentConfig::fast(), 3, 12).expect("latency");
+    let rows =
+        latency::windows_to_alarm(cache(), &ExperimentConfig::fast(), 3, 12).expect("latency");
     for row in &rows {
         if row.detected > 0 {
             // A 4-window/3-vote monitor cannot alarm before window 3.

@@ -1,11 +1,11 @@
-//! WEKA-protocol integration: cross-validation, filters, ensembles and
-//! label noise on real collected data.
+//! WEKA-protocol integration: filters, ensembles and label noise on
+//! real collected data.
 
 use hbmd::core::{to_binary_dataset, to_multiclass_dataset};
 use hbmd::malware::{MultiEngineLabeler, SampleCatalog};
 use hbmd::ml::{
-    cross_validate, AdaBoostM1, Bagging, Classifier, DecisionStump, Evaluation, MinMaxNormalize,
-    OneR, RandomForest, Standardize, J48,
+    AdaBoostM1, Bagging, Classifier, DecisionStump, Evaluation, MinMaxNormalize, OneR,
+    RandomForest, Standardize, J48,
 };
 use hbmd::perf::{Collector, CollectorConfig, HpcDataset};
 
@@ -16,17 +16,6 @@ fn collected() -> HpcDataset {
         .collect(&catalog)
         .expect("collect")
         .dataset
-}
-
-#[test]
-fn ten_fold_cross_validation_on_real_data() {
-    let data = to_binary_dataset(&collected());
-    let evals = cross_validate(J48::new, &data, 10, 7).expect("cv");
-    assert_eq!(evals.len(), 10);
-    let mean: f64 = evals.iter().map(|e| e.accuracy()).sum::<f64>() / 10.0;
-    assert!(mean > 0.7, "10-fold mean accuracy {mean}");
-    let covered: usize = evals.iter().map(|e| e.confusion().total()).sum();
-    assert_eq!(covered, data.len(), "folds cover every instance once");
 }
 
 #[test]

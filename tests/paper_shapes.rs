@@ -3,17 +3,25 @@
 //! numbers.
 
 use hbmd::core::experiments::{binary, hardware, multiclass, pca, ExperimentConfig};
-use hbmd::core::ClassifierKind;
+use hbmd::core::{ClassifierKind, CollectCache};
 use hbmd::fpga::SynthConfig;
 use hbmd::malware::AppClass;
+use std::sync::OnceLock;
 
 fn config() -> ExperimentConfig {
     ExperimentConfig::fast()
 }
 
+/// One cache for the whole test binary, so each configuration is
+/// collected once.
+fn cache() -> &'static CollectCache {
+    static CACHE: OnceLock<CollectCache> = OnceLock::new();
+    CACHE.get_or_init(CollectCache::new)
+}
+
 #[test]
 fn figure_13_reduction_hurts_little() {
-    let rows = binary::accuracy_comparison(&config()).expect("fig13");
+    let rows = binary::accuracy_comparison(cache(), &config()).expect("fig13");
     // Every classifier usefully detects with 8 features...
     for row in &rows {
         assert!(
@@ -30,7 +38,7 @@ fn figure_13_reduction_hurts_little() {
 
 #[test]
 fn figures_14_to_16_hardware_story() {
-    let rows = hardware::comparison(&config(), &SynthConfig::default()).expect("hw");
+    let rows = hardware::comparison(cache(), &config(), &SynthConfig::default()).expect("hw");
     let get = |kind: ClassifierKind| rows.iter().find(|r| r.scheme == kind).expect("row");
 
     // Figure 14: the MLP is the area hog.
@@ -93,7 +101,7 @@ fn figures_14_to_16_hardware_story() {
 
 #[test]
 fn figure_17_mlp_leads_multiclass() {
-    let rows = multiclass::accuracy_comparison(&config()).expect("fig17");
+    let rows = multiclass::accuracy_comparison(cache(), &config()).expect("fig17");
     let accuracy = |kind: ClassifierKind| {
         rows.iter()
             .find(|r| r.scheme == kind)
@@ -113,7 +121,7 @@ fn figure_17_mlp_leads_multiclass() {
 
 #[test]
 fn figure_19_custom_features_do_not_lose() {
-    let result = multiclass::pca_assisted_comparison(&config()).expect("fig19");
+    let result = multiclass::pca_assisted_comparison(cache(), &config()).expect("fig19");
     assert!(
         result.improvement() >= 0.0,
         "custom-8 {} vs generic-8 {}",
@@ -124,7 +132,7 @@ fn figure_19_custom_features_do_not_lose() {
 
 #[test]
 fn table_2_shape_common_plus_custom() {
-    let table = pca::table2(&config()).expect("table2");
+    let table = pca::table2(cache(), &config()).expect("table2");
     assert_eq!(table.common.len(), 4, "4 common features");
     assert_eq!(table.per_class.len(), 5, "5 malware classes");
     for (class, features) in &table.per_class {
@@ -140,7 +148,7 @@ fn figures_9_to_12_scatters_show_structure() {
         AppClass::Virus,
         AppClass::Worm,
     ] {
-        let points = pca::scatter(&config(), class).expect("scatter");
+        let points = pca::scatter(cache(), &config(), class).expect("scatter");
         let malware = points.iter().filter(|p| p.malware).count();
         let benign = points.len() - malware;
         assert!(

@@ -6,7 +6,7 @@
 
 use hbmd::core::experiments::adversarial::accuracy_under_attack;
 use hbmd::core::experiments::ExperimentConfig;
-use hbmd::core::ClassifierKind;
+use hbmd::core::{ClassifierKind, CollectCache};
 use hbmd::malware::{EvasionAttack, PlausibilityEnvelope};
 use proptest::prelude::*;
 
@@ -83,12 +83,13 @@ proptest! {
 fn attack_sweep_is_thread_count_invariant() {
     let schemes = [ClassifierKind::J48];
     let budgets = [0.2];
+    let cache = CollectCache::new();
     let runs: Vec<_> = [1usize, 2, 8]
         .into_iter()
         .map(|threads| {
             let mut config = ExperimentConfig::fast();
             config.threads = threads;
-            accuracy_under_attack(&config, &schemes, &budgets).expect("sweep")
+            accuracy_under_attack(&cache, &config, &schemes, &budgets).expect("sweep")
         })
         .collect();
     assert_eq!(runs[0], runs[1], "1 vs 2 threads");
