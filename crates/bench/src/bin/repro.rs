@@ -52,6 +52,7 @@
 //! * `repro bundle-report <bundle-dir>` — verify a diagnostic bundle's
 //!   checksums and print its incident timeline.
 
+use std::num::NonZeroU64;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -98,7 +99,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     if options.help {
-        print_usage();
+        println!("{}", usage());
         return ExitCode::SUCCESS;
     }
     let experiments: Vec<&(&str, Experiment)> = if options.operands.iter().any(|o| o == "all") {
@@ -111,7 +112,7 @@ fn main() -> ExitCode {
             .collect()
     };
     if experiments.is_empty() {
-        print_usage();
+        eprintln!("{}", usage());
         return ExitCode::FAILURE;
     }
 
@@ -203,9 +204,9 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Print every command's synopsis and the experiment names, rendered
-/// from the tables the parser and the dispatcher read.
-fn print_usage() {
+/// Every command's synopsis and the experiment names, rendered from the
+/// tables the parser and the dispatcher read.
+fn usage() -> String {
     let mut lines = Vec::new();
     for command in [&REPRO, &SERVE, &CHAOS, &TRACE_REPORT, &BUNDLE_REPORT] {
         let name = match command.name {
@@ -228,7 +229,7 @@ fn print_usage() {
         "experiments:".to_owned(),
         names.chain(["all"]).map(str::to_owned),
     );
-    println!("usage: {}", lines.join("\n       "));
+    format!("usage: {}", lines.join("\n       "))
 }
 
 /// Append `head` and `words` to `lines`, wrapped at 72 columns with
@@ -551,8 +552,9 @@ fn build_manifest(scale: f64, config: &ExperimentConfig, experiments: &[String])
     manifest
 }
 
-/// Cooperative SIGINT flag: the handler only raises it; the pipeline
-/// polls it, flushes a final checkpoint, and exits cleanly.
+/// Cooperative SIGINT flag: the handler only raises it; the fleet
+/// polls it as its stop flag, flushes a final checkpoint, and exits
+/// cleanly.
 static STOP: AtomicBool = AtomicBool::new(false);
 
 #[cfg(unix)]
@@ -616,6 +618,13 @@ fn serve_mode(args: &[String]) -> ExitCode {
     let Some(mut options) = SERVE.parse(args, defaults) else {
         return ExitCode::FAILURE;
     };
+    if let Some(shard) = options.panic_shards.iter().find(|&&s| s >= options.shards) {
+        eprintln!(
+            "serve: --panic-shard {shard} is not one of the {} shards",
+            options.shards
+        );
+        return ExitCode::FAILURE;
+    }
     // Live counters are best-effort: an unprivileged or perf-less host
     // degrades gracefully to the simulator instead of refusing to
     // serve (the manifest records which source actually ran).
@@ -650,7 +659,6 @@ fn run_monitor(
     // the guard lives for the whole serve session.
     let guard = hbmd_obs::install(Obs::new());
     install_sigint_handler();
-    let fleet_health = Arc::new(FleetHealth::new(options.shards));
 
     let config_digest_u64 =
         u64::from_str_radix(&config_digest(config), 16).expect("digest is 16 hex digits");
@@ -759,7 +767,7 @@ fn run_monitor(
         serve::ServeContext {
             registry: Arc::clone(guard.registry()),
             manifest_json: manifest.to_json(),
-            fleet: Some(Arc::clone(&fleet_health)),
+            fleet: Some(Arc::new(FleetHealth::new(guard.registry(), options.shards))),
             debug,
         },
     )?;
@@ -806,13 +814,12 @@ fn run_monitor(
         48
     };
     let fleet_config = fleet::FleetConfig {
-        checkpoint_every: if options.checkpoint.is_some() {
-            options.checkpoint_every
-        } else {
-            0
-        },
-        checkpoint_path: options.checkpoint.clone(),
-        config_digest: config_digest_u64,
+        checkpoint: options.checkpoint.clone().map(|path| fleet::Checkpoint {
+            path,
+            every: NonZeroU64::new(options.checkpoint_every)
+                .expect("--checkpoint-every is positive"),
+            config_digest: config_digest_u64,
+        }),
         pristine_stream: template,
         // Pace at the paper's 10 ms sampling period when running as a
         // long-lived monitor, which sheds load under backpressure (hot
@@ -828,39 +835,16 @@ fn run_monitor(
             .iter()
             .map(|&shard| (shard, panic_cursor))
             .collect(),
-        stop: Some(Arc::new(AtomicBool::new(false))),
-        fleet_health: Some(Arc::clone(&fleet_health)),
+        stop: Some(&STOP),
         capture_verdicts: false,
         verbose: true,
         recorder: recorder.clone(),
         ..fleet::FleetConfig::lossless(options.streams, options.shards, options.windows)
     };
-    // Bridge the process-wide SIGINT flag into the fleet's stop flag.
-    let stop = fleet_config.stop.clone().expect("stop flag just set");
-    let bridge = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                if STOP.load(Ordering::SeqCst) {
-                    stop.store(true, Ordering::SeqCst);
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        })
-    };
-
     let report = fleet::run_fleet(&detector, &config.collector.sampler, &fleet_config)?;
-    stop.store(true, Ordering::SeqCst);
-    let _ = bridge.join();
-
     if report.interrupted {
         eprintln!("serve: interrupted — final checkpoint flushed");
     }
-    // Mirror the supervisor counters into the scrape registry so the
-    // final snapshot (and any last /metrics pull) carries them.
-    hbmd_obs::gauge_set("supervisor.restarts_total", report.restarts as i64);
-    hbmd_obs::gauge_set("breaker.trips_total", report.trips as i64);
     for shard in &report.shards {
         eprintln!(
             "serve: shard {}: {} streams, {} windows, {} restarts, {} trips, {} quarantines{}",
@@ -951,9 +935,11 @@ fn run_chaos(options: &Options) -> Result<bool, Box<dyn std::error::Error>> {
         ..fleet::FleetConfig::lossless(streams, shards, windows)
     };
     let checkpointed = fleet::FleetConfig {
-        checkpoint_every,
-        checkpoint_path: Some(checkpoint.clone()),
-        config_digest: digest,
+        checkpoint: Some(fleet::Checkpoint {
+            path: checkpoint.clone(),
+            every: NonZeroU64::new(checkpoint_every).expect("--checkpoint-every is positive"),
+            config_digest: digest,
+        }),
         ..base.clone()
     };
     let baseline = fleet::run_fleet(&detector, sampler, &base)?;

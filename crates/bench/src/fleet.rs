@@ -26,8 +26,14 @@
 //! one crash-safe [`snapshot::save_fleet`] file with per-section
 //! checksums. A corrupt stream section falls back to a pristine start
 //! for that stream only; every other stream resumes exactly.
+//!
+//! Supervision is counted once, into the calling thread's metrics
+//! registry through [`FleetHealth`]: shard states, restarts, breaker
+//! trips, quarantines, readmissions and shed windows. The per-run
+//! [`FleetReport`] is what the chaos drills and tests assert on.
 
 use std::collections::BTreeMap;
+use std::num::NonZeroU64;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -41,7 +47,7 @@ use hbmd_core::supervisor::{Backoff, BreakerState, CircuitBreaker};
 use hbmd_core::{CoreError, Detector, OnlineVerdict, StreamState};
 use hbmd_events::{FeatureVector, HpcEvent};
 use hbmd_malware::{AppClass, Sample, SampleId};
-use hbmd_obs::health::{FleetHealth, ServiceState};
+use hbmd_obs::health::{FleetHealth, Health, ServiceState};
 use hbmd_obs::recorder::{
     BundleError, BundleOutcome, Event as RecorderEvent, FaultKind, FeatureFrame, RecorderHub,
     StandingKind, Trigger, VerdictKind, NO_FAMILY,
@@ -126,9 +132,28 @@ impl FleetTimeline {
 /// Bounded producer→worker queue depth per shard.
 pub const QUEUE_CAPACITY: usize = 64;
 
+/// Where and how often a fleet checkpoints.
+#[derive(Debug, Clone)]
+pub struct Checkpoint {
+    /// The multiplexed snapshot, restored from at start-up and on every
+    /// shard restart when it exists.
+    pub path: PathBuf,
+    /// Commit a shard's sections once it has processed this many
+    /// windows since its last commit.
+    pub every: NonZeroU64,
+    /// Run-config digest stamped into (and demanded from) snapshots.
+    pub config_digest: u64,
+}
+
 /// How [`run_fleet`] should behave — shared by the live fleet monitor
 /// (paced, shedding) and the chaos/determinism harness (unpaced,
 /// lossless, with injected faults).
+///
+/// The fleet's health — shard states, restarts, breaker trips,
+/// quarantines, readmissions and shed windows — is counted into the
+/// calling thread's metrics registry through a
+/// [`FleetHealth`]; a `/readyz` view built over the same registry reads
+/// it live.
 #[derive(Clone)]
 pub struct FleetConfig {
     /// Monitored endpoint streams (ids `0..streams`).
@@ -140,13 +165,8 @@ pub struct FleetConfig {
     /// The pristine per-stream vote/hysteresis state, cloned for every
     /// stream that starts (or falls back) fresh.
     pub pristine_stream: StreamState,
-    /// Checkpoint when a shard has processed this many windows since
-    /// its last commit; 0 disables checkpointing.
-    pub checkpoint_every: u64,
-    /// Where the multiplexed snapshot lives; `None` disables it.
-    pub checkpoint_path: Option<PathBuf>,
-    /// Run-config digest stamped into (and demanded from) snapshots.
-    pub config_digest: u64,
+    /// The multiplexed checkpoint; `None` neither restores nor writes.
+    pub checkpoint: Option<Checkpoint>,
     /// Producer pacing per timeline sweep (one window of every stream
     /// in the shard), or `None` to stream at full speed. A paced (live)
     /// fleet sheds windows with counted priority when a shard's queue
@@ -169,10 +189,9 @@ pub struct FleetConfig {
     /// Chaos: replace stream `.0`'s windows in `[.1, .2)` with all-NaN
     /// vectors (a persistently faulty endpoint).
     pub nan_streams: Vec<(u64, u64, u64)>,
-    /// Cooperative shutdown flag (SIGINT).
-    pub stop: Option<Arc<AtomicBool>>,
-    /// Shared per-shard health mirrored to `/readyz`.
-    pub fleet_health: Option<Arc<FleetHealth>>,
+    /// Cooperative shutdown flag, such as the one a SIGINT handler
+    /// raises.
+    pub stop: Option<&'static AtomicBool>,
     /// Record every stream's per-cursor verdict sequence in the report
     /// (determinism/chaos invariants). Requires a finite limit; keep
     /// `streams × windows_limit` small.
@@ -193,9 +212,7 @@ impl FleetConfig {
             shards: shards.max(1),
             windows_limit,
             pristine_stream: StreamState::new(4, 3, 1, 1).expect("static default shape"),
-            checkpoint_every: 0,
-            checkpoint_path: None,
-            config_digest: 0,
+            checkpoint: None,
             pace: None,
             max_restarts: 8,
             backoff_ms: (50, 800),
@@ -204,7 +221,6 @@ impl FleetConfig {
             panic_at: Vec::new(),
             nan_streams: Vec::new(),
             stop: None,
-            fleet_health: None,
             capture_verdicts: true,
             verbose: false,
             recorder: None,
@@ -212,9 +228,9 @@ impl FleetConfig {
     }
 }
 
-/// What one shard did — the bulkhead-local counters the chaos harness
-/// asserts isolation on.
-#[derive(Debug, Clone)]
+/// What one shard did in this run — the bulkhead-local counters the
+/// chaos harness asserts isolation on.
+#[derive(Debug, Clone, Default)]
 pub struct ShardReport {
     /// Shard index.
     pub shard: usize,
@@ -238,7 +254,8 @@ pub struct ShardReport {
     pub readmissions: u64,
     /// Windows skipped because their stream was quarantined.
     pub quarantine_skipped: u64,
-    /// Checkpoint refusals (whole-file) during this shard's recoveries.
+    /// Checkpoint refusals (whole-file) during this shard's recoveries;
+    /// shard 0 also counts the fleet's start-up restore.
     pub refusals: u64,
     /// Stream sections individually lost to corruption during this
     /// shard's restores (those streams fell back pristine).
@@ -299,23 +316,11 @@ pub struct FleetReport {
     pub stream_health: BTreeMap<u64, (StreamStanding, u64, u64)>,
 }
 
-/// One stream's live state inside a shard worker.
-#[derive(Clone)]
-struct StreamCell {
-    stream: u64,
-    state: StreamState,
-    health: StreamHealth,
-    /// Next window index this stream expects (replayed windows below
-    /// it are skipped).
-    cursor: u64,
-}
-
 /// The shared multiplexed checkpoint: every shard commits its own
 /// sections; the file is always rewritten whole (atomic rename) with
 /// the latest committed view of every stream.
 struct Checkpointer {
-    path: PathBuf,
-    config_digest: u64,
+    checkpoint: Checkpoint,
     shards: u32,
     detector: Arc<Detector>,
     sections: Mutex<BTreeMap<u64, StreamSection>>,
@@ -336,9 +341,9 @@ impl Checkpointer {
         match snapshot::save_fleet(
             &self.detector,
             self.shards,
-            self.config_digest,
+            self.checkpoint.config_digest,
             &all,
-            &self.path,
+            &self.checkpoint.path,
         ) {
             Ok(()) => hbmd_obs::incr("snapshot.saved"),
             Err(e) => {
@@ -359,11 +364,6 @@ struct ShardShared {
     verdicts: Vec<Vec<Option<OnlineVerdict>>>,
     /// slot → highest cursor processed + 1 (crash-gap bookkeeping).
     cursors: Vec<u64>,
-    processed: u64,
-    degraded: u64,
-    quarantines: u64,
-    readmissions: u64,
-    quarantine_skipped: u64,
     since_checkpoint: u64,
 }
 
@@ -375,17 +375,25 @@ struct ShardCtx {
     /// (slot → stream id); slot order is the producer's sweep order.
     streams: Vec<u64>,
     checkpointer: Option<Arc<Checkpointer>>,
+    health: Arc<FleetHealth>,
     /// slot → "hot" flag (alarmed/probation) for shedding priority.
     hot: Vec<Arc<AtomicBool>>,
-    shed_low: Arc<AtomicU64>,
-    shed_high: Arc<AtomicU64>,
     /// Fleet-wide processed counter feeding the throughput gauge.
     fleet_processed: Arc<AtomicU64>,
     started: Instant,
 }
 
+impl ShardCtx {
+    /// This shard's health series.
+    fn shard_health(&self) -> &Health {
+        self.health.shard(self.shard)
+    }
+}
+
+/// What a worker hands back when its queue closes. Each stream's live
+/// state is the section it checkpoints.
 struct WorkerExit {
-    cells: Vec<StreamCell>,
+    cells: Vec<StreamSection>,
     interrupted: bool,
 }
 
@@ -408,113 +416,53 @@ pub fn run_fleet(
     let started = Instant::now();
     let shards = cfg.shards.max(1);
     let streams: Vec<u64> = (0..cfg.streams.max(1)).collect();
+    let health = Arc::new(FleetHealth::new(hbmd_obs::current().registry(), shards));
+    let mut reports: Vec<ShardReport> = (0..shards)
+        .map(|shard| ShardReport {
+            shard,
+            ..ShardReport::default()
+        })
+        .collect();
 
-    // Placement: stream → shard, stable under any shard count.
-    let mut shard_streams: Vec<Vec<u64>> = vec![Vec::new(); shards];
-    for &stream in &streams {
-        shard_streams[shard_of(stream, shards)].push(stream);
-    }
-
-    // Initial restore: one multiplexed load for the whole fleet.
-    let mut restored: BTreeMap<u64, StreamSection> = BTreeMap::new();
-    let mut initial_refusals = 0u64;
-    let mut initial_lost = 0u64;
-    if let Some(path) = &cfg.checkpoint_path {
-        if path.exists() {
-            match snapshot::load_fleet(path, cfg.config_digest) {
-                Ok(fleet) => {
-                    initial_lost = fleet.lost_sections as u64;
-                    for section in fleet.streams {
-                        restored.insert(section.stream, section);
-                    }
-                }
-                Err(refusal) => {
-                    eprintln!("fleet: existing checkpoint refused ({refusal}); starting pristine");
-                    hbmd_obs::incr("snapshot.refused");
-                    initial_refusals += 1;
-                    if let Some(hub) = &cfg.recorder {
-                        hub.record(
-                            0,
-                            &RecorderEvent::Fault {
-                                stream: 0,
-                                cursor: 0,
-                                kind: FaultKind::Refusal,
-                            },
-                        );
-                        let mut trigger = Trigger::new("snapshot_refusal");
-                        trigger.details = format!("{refusal}");
-                        report_bundle(hub.trigger(&trigger));
-                    }
-                }
-            }
-        }
-    }
-
-    let cell_for = |stream: u64| -> StreamCell {
-        match restored.get(&stream) {
-            Some(section) => StreamCell {
-                stream,
-                state: section.state.clone(),
-                health: section.health.clone(),
-                cursor: section.cursor,
-            },
-            None => StreamCell {
-                stream,
-                state: cfg.pristine_stream.clone(),
-                health: StreamHealth::new(StreamHealthConfig::default()),
-                cursor: 0,
-            },
-        }
-    };
-
-    let checkpointer = cfg.checkpoint_path.as_ref().map(|path| {
-        let sections: BTreeMap<u64, StreamSection> = streams
-            .iter()
-            .map(|&stream| {
-                let cell = cell_for(stream);
-                (
-                    stream,
-                    StreamSection {
-                        stream,
-                        cursor: cell.cursor,
-                        state: cell.state,
-                        health: cell.health,
-                    },
-                )
-            })
-            .collect();
+    // Start-up restore: one multiplexed load for the whole fleet.
+    let cells = restore(cfg, None, &streams, &mut reports[0]);
+    let checkpointer = cfg.checkpoint.as_ref().map(|checkpoint| {
         Arc::new(Checkpointer {
-            path: path.clone(),
-            config_digest: cfg.config_digest,
+            checkpoint: checkpoint.clone(),
             shards: shards as u32,
             detector: Arc::clone(detector),
-            sections: Mutex::new(sections),
+            sections: Mutex::new(cells.iter().map(|c| (c.stream, c.clone())).collect()),
         })
     });
 
+    // Placement: stream → shard, stable under any shard count.
+    let mut shard_cells: Vec<Vec<StreamSection>> = vec![Vec::new(); shards];
+    for cell in cells {
+        shard_cells[shard_of(cell.stream, shards)].push(cell);
+    }
+
     let fleet_processed = Arc::new(AtomicU64::new(0));
     let mut handles = Vec::with_capacity(shards);
-    for (shard, owned) in shard_streams.into_iter().enumerate() {
-        let cells: Vec<StreamCell> = owned.iter().map(|&s| cell_for(s)).collect();
+    for ((shard, cells), mut report) in shard_cells.into_iter().enumerate().zip(reports) {
+        report.streams = cells.len() as u64;
         let ctx = ShardCtx {
             shard,
             cfg: cfg.clone(),
             detector: Arc::clone(detector),
             sampler_config: sampler_config.clone(),
-            streams: owned,
+            streams: cells.iter().map(|c| c.stream).collect(),
             checkpointer: checkpointer.clone(),
+            health: Arc::clone(&health),
             hot: cells
                 .iter()
                 .map(|_| Arc::new(AtomicBool::new(false)))
                 .collect(),
-            shed_low: Arc::new(AtomicU64::new(0)),
-            shed_high: Arc::new(AtomicU64::new(0)),
             fleet_processed: Arc::clone(&fleet_processed),
             started,
         };
         handles.push(
             hbmd_obs::spawn(format!("hbmd-shard-{shard}"), move || {
-                shard_supervisor(ctx, cells)
+                shard_supervisor(ctx, cells, report)
             })
             .map_err(|e| CoreError::Config(format!("spawn shard supervisor: {e}")))?,
         );
@@ -544,18 +492,11 @@ pub fn run_fleet(
         }
         shard_reports.push(report);
     }
-    shard_reports.sort_by_key(|r| r.shard);
-    if let Some(first) = shard_reports.first_mut() {
-        first.refusals += initial_refusals;
-        first.lost_sections += initial_lost;
-    }
 
     // Final flush: the graceful-shutdown contract — the next start
     // resumes every stream instead of retraining.
     if let Some(checkpointer) = &checkpointer {
-        if cfg.checkpoint_every > 0 {
-            checkpointer.commit(Vec::new());
-        }
+        checkpointer.commit(Vec::new());
     }
 
     let wall = started.elapsed();
@@ -568,10 +509,7 @@ pub fn run_fleet(
     hbmd_obs::gauge_set("fleet.windows_per_sec", windows_per_sec as i64);
 
     let interrupted = shard_reports.iter().any(|r| r.interrupted)
-        || cfg
-            .stop
-            .as_ref()
-            .is_some_and(|flag| flag.load(Ordering::SeqCst));
+        || cfg.stop.is_some_and(|flag| flag.load(Ordering::SeqCst));
     Ok(FleetReport {
         processed,
         restarts: shard_reports.iter().map(|r| r.restarts).sum(),
@@ -602,50 +540,19 @@ pub fn run_fleet(
 type ShardOutcome = Result<
     (
         ShardReport,
-        Vec<StreamCell>,
+        Vec<StreamSection>,
         Vec<Vec<Option<OnlineVerdict>>>,
     ),
     CoreError,
 >;
 
-fn set_shard_state(ctx: &ShardCtx, state: ServiceState) {
-    if let Some(fleet) = &ctx.cfg.fleet_health {
-        fleet.shard(ctx.shard).set_state(state);
-    }
-    let registry = hbmd_obs::current().registry().clone();
-    let tag = match state {
-        ServiceState::Starting => 0,
-        ServiceState::Ready => 1,
-        ServiceState::Degraded => 2,
-        ServiceState::Restarting => 3,
-    };
-    registry
-        .gauge_with("fleet.shard_state", &[("shard", &ctx.shard.to_string())])
-        .set(tag);
-}
-
-fn shard_supervisor(ctx: ShardCtx, mut cells: Vec<StreamCell>) -> ShardOutcome {
+fn shard_supervisor(
+    ctx: ShardCtx,
+    mut cells: Vec<StreamSection>,
+    mut report: ShardReport,
+) -> ShardOutcome {
     let mut backoff =
         Backoff::with_jitter(ctx.cfg.backoff_ms.0, ctx.cfg.backoff_ms.1, ctx.shard as u64);
-    let mut report = ShardReport {
-        shard: ctx.shard,
-        streams: ctx.streams.len() as u64,
-        processed: 0,
-        restarts: 0,
-        trips: 0,
-        degraded: 0,
-        shed_low: 0,
-        shed_high: 0,
-        quarantines: 0,
-        readmissions: 0,
-        quarantine_skipped: 0,
-        refusals: 0,
-        lost_sections: 0,
-        max_missed_gap: 0,
-        gave_up: false,
-        interrupted: false,
-    };
-
     let capture_len = if ctx.cfg.capture_verdicts {
         usize::try_from(ctx.cfg.windows_limit).unwrap_or(0)
     } else {
@@ -662,15 +569,12 @@ fn shard_supervisor(ctx: ShardCtx, mut cells: Vec<StreamCell>) -> ShardOutcome {
             .collect(),
         verdicts: vec![vec![None; capture_len]; cells.len()],
         cursors: cells.iter().map(|c| c.cursor).collect(),
-        processed: 0,
-        degraded: 0,
-        quarantines: 0,
-        readmissions: 0,
-        quarantine_skipped: 0,
         since_checkpoint: 0,
     };
 
-    set_shard_state(&ctx, ServiceState::Ready);
+    let health = ctx.shard_health();
+    health.set_quarantined(out_of_service(&cells));
+    health.set_state(ServiceState::Ready);
     let interrupted = loop {
         let timeline = FleetTimeline::new(&ctx.sampler_config).map_err(CoreError::from)?;
         let (tx, rx) = std::sync::mpsc::sync_channel(QUEUE_CAPACITY);
@@ -679,9 +583,12 @@ fn shard_supervisor(ctx: ShardCtx, mut cells: Vec<StreamCell>) -> ShardOutcome {
 
         let taken = std::mem::take(&mut cells);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            shard_worker(&ctx, taken, rx, &mut shared)
+            shard_worker(&ctx, taken, rx, &mut shared, &mut report)
         }));
-        let _ = producer.join();
+        if let Ok([low, high]) = producer.join() {
+            report.shed_low += low;
+            report.shed_high += high;
+        }
 
         match outcome {
             Ok(exit) => {
@@ -689,16 +596,8 @@ fn shard_supervisor(ctx: ShardCtx, mut cells: Vec<StreamCell>) -> ShardOutcome {
                 break exit.interrupted;
             }
             Err(_) => {
-                set_shard_state(&ctx, ServiceState::Restarting);
-                if let Some(fleet) = &ctx.cfg.fleet_health {
-                    fleet.shard(ctx.shard).record_restart();
-                }
-                hbmd_obs::incr("supervisor.restarts");
-                hbmd_obs::counter_with(
-                    "fleet.shard_restarts",
-                    &[("shard", &ctx.shard.to_string())],
-                )
-                .incr();
+                health.set_state(ServiceState::Restarting);
+                health.record_restart();
                 report.restarts += 1;
                 if let Some(hub) = &ctx.cfg.recorder {
                     hub.record(
@@ -717,8 +616,7 @@ fn shard_supervisor(ctx: ShardCtx, mut cells: Vec<StreamCell>) -> ShardOutcome {
                         ctx.streams.len()
                     );
                     report.gave_up = true;
-                    cells = Vec::new();
-                    set_shard_state(&ctx, ServiceState::Degraded);
+                    health.set_state(ServiceState::Degraded);
                     if let Some(hub) = &ctx.cfg.recorder {
                         let mut trigger = Trigger::new("restart_budget");
                         trigger.shard = Some(ctx.shard as u32);
@@ -732,142 +630,118 @@ fn shard_supervisor(ctx: ShardCtx, mut cells: Vec<StreamCell>) -> ShardOutcome {
                 if ctx.cfg.sleep_on_backoff {
                     std::thread::sleep(Duration::from_millis(delay));
                 }
-                cells = recover_cells(&ctx, &shared, &mut report);
-                set_shard_state(&ctx, ServiceState::Ready);
+                cells = restore(&ctx.cfg, Some(ctx.shard), &ctx.streams, &mut report);
+                // Crash gap: how far each stream replays to reach where
+                // it was.
+                for (cell, &crash_point) in cells.iter().zip(&shared.cursors) {
+                    report.max_missed_gap = report
+                        .max_missed_gap
+                        .max(crash_point.saturating_sub(cell.cursor));
+                }
+                health.set_quarantined(out_of_service(&cells));
+                health.set_state(ServiceState::Ready);
             }
         }
     };
 
     // Graceful shard exit: commit final sections so a restart resumes.
     if let Some(checkpointer) = &ctx.checkpointer {
-        if ctx.cfg.checkpoint_every > 0 && !cells.is_empty() {
-            checkpointer.commit(sections_of(&cells));
+        if !cells.is_empty() {
+            checkpointer.commit(cells.clone());
         }
     }
     if !report.gave_up {
-        set_shard_state(&ctx, ServiceState::Ready);
+        health.set_state(ServiceState::Ready);
     }
-
-    report.processed = shared.processed;
     report.trips = shared.breaker.trips();
-    report.degraded = shared.degraded;
-    report.quarantines = shared.quarantines;
-    report.readmissions = shared.readmissions;
-    report.quarantine_skipped = shared.quarantine_skipped;
-    report.shed_low = ctx.shed_low.load(Ordering::SeqCst);
-    report.shed_high = ctx.shed_high.load(Ordering::SeqCst);
     report.interrupted = interrupted;
     Ok((report, cells, std::mem::take(&mut shared.verdicts)))
 }
 
-fn sections_of(cells: &[StreamCell]) -> Vec<StreamSection> {
-    cells
-        .iter()
-        .map(|cell| StreamSection {
-            stream: cell.stream,
-            cursor: cell.cursor,
-            state: cell.state.clone(),
-            health: cell.health.clone(),
-        })
-        .collect()
-}
-
-/// Rebuild a crashed shard's cells from the multiplexed checkpoint:
-/// cleanly restored streams resume at their cursor, individually lost
-/// sections (and whole-file refusals) fall back pristine.
-fn recover_cells(
-    ctx: &ShardCtx,
-    shared: &ShardShared,
+/// The sections of `streams` as the checkpoint holds them: a stream
+/// whose section loads resumes at its cursor; a lost section, a refused
+/// file or no file at all start it pristine. `shard` is the restarting
+/// shard, or `None` for the whole fleet at start-up. Refusals and lost
+/// sections count into `report`.
+fn restore(
+    cfg: &FleetConfig,
+    shard: Option<usize>,
+    streams: &[u64],
     report: &mut ShardReport,
-) -> Vec<StreamCell> {
+) -> Vec<StreamSection> {
     let mut restored: BTreeMap<u64, StreamSection> = BTreeMap::new();
-    if let Some(path) = &ctx.cfg.checkpoint_path {
-        if path.exists() {
-            match snapshot::load_fleet(path, ctx.cfg.config_digest) {
-                Ok(fleet) => {
-                    report.lost_sections += fleet.lost_sections as u64;
-                    for section in fleet.streams {
-                        restored.insert(section.stream, section);
-                    }
-                }
-                Err(refusal) => {
-                    eprintln!(
-                        "fleet: shard {} checkpoint refused ({refusal}); streams restart pristine",
-                        ctx.shard
+    if let Some(checkpoint) = cfg.checkpoint.as_ref().filter(|c| c.path.exists()) {
+        match snapshot::load_fleet(&checkpoint.path, checkpoint.config_digest) {
+            Ok(fleet) => {
+                report.lost_sections += fleet.lost_sections as u64;
+                restored.extend(fleet.streams.into_iter().map(|s| (s.stream, s)));
+            }
+            Err(refusal) => {
+                let whose = shard.map_or("the fleet's".to_owned(), |s| format!("shard {s}'s"));
+                eprintln!("fleet: checkpoint refused ({refusal}); {whose} streams start pristine");
+                hbmd_obs::incr("snapshot.refused");
+                report.refusals += 1;
+                if let Some(hub) = &cfg.recorder {
+                    hub.record(
+                        shard.unwrap_or(0) as u32,
+                        &RecorderEvent::Fault {
+                            stream: 0,
+                            cursor: 0,
+                            kind: FaultKind::Refusal,
+                        },
                     );
-                    hbmd_obs::incr("snapshot.refused");
-                    report.refusals += 1;
-                    if let Some(hub) = &ctx.cfg.recorder {
-                        hub.record(
-                            ctx.shard as u32,
-                            &RecorderEvent::Fault {
-                                stream: 0,
-                                cursor: 0,
-                                kind: FaultKind::Refusal,
-                            },
-                        );
-                        let mut trigger = Trigger::new("snapshot_refusal");
-                        trigger.shard = Some(ctx.shard as u32);
-                        trigger.details = format!("{refusal}");
-                        report_bundle(hub.trigger(&trigger));
-                    }
+                    let mut trigger = Trigger::new("snapshot_refusal");
+                    trigger.shard = shard.map(|s| s as u32);
+                    trigger.details = refusal.to_string();
+                    report_bundle(hub.trigger(&trigger));
                 }
             }
         }
     }
-    ctx.streams
+    streams
         .iter()
-        .enumerate()
-        .map(|(slot, &stream)| {
-            let cell = match restored.remove(&stream) {
-                Some(section) => StreamCell {
-                    stream,
-                    state: section.state,
-                    health: section.health,
-                    cursor: section.cursor,
-                },
-                None => StreamCell {
-                    stream,
-                    state: ctx.cfg.pristine_stream.clone(),
-                    health: StreamHealth::new(StreamHealthConfig::default()),
-                    cursor: 0,
-                },
-            };
-            // Crash gap: how far this stream replays to reach where it was.
-            let crash_point = shared.cursors[slot];
-            report.max_missed_gap = report
-                .max_missed_gap
-                .max(crash_point.saturating_sub(cell.cursor));
-            cell
+        .map(|&stream| {
+            restored.remove(&stream).unwrap_or_else(|| StreamSection {
+                stream,
+                cursor: 0,
+                state: cfg.pristine_stream.clone(),
+                health: StreamHealth::new(StreamHealthConfig::default()),
+            })
         })
         .collect()
 }
 
+/// Streams quarantined or on probation among `cells`.
+fn out_of_service(cells: &[StreamSection]) -> u64 {
+    cells
+        .iter()
+        .filter(|c| c.health.standing() != StreamStanding::Active)
+        .count() as u64
+}
+
+/// Feeds a shard's queue from the timeline until the limit, the stop
+/// flag or a closed queue; returns the windows it shed, `[cold, hot]`.
 fn spawn_shard_producer(
     ctx: &ShardCtx,
     mut timeline: FleetTimeline,
     tx: SyncSender<(usize, u64, FeatureVector)>,
     starts: Vec<u64>,
-) -> std::thread::JoinHandle<()> {
+) -> std::thread::JoinHandle<[u64; 2]> {
     let streams = ctx.streams.clone();
     let limit = ctx.cfg.windows_limit;
     let pace = ctx.cfg.pace;
     let shed_when_full = pace.is_some();
-    let stop = ctx.cfg.stop.clone();
+    let stop = ctx.cfg.stop;
     let hot = ctx.hot.clone();
-    let shed_low = Arc::clone(&ctx.shed_low);
-    let shed_high = Arc::clone(&ctx.shed_high);
-    let fleet_health = ctx.cfg.fleet_health.clone();
+    let health = Arc::clone(&ctx.health);
     let shard = ctx.shard;
     let start_min = starts.iter().copied().min().unwrap_or(0);
     hbmd_obs::spawn(format!("hbmd-timeline-{shard}"), move || {
+        let mut shed = [0u64; 2];
         let mut cursor = start_min;
         'sweep: while limit == 0 || cursor < limit {
             for (slot, &stream) in streams.iter().enumerate() {
-                if stop
-                    .as_ref()
-                    .is_some_and(|flag| flag.load(Ordering::SeqCst))
-                {
+                if stop.is_some_and(|flag| flag.load(Ordering::SeqCst)) {
                     break 'sweep;
                 }
                 if cursor < starts[slot] {
@@ -880,16 +754,10 @@ fn spawn_shard_producer(
                     match tx.try_send((slot, cursor, window)) {
                         Ok(()) => {}
                         Err(TrySendError::Full(message)) => {
-                            if shed_with_priority(
-                                &tx,
-                                message,
-                                hot[slot].load(Ordering::Relaxed),
-                                &shed_low,
-                                &shed_high,
-                            ) {
-                                if let Some(fleet) = &fleet_health {
-                                    fleet.record_shed(1);
-                                }
+                            let hot = hot[slot].load(Ordering::Relaxed);
+                            if shed_with_priority(&tx, message, hot) {
+                                shed[usize::from(hot)] += 1;
+                                health.record_shed(hot);
                             }
                         }
                         Err(TrySendError::Disconnected(_)) => break 'sweep,
@@ -903,24 +771,20 @@ fn spawn_shard_producer(
                 std::thread::sleep(pace);
             }
         }
+        shed
     })
     .expect("spawn fleet timeline producer")
 }
 
-/// Counted, prioritized shedding: hot streams (alarmed or on
-/// probation) get a bounded retry before their window is dropped; cold
-/// streams are shed immediately. Returns `true` when the window was
-/// ultimately shed.
+/// Prioritized shedding: hot streams (alarmed or on probation) get a
+/// bounded retry before their window is dropped; cold streams are shed
+/// immediately. Returns `true` when the window was ultimately shed.
 fn shed_with_priority(
     tx: &SyncSender<(usize, u64, FeatureVector)>,
     mut message: (usize, u64, FeatureVector),
     hot: bool,
-    shed_low: &AtomicU64,
-    shed_high: &AtomicU64,
 ) -> bool {
     if !hot {
-        shed_low.fetch_add(1, Ordering::SeqCst);
-        hbmd_obs::counter_with("fleet.shed", &[("priority", "low")]).incr();
         return true;
     }
     for _ in 0..10 {
@@ -931,8 +795,6 @@ fn shed_with_priority(
             Err(TrySendError::Disconnected(_)) => return false,
         }
     }
-    shed_high.fetch_add(1, Ordering::SeqCst);
-    hbmd_obs::counter_with("fleet.shed", &[("priority", "high")]).incr();
     true
 }
 
@@ -991,6 +853,46 @@ fn window_event(
     }
 }
 
+/// Accounts one window's move of a stream's standing, if it moved: the
+/// flight recorder, the shard's report, and the fleet's health, whose
+/// out-of-service count is recounted from `cells`' standings.
+fn standing_changed(
+    ctx: &ShardCtx,
+    report: &mut ShardReport,
+    cells: &[StreamSection],
+    stream: u64,
+    cursor: u64,
+    before: StreamStanding,
+    after: StreamStanding,
+) {
+    if before == after {
+        return;
+    }
+    if let Some(hub) = &ctx.cfg.recorder {
+        hub.record(
+            ctx.shard as u32,
+            &RecorderEvent::Health {
+                stream,
+                cursor,
+                from: standing_kind(before),
+                to: standing_kind(after),
+            },
+        );
+    }
+    match (before, after) {
+        (_, StreamStanding::Quarantined) => {
+            report.quarantines += 1;
+            ctx.health.record_quarantine();
+        }
+        (StreamStanding::Probation, StreamStanding::Active) => {
+            report.readmissions += 1;
+            ctx.health.record_readmission();
+        }
+        _ => {}
+    }
+    ctx.shard_health().set_quarantined(out_of_service(cells));
+}
+
 /// Most messages a worker drains from its queue per blocking receive:
 /// one `recv` park/unpark then up to this many windows classified
 /// back-to-back while the producer refills, instead of a channel
@@ -999,17 +901,14 @@ const DRAIN_BATCH: usize = 32;
 
 fn shard_worker(
     ctx: &ShardCtx,
-    mut cells: Vec<StreamCell>,
+    mut cells: Vec<StreamSection>,
     rx: Receiver<(usize, u64, FeatureVector)>,
     shared: &mut ShardShared,
+    report: &mut ShardReport,
 ) -> WorkerExit {
-    // The per-window counters, resolved once per worker start instead
-    // of by name on every window.
-    let obs = hbmd_obs::current();
-    let windows_counter = obs.registry().counter("fleet.windows");
-    let quarantines_counter = obs.registry().counter("fleet.quarantines");
-    let readmissions_counter = obs.registry().counter("fleet.readmissions");
-    let trips_counter = obs.registry().counter("breaker.trips");
+    // Resolved once per worker start instead of by name on every window.
+    let windows_counter = hbmd_obs::current().registry().counter("fleet.windows");
+    let health = ctx.shard_health();
     let mut interrupted = false;
     let mut batch: Vec<(usize, u64, FeatureVector)> = Vec::with_capacity(DRAIN_BATCH);
     'drain: while let Ok(first) = rx.recv() {
@@ -1022,15 +921,11 @@ fn shard_worker(
             }
         }
         for (slot, cursor, window) in batch.drain(..) {
-            if ctx
-                .cfg
-                .stop
-                .as_ref()
-                .is_some_and(|flag| flag.load(Ordering::SeqCst))
-            {
+            if ctx.cfg.stop.is_some_and(|flag| flag.load(Ordering::SeqCst)) {
                 interrupted = true;
                 break 'drain;
             }
+            let stream = cells[slot].stream;
             // Injected fault: panic exactly once per scheduled cursor, so
             // the post-restart replay of the same cursor runs clean.
             if shared.panic_at.remove(&cursor) {
@@ -1038,7 +933,7 @@ fn shard_worker(
                     hub.record(
                         ctx.shard as u32,
                         &RecorderEvent::Fault {
-                            stream: cells[slot].stream,
+                            stream,
                             cursor,
                             kind: FaultKind::Panic,
                         },
@@ -1059,13 +954,13 @@ fn shard_worker(
                 .cfg
                 .nan_streams
                 .iter()
-                .any(|&(s, from, to)| s == cell.stream && cursor >= from && cursor < to)
+                .any(|&(s, from, to)| s == stream && cursor >= from && cursor < to)
             {
                 if let Some(hub) = &ctx.cfg.recorder {
                     hub.record(
                         ctx.shard as u32,
                         &RecorderEvent::Fault {
-                            stream: cell.stream,
+                            stream,
                             cursor,
                             kind: FaultKind::Nan,
                         },
@@ -1077,45 +972,29 @@ fn shard_worker(
                 window
             };
 
+            cell.cursor = cursor + 1;
+            let before = cell.health.standing();
             if shared.breaker.state() == BreakerState::Open {
                 // Shard-degraded: don't feed any vote ring, burn a
                 // cooldown tick, account the skipped window.
-                shared.degraded += 1;
-                let before = shared.breaker.state();
-                let after = shared.breaker.record(false);
-                if before == BreakerState::Open && after == BreakerState::HalfOpen {
-                    set_shard_state(ctx, ServiceState::Ready);
+                report.degraded += 1;
+                if shared.breaker.record(false) == BreakerState::HalfOpen {
+                    health.set_state(ServiceState::Ready);
                 }
             } else if cell.health.is_quarantined() {
                 // Quarantined stream: skip classification, burn one
                 // quarantine tick; the shard's breaker never sees it.
-                shared.quarantine_skipped += 1;
-                let before_standing = cell.health.standing();
-                let after_standing = cell.health.record(false);
-                if let Some(hub) = &ctx.cfg.recorder {
-                    if before_standing != after_standing {
-                        hub.record(
-                            ctx.shard as u32,
-                            &RecorderEvent::Health {
-                                stream: cell.stream,
-                                cursor,
-                                from: standing_kind(before_standing),
-                                to: standing_kind(after_standing),
-                            },
-                        );
-                    }
-                }
-                ctx.hot[slot].store(
-                    cell.health.standing() != StreamStanding::Active,
-                    Ordering::Relaxed,
-                );
+                report.quarantine_skipped += 1;
+                let after = cell.health.record(false);
+                standing_changed(ctx, report, &cells, stream, cursor, before, after);
+                ctx.hot[slot].store(after != StreamStanding::Active, Ordering::Relaxed);
             } else {
                 let verdict = cell.state.observe(&ctx.detector, &window);
                 let faulted = cell.state.last_window_abstained();
                 if let Some(hub) = &ctx.cfg.recorder {
                     hub.record(
                         ctx.shard as u32,
-                        &window_event(cell.stream, cursor, verdict, faulted, &window),
+                        &window_event(stream, cursor, verdict, faulted, &window),
                     );
                     if cell.state.last_window_suspicious() {
                         // The ensemble-disagreement alarm: the committee
@@ -1126,7 +1005,7 @@ fn shard_worker(
                         hub.record(
                             ctx.shard as u32,
                             &RecorderEvent::Disagreement {
-                                stream: cell.stream,
+                                stream,
                                 cursor,
                                 dispersion_permille: permille(
                                     cell.state.last_window_dispersion().unwrap_or(0.0),
@@ -1138,64 +1017,24 @@ fn shard_worker(
                         );
                     }
                 }
-                let before_standing = cell.health.standing();
-                let after_standing = cell.health.record(faulted);
-                if let Some(hub) = &ctx.cfg.recorder {
-                    if before_standing != after_standing {
-                        hub.record(
-                            ctx.shard as u32,
-                            &RecorderEvent::Health {
-                                stream: cell.stream,
-                                cursor,
-                                from: standing_kind(before_standing),
-                                to: standing_kind(after_standing),
-                            },
-                        );
-                    }
-                }
-                if after_standing == StreamStanding::Quarantined
-                    && before_standing != StreamStanding::Quarantined
-                {
-                    shared.quarantines += 1;
-                    quarantines_counter.incr();
-                    if let Some(fleet) = &ctx.cfg.fleet_health {
-                        fleet.record_quarantine();
-                    }
-                } else if before_standing == StreamStanding::Probation
-                    && after_standing == StreamStanding::Active
-                {
-                    shared.readmissions += 1;
-                    readmissions_counter.incr();
-                    if let Some(fleet) = &ctx.cfg.fleet_health {
-                        fleet.record_readmission();
-                    }
-                }
-                let before = shared.breaker.state();
-                let after = shared.breaker.record(faulted);
-                if after == BreakerState::Open && before != BreakerState::Open {
-                    if let Some(fleet) = &ctx.cfg.fleet_health {
-                        fleet.shard(ctx.shard).record_trip();
-                    }
-                    trips_counter.incr();
-                    set_shard_state(ctx, ServiceState::Degraded);
+                let after = cell.health.record(faulted);
+                standing_changed(ctx, report, &cells, stream, cursor, before, after);
+                // The breaker is not open here, so an open one just tripped.
+                if shared.breaker.record(faulted) == BreakerState::Open {
+                    health.record_trip();
+                    health.set_state(ServiceState::Degraded);
                     if let Some(hub) = &ctx.cfg.recorder {
-                        hub.record(
-                            ctx.shard as u32,
-                            &RecorderEvent::Breaker {
-                                stream: cell.stream,
-                                cursor,
-                            },
-                        );
+                        hub.record(ctx.shard as u32, &RecorderEvent::Breaker { stream, cursor });
                         let mut trigger = Trigger::new("breaker_trip");
                         trigger.shard = Some(ctx.shard as u32);
-                        trigger.stream = Some(cell.stream);
+                        trigger.stream = Some(stream);
                         trigger.cursor = Some(cursor);
                         report_bundle(hub.trigger(&trigger));
                     }
                 }
                 let alarmed = matches!(verdict, OnlineVerdict::Alarm { .. });
                 ctx.hot[slot].store(
-                    alarmed || after_standing != StreamStanding::Active,
+                    alarmed || after != StreamStanding::Active,
                     Ordering::Relaxed,
                 );
                 if let Some(sequence) = shared.verdicts.get_mut(slot) {
@@ -1205,22 +1044,18 @@ fn shard_worker(
                         *entry = Some(verdict);
                     }
                 }
-                if ctx.cfg.verbose && slot == 0 {
+                if ctx.cfg.verbose && stream == 0 && cursor.is_multiple_of(16) {
                     if let OnlineVerdict::Alarm { family, votes, of } = verdict {
-                        if cursor.is_multiple_of(16) {
-                            eprintln!(
-                            "serve: shard {} stream {} ALARM ({family}, {votes}/{of}) at window {cursor}",
-                            ctx.shard, cell.stream
+                        eprintln!(
+                            "serve: shard {} stream 0 ALARM ({family}, {votes}/{of}) at window {cursor}",
+                            ctx.shard
                         );
-                        }
                     }
                 }
             }
 
-            cell.cursor = cursor + 1;
             shared.cursors[slot] = shared.cursors[slot].max(cursor + 1);
-            shared.processed += 1;
-            shared.since_checkpoint += 1;
+            report.processed += 1;
             windows_counter.incr();
             let total = ctx.fleet_processed.fetch_add(1, Ordering::Relaxed) + 1;
             if total.is_multiple_of(4096) {
@@ -1229,10 +1064,11 @@ fn shard_worker(
                     hbmd_obs::gauge_set("fleet.windows_per_sec", (total as f64 / elapsed) as i64);
                 }
             }
-            if ctx.cfg.checkpoint_every > 0 && shared.since_checkpoint >= ctx.cfg.checkpoint_every {
-                shared.since_checkpoint = 0;
-                if let Some(checkpointer) = &ctx.checkpointer {
-                    checkpointer.commit(sections_of(&cells));
+            if let Some(checkpointer) = &ctx.checkpointer {
+                shared.since_checkpoint += 1;
+                if shared.since_checkpoint >= checkpointer.checkpoint.every.get() {
+                    shared.since_checkpoint = 0;
+                    checkpointer.commit(cells.clone());
                     if let Some(hub) = &ctx.cfg.recorder {
                         hub.record(ctx.shard as u32, &RecorderEvent::Checkpoint { cursor });
                     }

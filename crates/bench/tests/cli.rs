@@ -66,6 +66,19 @@ fn chaos_takes_no_fast_switch() {
     assert_refused(&["chaos", "--fast"], "chaos: unexpected argument `--fast`");
 }
 
+#[test]
+fn panic_shard_outside_the_fleet_is_refused() {
+    assert_refused(
+        &["serve", "--panic-shard", "4", "--shards", "4"],
+        "serve: --panic-shard 4 is not one of the 4 shards",
+    );
+}
+
+#[test]
+fn flags_without_an_experiment_print_usage_on_stderr() {
+    assert_refused(&["--fast"], "usage: repro");
+}
+
 /// Every value-taking flag of every command, with a missing value and,
 /// where the value has a range, one outside it.
 #[test]

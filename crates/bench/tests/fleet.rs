@@ -6,9 +6,10 @@
 //! touching its neighbors, and a NaN burst across a whole shard must
 //! degrade — not kill — that shard.
 
-use std::path::PathBuf;
+use std::num::NonZeroU64;
+use std::path::{Path, PathBuf};
 
-use hbmd_bench::fleet::{run_fleet, FleetConfig, QUEUE_CAPACITY};
+use hbmd_bench::fleet::{run_fleet, Checkpoint, FleetConfig, QUEUE_CAPACITY};
 use hbmd_core::{shard_of, ClassifierKind, Detector, DetectorBuilder, FeatureSet, StreamState};
 use hbmd_events::{FeatureVector, HpcEvent};
 use hbmd_malware::{AppClass, SampleCatalog, SampleId};
@@ -59,6 +60,15 @@ fn config(streams: u64, shards: usize, windows: u64) -> FleetConfig {
     }
 }
 
+/// A checkpoint at `path`, committed every `every` windows per shard.
+fn snapshot_at(path: &Path, every: u64, config_digest: u64) -> Option<Checkpoint> {
+    Some(Checkpoint {
+        path: path.to_owned(),
+        every: NonZeroU64::new(every).expect("a positive interval"),
+        config_digest,
+    })
+}
+
 fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("hbmd-fleet-{}-{name}", std::process::id()))
 }
@@ -98,9 +108,7 @@ fn shard_kill_is_invisible_behind_the_bulkhead() {
         &detector,
         &sampler,
         &FleetConfig {
-            checkpoint_every: 16,
-            checkpoint_path: Some(checkpoint.clone()),
-            config_digest: 0xBEEF,
+            checkpoint: snapshot_at(&checkpoint, 16, 0xBEEF),
             panic_at: vec![(victim, windows / 2)],
             ..config(streams, shards, windows)
         },
@@ -146,9 +154,7 @@ fn multiplexed_checkpoint_resumes_every_stream() {
         &detector,
         &sampler,
         &FleetConfig {
-            checkpoint_every: 8,
-            checkpoint_path: Some(checkpoint.clone()),
-            config_digest: 0xBEEF,
+            checkpoint: snapshot_at(&checkpoint, 8, 0xBEEF),
             ..config(4, 2, 32)
         },
     )
@@ -159,9 +165,7 @@ fn multiplexed_checkpoint_resumes_every_stream() {
         &detector,
         &sampler,
         &FleetConfig {
-            checkpoint_every: 8,
-            checkpoint_path: Some(checkpoint.clone()),
-            config_digest: 0xBEEF,
+            checkpoint: snapshot_at(&checkpoint, 8, 0xBEEF),
             ..config(4, 2, 48)
         },
     )
@@ -213,9 +217,7 @@ fn mismatched_digest_forces_a_pristine_start() {
     let checkpoint = scratch("digest.snap");
     let _ = std::fs::remove_file(&checkpoint);
     let checkpointed = |digest: u64| FleetConfig {
-        checkpoint_every: 16,
-        checkpoint_path: Some(checkpoint.clone()),
-        config_digest: digest,
+        checkpoint: snapshot_at(&checkpoint, 16, digest),
         ..config(4, 2, 64)
     };
     run_fleet(&detector, &sampler, &checkpointed(0xBEEF)).expect("first run");

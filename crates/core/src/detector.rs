@@ -11,7 +11,7 @@ use hbmd_perf::HpcDataset;
 use crate::convert::{to_binary_dataset, to_multiclass_dataset};
 use crate::error::CoreError;
 use crate::features::{FeaturePlan, FeatureSet};
-use crate::sanitize::{Sanitizer, Screen};
+use crate::sanitize::{SanitizeOutcome, Sanitizer};
 use crate::suite::{ClassifierKind, TrainedModel};
 
 /// Detection granularity.
@@ -305,10 +305,10 @@ impl Detector {
     /// never abstains. The classification, not the screening, is timed
     /// into `classify_ns{scheme}`.
     pub fn classify_sanitized(&self, window: &FeatureVector) -> Verdict {
-        match self.sanitizer.screen(window) {
-            Screen::Clean => self.classify(window),
-            Screen::Repaired(features, _) => self.classify(&features),
-            Screen::Unusable(_) => self.abstain(),
+        match self.sanitizer.sanitize(window) {
+            SanitizeOutcome::Clean(window) => self.classify(window),
+            SanitizeOutcome::Repaired { features, .. } => self.classify(&features),
+            SanitizeOutcome::Unusable { .. } => self.abstain(),
         }
     }
 
@@ -329,12 +329,12 @@ impl Detector {
         window: &FeatureVector,
         armed: bool,
     ) -> (Verdict, Option<f64>) {
-        match self.sanitizer.screen(window) {
-            Screen::Clean => {
+        match self.sanitizer.sanitize(window) {
+            SanitizeOutcome::Clean(window) => {
                 let (verdict, dispersion) = self.walk(window);
                 (verdict, if armed { dispersion } else { None })
             }
-            Screen::Repaired(features, _) => {
+            SanitizeOutcome::Repaired { features, .. } => {
                 let (verdict, dispersion) = self.walk(&features);
                 if !armed {
                     (verdict, None)
@@ -348,7 +348,7 @@ impl Detector {
                     (verdict, self.suspicion(window))
                 }
             }
-            Screen::Unusable(_) => {
+            SanitizeOutcome::Unusable { .. } => {
                 let dispersion = if armed { self.suspicion(window) } else { None };
                 (self.abstain(), dispersion)
             }

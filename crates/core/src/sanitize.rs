@@ -56,11 +56,12 @@ const OUTLIER_MARGIN: f64 = 16.0;
 /// exact one refuses.
 const BOUND_SLACK: f64 = 1e-9;
 
-/// What screening one window produced.
+/// What screening one window produced. A clean window is borrowed, not
+/// copied: the serving path classifies it where it lies.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SanitizeOutcome {
+pub enum SanitizeOutcome<'w> {
     /// Every value was plausible; the window is untouched.
-    Clean(FeatureVector),
+    Clean(&'w FeatureVector),
     /// Some values were corrupt and have been imputed from training
     /// medians.
     Repaired {
@@ -76,28 +77,15 @@ pub enum SanitizeOutcome {
     },
 }
 
-impl SanitizeOutcome {
+impl SanitizeOutcome<'_> {
     /// The usable window, if any.
     pub fn features(&self) -> Option<&FeatureVector> {
         match self {
-            SanitizeOutcome::Clean(features) | SanitizeOutcome::Repaired { features, .. } => {
-                Some(features)
-            }
+            SanitizeOutcome::Clean(features) => Some(features),
+            SanitizeOutcome::Repaired { features, .. } => Some(features),
             SanitizeOutcome::Unusable { .. } => None,
         }
     }
-}
-
-/// What screening one window found, without a copy of a clean window:
-/// the crate's serving path walks a clean window where it lies.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Screen {
-    /// Every value was plausible; the window is untouched.
-    Clean,
-    /// The window with its corrupt columns imputed, and how many were.
-    Repaired(FeatureVector, usize),
-    /// Too much of the window was corrupt: how many columns were.
-    Unusable(usize),
 }
 
 /// Screens sampling windows against statistics of the training split;
@@ -304,19 +292,7 @@ impl Sanitizer {
     }
 
     /// Screen one window. Never panics, whatever the input holds.
-    pub fn sanitize(&self, window: &FeatureVector) -> SanitizeOutcome {
-        match self.screen(window) {
-            Screen::Clean => SanitizeOutcome::Clean(window.clone()),
-            Screen::Repaired(features, repaired) => {
-                SanitizeOutcome::Repaired { features, repaired }
-            }
-            Screen::Unusable(invalid) => SanitizeOutcome::Unusable { invalid },
-        }
-    }
-
-    /// Screen one window without copying it when it is clean — the one
-    /// screen behind [`sanitize`](Self::sanitize).
-    pub(crate) fn screen(&self, window: &FeatureVector) -> Screen {
+    pub fn sanitize<'w>(&self, window: &'w FeatureVector) -> SanitizeOutcome<'w> {
         let values: &Column = window
             .as_slice()
             .try_into()
@@ -324,13 +300,13 @@ impl Sanitizer {
         let invalid = self.invalid_columns(values);
         if invalid == 0 {
             return match self.joint_outliers(values) {
-                Some(outliers) => Screen::Unusable(outliers),
-                None => Screen::Clean,
+                Some(invalid) => SanitizeOutcome::Unusable { invalid },
+                None => SanitizeOutcome::Clean(window),
             };
         }
         let repaired = invalid.count_ones() as usize;
         if repaired > self.max_repair {
-            return Screen::Unusable(repaired);
+            return SanitizeOutcome::Unusable { invalid: repaired };
         }
         let features: Column = std::array::from_fn(|j| {
             if has(invalid, j) {
@@ -340,11 +316,13 @@ impl Sanitizer {
             }
         });
         match self.joint_outliers(&features) {
-            Some(outliers) => Screen::Unusable(repaired.max(outliers)),
-            None => Screen::Repaired(
-                FeatureVector::from_slice(&features).expect("same width"),
+            Some(outliers) => SanitizeOutcome::Unusable {
+                invalid: repaired.max(outliers),
+            },
+            None => SanitizeOutcome::Repaired {
+                features: FeatureVector::from_slice(&features).expect("same width"),
                 repaired,
-            ),
+            },
         }
     }
 

@@ -77,7 +77,7 @@ mod reference {
             }
         }
 
-        pub fn sanitize(&self, window: &FeatureVector) -> SanitizeOutcome {
+        pub fn sanitize<'w>(&self, window: &'w FeatureVector) -> SanitizeOutcome<'w> {
             let values = window.as_slice();
             let mut columns = [0usize; HpcEvent::COUNT];
             let mut found = 0;
@@ -92,7 +92,7 @@ mod reference {
                 if let Some(outliers) = self.joint_outliers(values) {
                     return SanitizeOutcome::Unusable { invalid: outliers };
                 }
-                return SanitizeOutcome::Clean(window.clone());
+                return SanitizeOutcome::Clean(window);
             }
             if invalid.len() > self.max_repair {
                 return SanitizeOutcome::Unusable {

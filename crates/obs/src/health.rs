@@ -1,33 +1,48 @@
-//! Supervisor-visible service health, shared between the fleet and the
-//! exposition server.
+//! Supervisor-visible fleet health, shared between the fleet and the
+//! exposition server through the metrics [`Registry`].
 //!
-//! A [`Health`] is a lock-free bundle of the one state machine and two
-//! counters a supervised shard needs to expose: where its supervisor
-//! currently is ([`ServiceState`]), how many times the worker has been
-//! restarted, and how many times the circuit breaker has tripped. A
-//! [`FleetHealth`] holds one per shard; the serve layer maps its quorum
-//! onto `/readyz` (200 only while enough shards are
-//! [`ServiceState::Ready`]), and `repro serve` mirrors the fleet totals
-//! into the metrics [`Registry`](crate::metrics::Registry) so they reach
-//! the Prometheus exposition as `hbmd_supervisor_restarts_total` and
-//! `hbmd_breaker_trips_total`.
+//! A [`FleetHealth`] is a view over a registry: it resolves its series
+//! once, its record methods are the only writers of them, and its
+//! readers — `/readyz` among them — read the same cells the Prometheus
+//! exposition renders. Two views built over one registry share every
+//! cell, so the fleet and the server each build their own. The series:
+//!
+//! | series | kind | meaning |
+//! |---|---|---|
+//! | `fleet.shard_state{shard}` | gauge | the shard's [`ServiceState`] as 0 starting, 1 ready, 2 degraded, 3 restarting |
+//! | `fleet.shard_restarts{shard}` | counter | worker restarts |
+//! | `breaker.trips{shard}` | counter | circuit-breaker trips |
+//! | `fleet.quarantined{shard}` | gauge | streams quarantined or on probation |
+//! | `fleet.quarantines` | counter | stream entries into quarantine |
+//! | `fleet.readmissions` | counter | streams readmitted after probation |
+//! | `fleet.shed{priority}` | counter | windows shed under overload, `low` (cold) or `high` (hot) |
+//!
+//! The serve layer maps the shards' quorum onto `/readyz`: 200 only
+//! while a strict majority of shards is [`ServiceState::Ready`].
 //!
 //! # Examples
 //!
 //! ```
-//! use hbmd_obs::health::{Health, ServiceState};
+//! use hbmd_obs::health::{FleetHealth, ServiceState};
+//! use hbmd_obs::Registry;
 //!
-//! let health = Health::new();
-//! assert_eq!(health.state(), ServiceState::Starting);
-//! health.set_state(ServiceState::Ready);
-//! assert!(health.is_ready());
-//! health.record_restart();
-//! assert_eq!(health.restarts(), 1);
+//! let registry = Registry::new();
+//! let fleet = FleetHealth::new(&registry, 2);
+//! assert_eq!(fleet.shard(0).state(), ServiceState::Starting);
+//! fleet.shard(0).set_state(ServiceState::Ready);
+//! fleet.shard(1).record_restart();
+//! // A second view over the same registry reads the same cells.
+//! let view = FleetHealth::new(&registry, 2);
+//! assert!(view.shard(0).is_ready());
+//! assert_eq!(view.restarts(), 1);
+//! assert_eq!(registry.snapshot().counter("fleet.shard_restarts"), 1);
 //! ```
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::Arc;
 
-/// Where the supervised pipeline currently is.
+use crate::metrics::{Counter, Gauge, Registry};
+
+/// Where a supervised shard currently is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServiceState {
     /// Booting: training or restoring the detector; not yet serving
@@ -61,16 +76,7 @@ impl std::fmt::Display for ServiceState {
     }
 }
 
-/// Shared, lock-free health state: one [`ServiceState`] plus restart
-/// and breaker-trip counters. Cheap enough to update from the hot
-/// path and safe to read from any scrape thread.
-#[derive(Debug, Default)]
-pub struct Health {
-    state: AtomicU8,
-    restarts: AtomicU64,
-    trips: AtomicU64,
-}
-
+/// The `fleet.shard_state` value of each state, by position.
 const STATE_TAGS: [ServiceState; 4] = [
     ServiceState::Starting,
     ServiceState::Ready,
@@ -78,16 +84,32 @@ const STATE_TAGS: [ServiceState; 4] = [
     ServiceState::Restarting,
 ];
 
+/// One shard's health series: its [`ServiceState`], worker restarts,
+/// breaker trips and streams out of service.
+#[derive(Debug)]
+pub struct Health {
+    state: Arc<Gauge>,
+    restarts: Arc<Counter>,
+    trips: Arc<Counter>,
+    quarantined: Arc<Gauge>,
+}
+
 impl Health {
-    /// A fresh health record in [`ServiceState::Starting`] with zeroed
-    /// counters.
-    pub fn new() -> Health {
-        Health::default()
+    fn new(registry: &Registry, shard: usize) -> Health {
+        let label = shard.to_string();
+        let shard = [("shard", label.as_str())];
+        Health {
+            state: registry.gauge_with("fleet.shard_state", &shard),
+            restarts: registry.counter_with("fleet.shard_restarts", &shard),
+            trips: registry.counter_with("breaker.trips", &shard),
+            quarantined: registry.gauge_with("fleet.quarantined", &shard),
+        }
     }
 
     /// The current state.
     pub fn state(&self) -> ServiceState {
-        STATE_TAGS[usize::from(self.state.load(Ordering::SeqCst)) % STATE_TAGS.len()]
+        let tag = usize::try_from(self.state.get()).unwrap_or(0);
+        STATE_TAGS[tag % STATE_TAGS.len()]
     }
 
     /// Move to `state`.
@@ -95,8 +117,8 @@ impl Health {
         let tag = STATE_TAGS
             .iter()
             .position(|&s| s == state)
-            .expect("state is one of the four tags") as u8;
-        self.state.store(tag, Ordering::SeqCst);
+            .expect("state is one of the four tags");
+        self.state.set(tag as i64);
     }
 
     /// `true` only in [`ServiceState::Ready`] — the `/readyz`
@@ -107,28 +129,41 @@ impl Health {
 
     /// Count one worker restart.
     pub fn record_restart(&self) {
-        self.restarts.fetch_add(1, Ordering::SeqCst);
+        self.restarts.incr();
     }
 
     /// Worker restarts so far.
     pub fn restarts(&self) -> u64 {
-        self.restarts.load(Ordering::SeqCst)
+        self.restarts.get()
     }
 
     /// Count one circuit-breaker trip.
     pub fn record_trip(&self) {
-        self.trips.fetch_add(1, Ordering::SeqCst);
+        self.trips.incr();
     }
 
     /// Breaker trips so far.
     pub fn trips(&self) -> u64 {
-        self.trips.load(Ordering::SeqCst)
+        self.trips.get()
+    }
+
+    /// Set how many of the shard's streams are quarantined or on
+    /// probation — a count of their standings, not of events, so it
+    /// cannot drift from them.
+    pub fn set_quarantined(&self, streams: u64) {
+        self.quarantined
+            .set(i64::try_from(streams).unwrap_or(i64::MAX));
+    }
+
+    /// The shard's streams quarantined or on probation.
+    pub fn quarantined(&self) -> u64 {
+        u64::try_from(self.quarantined.get()).unwrap_or(0)
     }
 }
 
 /// Health for a sharded fleet: one [`Health`] per shard (each shard's
-/// supervisor drives its own), plus fleet-wide quarantine and shedding
-/// counters.
+/// supervisor drives its own), plus fleet-wide quarantine, readmission
+/// and shedding counters.
 ///
 /// Readiness is a *quorum*, not unanimity — that is the bulkhead
 /// contract: one shard restarting must not flip the whole deployment
@@ -137,20 +172,25 @@ impl Health {
 #[derive(Debug)]
 pub struct FleetHealth {
     shards: Vec<Health>,
-    quarantined: AtomicU64,
-    readmissions: AtomicU64,
-    shed: AtomicU64,
+    quarantines: Arc<Counter>,
+    readmissions: Arc<Counter>,
+    shed_low: Arc<Counter>,
+    shed_high: Arc<Counter>,
 }
 
 impl FleetHealth {
-    /// A fleet of `shards` shard-health records, all
+    /// The health of a fleet of `shards` shards (at least one), over
+    /// `registry`'s series. A shard no one has moved reads
     /// [`ServiceState::Starting`].
-    pub fn new(shards: usize) -> FleetHealth {
+    pub fn new(registry: &Registry, shards: usize) -> FleetHealth {
         FleetHealth {
-            shards: (0..shards.max(1)).map(|_| Health::new()).collect(),
-            quarantined: AtomicU64::new(0),
-            readmissions: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
+            shards: (0..shards.max(1))
+                .map(|shard| Health::new(registry, shard))
+                .collect(),
+            quarantines: registry.counter("fleet.quarantines"),
+            readmissions: registry.counter("fleet.readmissions"),
+            shed_low: registry.counter_with("fleet.shed", &[("priority", "low")]),
+            shed_high: registry.counter_with("fleet.shed", &[("priority", "high")]),
         }
     }
 
@@ -188,40 +228,35 @@ impl FleetHealth {
         self.shards.iter().map(Health::trips).sum()
     }
 
-    /// Streams currently quarantined (a gauge: raise on quarantine,
-    /// lower on readmission).
+    /// Streams currently quarantined or on probation, across all
+    /// shards.
     pub fn quarantined(&self) -> u64 {
-        self.quarantined.load(Ordering::SeqCst)
+        self.shards.iter().map(Health::quarantined).sum()
     }
 
     /// Count one stream entering quarantine.
     pub fn record_quarantine(&self) {
-        self.quarantined.fetch_add(1, Ordering::SeqCst);
+        self.quarantines.incr();
     }
 
     /// Count one stream readmitted after probation.
     pub fn record_readmission(&self) {
-        self.readmissions.fetch_add(1, Ordering::SeqCst);
-        // Saturating: a readmission without a recorded quarantine (e.g.
-        // restored mid-probation) must not wrap the gauge.
-        let _ = self
-            .quarantined
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |q| q.checked_sub(1));
+        self.readmissions.incr();
     }
 
-    /// Streams readmitted after probation so far.
-    pub fn readmissions(&self) -> u64 {
-        self.readmissions.load(Ordering::SeqCst)
+    /// Count one window shed under overload: a `hot` stream's (alarmed
+    /// or on probation) at high priority, a cold one's at low.
+    pub fn record_shed(&self, hot: bool) {
+        if hot {
+            self.shed_high.incr();
+        } else {
+            self.shed_low.incr();
+        }
     }
 
-    /// Count `n` windows shed under overload.
-    pub fn record_shed(&self, n: u64) {
-        self.shed.fetch_add(n, Ordering::SeqCst);
-    }
-
-    /// Windows shed under overload so far.
+    /// Windows shed under overload so far, both priorities.
     pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::SeqCst)
+        self.shed_low.get() + self.shed_high.get()
     }
 }
 
@@ -231,22 +266,13 @@ mod tests {
 
     #[test]
     fn state_machine_roundtrips_all_states() {
-        let health = Health::new();
+        let registry = Registry::new();
+        let health = FleetHealth::new(&registry, 1);
         for state in STATE_TAGS {
-            health.set_state(state);
-            assert_eq!(health.state(), state);
-            assert_eq!(health.is_ready(), state == ServiceState::Ready);
+            health.shard(0).set_state(state);
+            assert_eq!(health.shard(0).state(), state);
+            assert_eq!(health.shard(0).is_ready(), state == ServiceState::Ready);
         }
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let health = Health::new();
-        health.record_restart();
-        health.record_restart();
-        health.record_trip();
-        assert_eq!(health.restarts(), 2);
-        assert_eq!(health.trips(), 1);
     }
 
     #[test]
@@ -259,7 +285,7 @@ mod tests {
 
     #[test]
     fn fleet_readiness_is_a_strict_majority() {
-        let fleet = FleetHealth::new(4);
+        let fleet = FleetHealth::new(&Registry::new(), 4);
         assert!(!fleet.is_ready(), "all starting");
         fleet.shard(0).set_state(ServiceState::Ready);
         fleet.shard(1).set_state(ServiceState::Ready);
@@ -272,26 +298,33 @@ mod tests {
     }
 
     #[test]
-    fn fleet_counters_aggregate_across_shards() {
-        let fleet = FleetHealth::new(2);
+    fn fleet_counters_aggregate_across_shards_into_the_registry() {
+        let registry = Registry::new();
+        let fleet = FleetHealth::new(&registry, 2);
         fleet.shard(0).record_restart();
         fleet.shard(1).record_restart();
         fleet.shard(1).record_trip();
         assert_eq!(fleet.restarts(), 2);
         assert_eq!(fleet.trips(), 1);
 
-        fleet.record_quarantine();
-        fleet.record_quarantine();
-        assert_eq!(fleet.quarantined(), 2);
-        fleet.record_readmission();
+        fleet.shard(0).set_quarantined(2);
+        fleet.shard(1).set_quarantined(1);
+        assert_eq!(fleet.quarantined(), 3);
+        fleet.shard(0).set_quarantined(0);
         assert_eq!(fleet.quarantined(), 1);
-        assert_eq!(fleet.readmissions(), 1);
-        // Readmissions never wrap the quarantine gauge below zero.
-        fleet.record_readmission();
-        fleet.record_readmission();
-        assert_eq!(fleet.quarantined(), 0);
 
-        fleet.record_shed(5);
-        assert_eq!(fleet.shed(), 5);
+        fleet.record_quarantine();
+        fleet.record_readmission();
+        fleet.record_shed(false);
+        fleet.record_shed(true);
+        fleet.record_shed(true);
+        assert_eq!(fleet.shed(), 3);
+
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.counter("fleet.shard_restarts"), 2);
+        assert_eq!(snapshot.counter("breaker.trips"), 1);
+        assert_eq!(snapshot.counter("fleet.quarantines"), 1);
+        assert_eq!(snapshot.counter("fleet.readmissions"), 1);
+        assert_eq!(snapshot.counter("fleet.shed"), 3);
     }
 }

@@ -76,7 +76,8 @@ pub struct ServeContext {
     /// Served verbatim at `/manifest` (must be a JSON document).
     pub manifest_json: String,
     /// Sharded fleet health backing `/readyz`: quorum readiness plus
-    /// one line per shard. With `None`, `/readyz` mirrors `/healthz`
+    /// one line per shard. Built over `registry`, it reads the cells
+    /// `/metrics` renders. With `None`, `/readyz` mirrors `/healthz`
     /// (an unsupervised exposition is ready as soon as it binds).
     pub fleet: Option<Arc<FleetHealth>>,
     /// Handler for `/debug/...` paths (`/debug/recorder`,
@@ -397,11 +398,12 @@ mod tests {
 
     #[test]
     fn readyz_reports_per_shard_fleet_state() {
-        let fleet = Arc::new(crate::health::FleetHealth::new(3));
+        let registry = Arc::new(Registry::new());
+        let fleet = Arc::new(crate::health::FleetHealth::new(&registry, 3));
         let server = serve(
             "127.0.0.1:0",
             ServeContext {
-                registry: Arc::new(Registry::new()),
+                registry,
                 manifest_json: "{}".to_owned(),
                 fleet: Some(Arc::clone(&fleet)),
                 debug: None,
@@ -423,7 +425,7 @@ mod tests {
             .shard(2)
             .set_state(crate::health::ServiceState::Restarting);
         fleet.shard(2).record_restart();
-        fleet.record_quarantine();
+        fleet.shard(2).set_quarantined(1);
         let ready = get(addr, "GET /readyz HTTP/1.0\r\n\r\n");
         assert!(ready.starts_with("HTTP/1.0 200"), "got: {ready}");
         assert!(ready.contains("shards 3 ready 2"));
