@@ -262,7 +262,8 @@ struct Options {
     /// Windows *per stream*; for `serve`, 0 = run until killed.
     windows: u64,
     checkpoint: Option<PathBuf>,
-    checkpoint_every: u64,
+    /// `--checkpoint-every`, when given.
+    checkpoint_every: Option<u64>,
     /// Monitored endpoint streams in the fleet.
     streams: u64,
     /// Worker shards the streams are hashed across.
@@ -350,7 +351,7 @@ const CHECKPOINT_EVERY: Flag = count(
     "--checkpoint-every",
     1,
     "a positive window count",
-    |o, n| o.checkpoint_every = n,
+    |o, n| o.checkpoint_every = Some(n),
 );
 
 /// A command's flag table and the operands it takes.
@@ -610,7 +611,6 @@ fn serve_mode(args: &[String]) -> ExitCode {
     let defaults = Options {
         scale: 0.05,
         addr: "127.0.0.1:9185".to_owned(),
-        checkpoint_every: 64,
         streams: 2_000,
         shards: 8,
         ..Options::default()
@@ -618,6 +618,10 @@ fn serve_mode(args: &[String]) -> ExitCode {
     let Some(mut options) = SERVE.parse(args, defaults) else {
         return ExitCode::FAILURE;
     };
+    if options.checkpoint_every.is_some() && options.checkpoint.is_none() {
+        eprintln!("serve: --checkpoint-every needs --checkpoint");
+        return ExitCode::FAILURE;
+    }
     if let Some(shard) = options.panic_shards.iter().find(|&&s| s >= options.shards) {
         eprintln!(
             "serve: --panic-shard {shard} is not one of the {} shards",
@@ -659,6 +663,7 @@ fn run_monitor(
     // the guard lives for the whole serve session.
     let guard = hbmd_obs::install(Obs::new());
     install_sigint_handler();
+    let checkpoint_every = options.checkpoint_every.unwrap_or(64);
 
     let config_digest_u64 =
         u64::from_str_radix(&config_digest(config), 16).expect("digest is 16 hex digits");
@@ -794,7 +799,7 @@ fn run_monitor(
         eprintln!(
             "serve: checkpointing to {} every {} windows per shard",
             path.display(),
-            options.checkpoint_every
+            checkpoint_every
         );
     }
     if !options.panic_shards.is_empty() {
@@ -816,8 +821,7 @@ fn run_monitor(
     let fleet_config = fleet::FleetConfig {
         checkpoint: options.checkpoint.clone().map(|path| fleet::Checkpoint {
             path,
-            every: NonZeroU64::new(options.checkpoint_every)
-                .expect("--checkpoint-every is positive"),
+            every: NonZeroU64::new(checkpoint_every).expect("--checkpoint-every is positive"),
             config_digest: config_digest_u64,
         }),
         pristine_stream: template,
@@ -878,7 +882,6 @@ fn chaos_mode(args: &[String]) -> ExitCode {
     let defaults = Options {
         scale: 0.05,
         windows: 320,
-        checkpoint_every: 32,
         ..Options::default()
     };
     let Some(options) = CHAOS.parse(args, defaults) else {
@@ -896,7 +899,7 @@ fn chaos_mode(args: &[String]) -> ExitCode {
 
 fn run_chaos(options: &Options) -> Result<bool, Box<dyn std::error::Error>> {
     let guard = hbmd_obs::install(Obs::new());
-    let (windows, checkpoint_every) = (options.windows, options.checkpoint_every);
+    let (windows, checkpoint_every) = (options.windows, options.checkpoint_every.unwrap_or(32));
     let dir = match &options.dir {
         Some(d) => d.clone(),
         None => std::env::temp_dir().join(format!("hbmd-chaos-{}", std::process::id())),
@@ -1193,7 +1196,7 @@ fn run_chaos(options: &Options) -> Result<bool, Box<dyn std::error::Error>> {
     let _ = std::fs::remove_file(&checkpoint);
     let _ = std::fs::remove_dir(&dir);
     let _ = guard;
-    println!("supervisor.restarts_total {}", killed.restarts);
+    println!("chaos: restarts {}", killed.restarts);
     println!("chaos: {}", if passed { "PASS" } else { "FAIL" });
     Ok(passed)
 }

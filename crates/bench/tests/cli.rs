@@ -75,6 +75,28 @@ fn panic_shard_outside_the_fleet_is_refused() {
 }
 
 #[test]
+fn checkpoint_interval_without_a_checkpoint_is_refused() {
+    assert_refused(
+        &[
+            "serve",
+            "--scale",
+            "0.03",
+            "--addr",
+            "127.0.0.1:0",
+            "--windows",
+            "8",
+            "--streams",
+            "2",
+            "--shards",
+            "1",
+            "--checkpoint-every",
+            "5",
+        ],
+        "serve: --checkpoint-every needs --checkpoint",
+    );
+}
+
+#[test]
 fn flags_without_an_experiment_print_usage_on_stderr() {
     assert_refused(&["--fast"], "usage: repro");
 }

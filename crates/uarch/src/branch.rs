@@ -189,15 +189,6 @@ impl BranchPredictor {
         self.btb_misses
     }
 
-    /// Misprediction ratio (0 when no branches yet).
-    pub fn mispredict_ratio(&self) -> f64 {
-        if self.branches == 0 {
-            0.0
-        } else {
-            self.mispredicts as f64 / self.branches as f64
-        }
-    }
-
     /// Clear tables, history and statistics.
     pub fn reset(&mut self) {
         self.bimodal.fill(1);
@@ -239,7 +230,8 @@ mod tests {
             let pc = 0x1000 + (i % 64) * 8;
             bp.predict_and_train(pc, rng.gen_bool(0.5), 0x9000);
         }
-        let ratio = bp.mispredict_ratio();
+        assert_eq!(bp.branches(), 20_000);
+        let ratio = bp.mispredicts() as f64 / bp.branches() as f64;
         assert!(
             (0.35..=0.65).contains(&ratio),
             "random branches should hover near 0.5 mispredict, got {ratio}"
@@ -324,7 +316,7 @@ mod tests {
         bp.predict_and_train(0x1000, true, 0x2000);
         bp.reset();
         assert_eq!(bp.branches(), 0);
-        assert_eq!(bp.mispredict_ratio(), 0.0);
+        assert_eq!(bp.mispredicts(), 0);
         let o = bp.predict_and_train(0x1000, true, 0x2000);
         assert!(o.btb_miss, "BTB was cleared");
     }

@@ -15,17 +15,6 @@ pub struct ExecutionStats {
     pub cycles: u64,
 }
 
-impl ExecutionStats {
-    /// Instructions per cycle (0 when no cycles elapsed).
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.instructions as f64 / self.cycles as f64
-        }
-    }
-}
-
 /// The simulated core: front end (L1I, iTLB, branch predictor), data side
 /// (L1D, dTLB), a shared LLC and memory-node traffic accounting.
 ///
@@ -56,9 +45,11 @@ pub struct Cpu {
     dtlb: Tlb,
     branch: BranchPredictor,
     counters: CounterSet,
-    stats: ExecutionStats,
-    /// Fractional cycle accumulator for the base-IPC issue model.
-    issue_debt: f64,
+    /// Instructions executed since construction or reset. None of them
+    /// is issued yet: [`Cpu::stats`] settles their base issue cost.
+    instructions: u64,
+    /// Stall penalties charged over those instructions.
+    stall_cycles: u64,
     /// `1.0 / config.base_ipc`: the issue cost of one instruction.
     cycles_per_instruction: f64,
 }
@@ -81,8 +72,8 @@ impl Cpu {
             dtlb: Tlb::new(config.dtlb),
             branch: BranchPredictor::new(config.branch),
             counters: CounterSet::new(),
-            stats: ExecutionStats::default(),
-            issue_debt: 0.0,
+            instructions: 0,
+            stall_cycles: 0,
             cycles_per_instruction: 1.0 / config.base_ipc,
             config,
         }
@@ -99,8 +90,24 @@ impl Cpu {
     }
 
     /// Timing statistics since construction or reset.
+    ///
+    /// The base issue cost is settled here rather than per instruction:
+    /// a fractional cycle debt gains `1 / base_ipc` per instruction and
+    /// sheds its whole cycles, step by step in `f64`, so this walks every
+    /// instruction executed since the last reset (a few ns each).
     pub fn stats(&self) -> ExecutionStats {
-        self.stats
+        let mut debt = 0.0_f64;
+        let mut issued_cycles = 0;
+        for _ in 0..self.instructions {
+            debt += self.cycles_per_instruction;
+            let issued = debt as u64;
+            debt -= issued as f64;
+            issued_cycles += issued;
+        }
+        ExecutionStats {
+            instructions: self.instructions,
+            cycles: issued_cycles + self.stall_cycles,
+        }
     }
 
     /// Execute `budget` instructions drawn from `source`.
@@ -221,12 +228,9 @@ impl Cpu {
             }
         }
 
-        // --- Timing: fractional base issue cost plus stall penalties ---
-        self.issue_debt += self.cycles_per_instruction;
-        let issued = self.issue_debt as u64;
-        self.issue_debt -= issued as f64;
-        self.stats.instructions += 1;
-        self.stats.cycles += issued + penalty;
+        // --- Timing: stall penalties now, base issue cost in `stats` ---
+        self.instructions += 1;
+        self.stall_cycles += penalty;
     }
 
     /// Next-line prefetch: fill `addr`'s line into L1D and LLC without
@@ -266,15 +270,15 @@ impl Cpu {
         self.dtlb.reset();
         self.branch.reset();
         self.counters = CounterSet::new();
-        self.stats = ExecutionStats::default();
-        self.issue_debt = 0.0;
+        self.instructions = 0;
+        self.stall_cycles = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::{trace_source, Instruction};
+    use crate::inst::{trace_source, Instruction, InstructionSource};
 
     fn cpu() -> Cpu {
         Cpu::new(CpuConfig::tiny())
@@ -368,7 +372,9 @@ mod tests {
         let mut s = trace_source(trace);
         slow.run(&mut s, 10_000);
 
-        assert!(fast.stats().ipc() > 3.0 * slow.stats().ipc());
+        // IPC fast > 3 × IPC slow, cross-multiplied over whole counts.
+        let (fast, slow) = (fast.stats(), slow.stats());
+        assert!(fast.instructions * slow.cycles > 3 * slow.instructions * fast.cycles);
     }
 
     #[test]
@@ -378,7 +384,7 @@ mod tests {
         c.run(&mut s, 10);
         c.reset();
         assert!(c.counters().is_zero());
-        assert_eq!(c.stats().instructions, 0);
+        assert_eq!(c.stats(), ExecutionStats::default());
         c.run(&mut s, 1);
         assert_eq!(
             c.counters()[HpcEvent::L1DcacheLoadMisses],
@@ -418,12 +424,94 @@ mod tests {
     }
 
     #[test]
-    fn ipc_is_instructions_per_cycle() {
-        let stats = ExecutionStats {
-            instructions: 10,
-            cycles: 2_000,
-        };
-        assert!((stats.ipc() - 0.005).abs() < 1e-12);
+    fn stall_free_cycles_are_instructions_over_base_ipc() {
+        let mut c = cpu();
+        let mut s = trace_source(vec![
+            Instruction::new(0x40_0000, Op::Alu),
+            Instruction::new(0x40_0004, Op::Alu),
+        ]);
+        c.run(&mut s, 2); // the cold fetch misses
+        let warm = c.stats().cycles;
+        c.run(&mut s, 10_000);
+        let stats = c.stats();
+        assert_eq!(stats.instructions, 10_002);
+        let expected = (10_000.0 / c.config().base_ipc) as u64;
+        assert!(stats.cycles - warm >= expected - 1 && stats.cycles - warm <= expected + 1);
+    }
+
+    #[test]
+    fn stats_settle_the_same_whenever_they_are_read() {
+        let trace: Vec<Instruction> = (0..512u64)
+            .map(|i| {
+                let op = match i % 5 {
+                    0 => Op::Load(0x10_0000 + i * 4160),
+                    1 => Op::Store(0x20_0000 + i * 64),
+                    2 => Op::Branch {
+                        target: 0x40_1000,
+                        taken: i % 3 == 0,
+                    },
+                    _ => Op::Alu,
+                };
+                Instruction::new(0x40_0000 + (i % 48) * 4, op)
+            })
+            .collect();
+        for base_ipc in [2.0, 3.0, 0.7, 1.3] {
+            let config = CpuConfig {
+                base_ipc,
+                ..CpuConfig::tiny()
+            };
+            let (mut polled, mut once) = (Cpu::new(config.clone()), Cpu::new(config));
+            let mut polled_stream = trace_source(trace.clone());
+            let mut once_stream = trace_source(trace.clone());
+            let mut previous = ExecutionStats::default();
+            for step in 0..1_500 {
+                if step == 700 {
+                    polled.reset();
+                    once.reset();
+                    previous = ExecutionStats::default();
+                }
+                let inst = polled_stream.next_instruction();
+                polled.execute(inst.pc, inst.op);
+                let stats = polled.stats();
+                assert_eq!(stats.instructions, previous.instructions + 1);
+                assert!(stats.cycles >= previous.cycles, "cycles never run back");
+                previous = stats;
+                let inst = once_stream.next_instruction();
+                once.execute(inst.pc, inst.op);
+            }
+            assert_eq!(polled.stats(), once.stats(), "base_ipc {base_ipc}");
+            assert_eq!(once.stats().instructions, 800);
+
+            // Past the cold fetch an ALU loop never stalls, so each
+            // instruction's cycles are what the per-instruction float
+            // chain issues for it.
+            let mut alu = Cpu::new(CpuConfig {
+                base_ipc,
+                ..CpuConfig::tiny()
+            });
+            let mut alu_stream = trace_source(vec![
+                Instruction::new(0x40_0000, Op::Alu),
+                Instruction::new(0x40_0004, Op::Alu),
+            ]);
+            let cycles_per_instruction = 1.0 / base_ipc;
+            let mut debt = cycles_per_instruction;
+            debt -= (debt as u64) as f64;
+            alu.run(&mut alu_stream, 1);
+            let mut previous = alu.stats().cycles;
+            for step in 1..1_000 {
+                debt += cycles_per_instruction;
+                let issued = debt as u64;
+                debt -= issued as f64;
+                alu.run(&mut alu_stream, 1);
+                let cycles = alu.stats().cycles;
+                assert_eq!(
+                    cycles - previous,
+                    issued,
+                    "base_ipc {base_ipc}, step {step}"
+                );
+                previous = cycles;
+            }
+        }
     }
 
     #[test]

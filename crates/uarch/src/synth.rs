@@ -225,6 +225,7 @@ impl SyntheticStream {
         self.data_cursor = DATA_BASE + (self.data_cursor - DATA_BASE) % self.phase.data_span;
     }
 
+    #[inline]
     fn next_data_addr(&mut self) -> u64 {
         let span = self.phase.data_span;
         if self.rng.sample(self.phase.data_locality) {
@@ -242,6 +243,7 @@ impl SyntheticStream {
         self.data_cursor
     }
 
+    #[inline]
     fn next_branch(&mut self) -> Op {
         let phase = &self.phase;
         let stable_taken = !(self.pc >> 2).is_multiple_of(8); // per-site stable pattern

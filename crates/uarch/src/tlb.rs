@@ -48,8 +48,11 @@ impl TlbConfig {
 ///
 /// Entries fill from index 0 upward and are only ever replaced, never
 /// invalidated one by one, so the valid entries are always the first
-/// `len`. A lookup probes the most recently used entry, then scans the
-/// dense page array. Recency is a doubly linked list through the
+/// `len`. A lookup probes the most recently used entry, then an
+/// open-addressed index from page to entry: linear probing over a
+/// power-of-two table of at least twice `entries` slots, homed by a
+/// Fibonacci hash of the page, with backward-shift deletion so no
+/// tombstones build up. Recency is a doubly linked list through the
 /// entries, so a hit moves its entry to the front and a miss in a full
 /// TLB evicts the back without searching. The victim is the lowest-index
 /// invalid entry, else the least recently used one.
@@ -77,13 +80,20 @@ pub struct Tlb {
     mru: usize,
     /// Least recently used valid entry (meaningless while `len == 0`).
     lru: usize,
+    /// Open-addressed index: the entry holding each valid page, or `NIL`.
+    index: Vec<usize>,
+    /// `64 - log2(index.len())`: shifts a hashed page to its home slot.
+    index_shift: u32,
     page_shift: u32,
     hits: u64,
     misses: u64,
 }
 
-/// End of the recency list.
+/// End of the recency list, and an empty index slot.
 const NIL: usize = usize::MAX;
+
+/// Fibonacci hashing multiplier: 2^64 divided by the golden ratio.
+const FIBONACCI: u64 = 0x9e37_79b9_7f4a_7c15;
 
 impl Tlb {
     /// Build a TLB with the given sizing.
@@ -95,6 +105,7 @@ impl Tlb {
         if let Err(msg) = config.validate() {
             panic!("invalid TLB config: {msg}");
         }
+        let slots = (config.entries * 2).next_power_of_two();
         Tlb {
             config,
             pages: vec![0; config.entries],
@@ -103,6 +114,8 @@ impl Tlb {
             len: 0,
             mru: 0,
             lru: 0,
+            index: vec![NIL; slots],
+            index_shift: 64 - slots.trailing_zeros(),
             page_shift: config.page_bytes.trailing_zeros(),
             hits: 0,
             misses: 0,
@@ -129,22 +142,51 @@ impl Tlb {
     /// Look `page` up past the most recently used entry.
     #[inline(never)]
     fn search(&mut self, page: u64) -> bool {
-        match self.pages[..self.len].iter().position(|&p| p == page) {
-            Some(entry) => {
+        match self.probe(page) {
+            Ok(entry) => {
                 self.hits += 1;
                 self.touch(entry);
                 true
             }
-            None => {
-                self.fill(page);
+            Err(empty) => {
+                self.fill(page, empty);
                 false
             }
         }
     }
 
-    fn fill(&mut self, page: u64) {
+    /// Probe the index for `page`: `Ok` with the entry holding it, or
+    /// `Err` with the empty slot that ends its probe run.
+    #[inline]
+    fn probe(&self, page: u64) -> Result<usize, usize> {
+        let mask = self.index.len() - 1;
+        let mut slot = self.home(page);
+        // At most half the slots are ever full, so a probe run ends
+        // well within one lap of the table.
+        for _ in 0..self.index.len() {
+            let entry = self.index[slot];
+            if entry == NIL {
+                return Err(slot);
+            }
+            if self.pages[entry] == page {
+                return Ok(entry);
+            }
+            slot = (slot + 1) & mask;
+        }
+        panic!("TLB index has no empty slot");
+    }
+
+    /// Home slot of `page` in the index.
+    #[inline]
+    fn home(&self, page: u64) -> usize {
+        (page.wrapping_mul(FIBONACCI) >> self.index_shift) as usize
+    }
+
+    /// Install `page`, which is not present; `empty` is the index slot
+    /// its probe ended on.
+    fn fill(&mut self, page: u64, empty: usize) {
         self.misses += 1;
-        let entry = if self.len < self.pages.len() {
+        if self.len < self.pages.len() {
             self.len += 1;
             let entry = self.len - 1;
             if entry == 0 {
@@ -155,13 +197,46 @@ impl Tlb {
             } else {
                 self.push_front(entry);
             }
-            entry
+            self.pages[entry] = page;
+            self.index[empty] = entry;
         } else {
             let victim = self.lru;
+            self.unindex(self.pages[victim]);
             self.touch(victim);
-            victim
-        };
-        self.pages[entry] = page;
+            // The deletion may have shifted entries back over `empty`.
+            let Err(slot) = self.probe(page) else {
+                unreachable!("a missed page is not indexed");
+            };
+            self.pages[victim] = page;
+            self.index[slot] = victim;
+        }
+    }
+
+    /// Remove valid `page` from the index, shifting later members of
+    /// its probe run back so every remaining page stays reachable from
+    /// its home slot.
+    fn unindex(&mut self, page: u64) {
+        let mask = self.index.len() - 1;
+        let mut hole = self.home(page);
+        while self.pages[self.index[hole]] != page {
+            hole = (hole + 1) & mask;
+        }
+        let mut slot = hole;
+        loop {
+            slot = (slot + 1) & mask;
+            let entry = self.index[slot];
+            if entry == NIL {
+                break;
+            }
+            // Move the entry into the hole unless its home lies
+            // cyclically after the hole, where the move would strand it.
+            let home = self.home(self.pages[entry]);
+            if (slot.wrapping_sub(home) & mask) >= (slot.wrapping_sub(hole) & mask) {
+                self.index[hole] = entry;
+                hole = slot;
+            }
+        }
+        self.index[hole] = NIL;
     }
 
     /// Move valid `entry` to the front of the recency list.
@@ -211,6 +286,7 @@ impl Tlb {
     /// Invalidate all entries and zero statistics.
     pub fn reset(&mut self) {
         self.len = 0;
+        self.index.fill(NIL);
         self.hits = 0;
         self.misses = 0;
     }

@@ -195,6 +195,63 @@ fn arb_cache_config() -> impl Strategy<Value = CacheConfig> {
     })
 }
 
+/// Home slot of `page` in the index of a `Tlb` with `entries` entries:
+/// the top bits of a Fibonacci hash over a power-of-two table of at
+/// least `2 * entries` slots. Mirrors `Tlb::home`, so the page pools
+/// below pile onto chosen slots.
+fn home_slot(page: u64, entries: usize) -> usize {
+    let slots = (entries * 2).next_power_of_two();
+    (page.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - slots.trailing_zeros())) as usize
+}
+
+/// Pages that probe one crowded region of the index: `per_slot` pages
+/// homed on each of the last two slots and on slot 0, so probe runs
+/// wrap past the end of the table and evictions shift entries back
+/// across it.
+fn colliding_pages(entries: usize, per_slot: usize) -> Vec<u64> {
+    let last = (entries * 2).next_power_of_two() - 1;
+    let mut pool = Vec::new();
+    for slot in [last, last - 1, 0] {
+        pool.extend(
+            (0u64..)
+                .filter(|&page| home_slot(page, entries) == slot)
+                .take(per_slot),
+        );
+    }
+    pool
+}
+
+/// `(pool index, reset first)` steps, with a reset about one step in 64.
+fn arb_pool_walk(pool: usize) -> impl Strategy<Value = Vec<(usize, bool)>> {
+    prop::collection::vec((0..pool, 0u8..64), 1..1500)
+        .prop_map(|v| v.into_iter().map(|(i, r)| (i, r == 0)).collect())
+}
+
+/// Drive `tlb` and `oracle` over pool pages, access by access.
+fn walk_pool(tlb: &mut Tlb, oracle: &mut RefTlb, pool: &[u64], steps: &[(usize, bool)]) {
+    let page_bytes = tlb.config().page_bytes;
+    for (i, &(which, reset)) in steps.iter().enumerate() {
+        if reset {
+            tlb.reset();
+            oracle.reset();
+        }
+        let addr = pool[which] * page_bytes + (i as u64 % page_bytes);
+        let got = tlb.access(addr);
+        let want = oracle.access(addr);
+        assert_eq!(
+            got,
+            want,
+            "{} entries: step {} to page {:#x} (reset first {})",
+            tlb.config().entries,
+            i,
+            pool[which],
+            reset
+        );
+    }
+    assert_eq!(tlb.hits(), oracle.hits);
+    assert_eq!(tlb.misses(), oracle.misses);
+}
+
 fn arb_tlb_config() -> impl Strategy<Value = TlbConfig> {
     (1usize..40, 0u32..14).prop_map(|(entries, page_log2)| TlbConfig {
         entries,
@@ -262,5 +319,46 @@ proptest! {
             tlb.reset();
             oracle.reset();
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Colliding pages at capacity: every miss evicts, and the victim
+    /// sits in a crowded probe run that wraps the end of the index.
+    #[test]
+    fn tlb_matches_reference_on_colliding_pages(
+        entries in prop::sample::select(vec![1usize, 2, 3, 4, 7, 16, 64, 128]),
+        extra in 1usize..4,
+        steps in arb_pool_walk(3 * 131),
+    ) {
+        let config = TlbConfig { entries, page_bytes: 4096 };
+        let pool = colliding_pages(entries, entries + extra);
+        let steps: Vec<_> = steps.into_iter().map(|(i, r)| (i % pool.len(), r)).collect();
+        walk_pool(&mut Tlb::new(config), &mut RefTlb::new(config), &pool, &steps);
+    }
+}
+
+/// Round-robin over one page more than fits, all homed on one slot:
+/// every access misses and evicts the entry the next access wants.
+#[test]
+fn tlb_thrashes_like_the_reference_at_capacity() {
+    for entries in [1usize, 2, 5, 128] {
+        let config = TlbConfig {
+            entries,
+            page_bytes: 4096,
+        };
+        let pool = colliding_pages(entries, entries + 1);
+        let one_slot = &pool[..entries + 1];
+        assert!(one_slot
+            .iter()
+            .all(|&p| home_slot(p, entries) == home_slot(one_slot[0], entries)));
+        let steps: Vec<_> = (0..40 * (entries + 1))
+            .map(|i| (i % (entries + 1), i == 17 * (entries + 1)))
+            .collect();
+        let (mut tlb, mut oracle) = (Tlb::new(config), RefTlb::new(config));
+        walk_pool(&mut tlb, &mut oracle, one_slot, &steps);
+        assert_eq!(tlb.hits(), 0, "{entries} entries");
     }
 }
