@@ -67,6 +67,22 @@ fn chaos_takes_no_fast_switch() {
 }
 
 #[test]
+fn unknown_bundle_report_flag_is_refused_before_reading() {
+    assert_refused(
+        &["bundle-report", "--bogus"],
+        "bundle-report: unexpected argument `--bogus`",
+    );
+}
+
+#[test]
+fn bundle_report_takes_one_bundle() {
+    assert_refused(
+        &["bundle-report", "first-bundle", "second-bundle"],
+        "bundle-report: unexpected argument `second-bundle`",
+    );
+}
+
+#[test]
 fn panic_shard_outside_the_fleet_is_refused() {
     assert_refused(
         &["serve", "--panic-shard", "4", "--shards", "4"],

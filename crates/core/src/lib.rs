@@ -57,7 +57,6 @@ mod features;
 mod online;
 mod sanitize;
 mod suite;
-mod voting;
 
 pub use convert::{to_binary_dataset, to_multiclass_dataset, BINARY_CLASS_NAMES};
 pub use detector::{Detector, DetectorBuilder, DetectorMode, Verdict};
@@ -71,4 +70,3 @@ pub use sanitize::{SanitizeOutcome, Sanitizer};
 pub use snapshot::{FleetRestore, SnapshotError, StreamSection};
 pub use suite::{ClassifierKind, TrainedModel};
 pub use supervisor::{Backoff, BreakerState, CircuitBreaker};
-pub use voting::VotingDetector;

@@ -307,17 +307,6 @@ impl OnlineDetector {
         &self.state
     }
 
-    /// Split into the shared detector and the per-stream state.
-    pub fn into_parts(self) -> (Arc<Detector>, StreamState) {
-        (self.detector, self.state)
-    }
-
-    /// Reassemble a monitor from a shared detector and a stream state
-    /// (the inverse of [`into_parts`](Self::into_parts)).
-    pub fn from_parts(detector: Arc<Detector>, state: StreamState) -> OnlineDetector {
-        OnlineDetector { detector, state }
-    }
-
     /// Abstaining verdicts currently in the voting window.
     pub fn abstentions(&self) -> usize {
         self.state.abstentions()

@@ -70,11 +70,6 @@ pub struct DatapathSpec {
 }
 
 impl DatapathSpec {
-    /// Total multipliers across stages.
-    pub fn total_multipliers(&self) -> u64 {
-        self.stages.iter().map(|s| s.multipliers).sum()
-    }
-
     /// Latency in cycles: Σ stage latency × iterations.
     pub fn latency_cycles(&self) -> u64 {
         self.stages
@@ -511,17 +506,19 @@ mod tests {
         let (_, specs) = trained_suite();
         for scheme in ["DecisionStump", "OneR", "JRip", "J48", "REPTree"] {
             let spec = &specs.iter().find(|(s, _)| s == scheme).expect("present").1;
-            assert_eq!(spec.total_multipliers(), 0, "{scheme} is comparator-only");
+            let multipliers: u64 = spec.stages.iter().map(|s| s.multipliers).sum();
+            assert_eq!(multipliers, 0, "{scheme} is comparator-only");
         }
     }
 
     #[test]
     fn mlp_out_muscles_linear_models() {
         let (_, specs) = trained_suite();
-        let get = |scheme: &str| &specs.iter().find(|(s, _)| s == scheme).expect("present").1;
-        assert!(
-            get("MultilayerPerceptron").total_multipliers() > get("Logistic").total_multipliers()
-        );
+        let multipliers = |scheme: &str| -> u64 {
+            let spec = &specs.iter().find(|(s, _)| s == scheme).expect("present").1;
+            spec.stages.iter().map(|s| s.multipliers).sum()
+        };
+        assert!(multipliers("MultilayerPerceptron") > multipliers("Logistic"));
     }
 
     #[test]

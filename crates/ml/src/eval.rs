@@ -4,7 +4,7 @@
 use std::fmt;
 
 use crate::classifier::Classifier;
-use crate::data::{Dataset, MlError};
+use crate::data::Dataset;
 
 /// A square confusion matrix: `counts[actual][predicted]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,15 +121,6 @@ pub struct Evaluation {
 }
 
 impl Evaluation {
-    /// Wrap a confusion matrix computed elsewhere (e.g. by a committee
-    /// whose voting logic lives outside the [`Classifier`] trait).
-    pub fn from_confusion(scheme: &str, confusion: ConfusionMatrix) -> Evaluation {
-        Evaluation {
-            scheme: scheme.to_owned(),
-            confusion,
-        }
-    }
-
     /// Evaluate `classifier` (already trained) on `test`.
     ///
     /// Predictions run through [`Classifier::predict_batch`] over the
@@ -149,21 +140,6 @@ impl Evaluation {
             scheme: classifier.name().to_owned(),
             confusion,
         }
-    }
-
-    /// Train `classifier` on `train`, then evaluate on `test` — the
-    /// paper's 70/30 protocol in one call.
-    ///
-    /// # Errors
-    ///
-    /// Propagates training errors.
-    pub fn train_test<C: Classifier + ?Sized>(
-        classifier: &mut C,
-        train: &Dataset,
-        test: &Dataset,
-    ) -> Result<Evaluation, MlError> {
-        crate::classifier::fit_timed(classifier, train)?;
-        Ok(Evaluation::of(classifier, test))
     }
 
     /// The classifier scheme name.
@@ -279,11 +255,12 @@ mod tests {
     }
 
     #[test]
-    fn evaluation_train_test_protocol() {
+    fn evaluation_of_a_fitted_classifier_on_the_held_out_split() {
         let data = separable(100);
         let (train, test) = data.split(0.7, 1);
         let mut one_r = OneR::new();
-        let eval = Evaluation::train_test(&mut one_r, &train, &test).expect("train");
+        one_r.fit(&train).expect("train");
+        let eval = Evaluation::of(&one_r, &test);
         assert!(eval.accuracy() > 0.85);
         assert_eq!(eval.scheme(), "OneR");
         assert_eq!(eval.per_class_recall().len(), 2);
@@ -293,7 +270,8 @@ mod tests {
     fn zero_r_accuracy_matches_class_balance() {
         let data = separable(100);
         let mut zr = ZeroR::new();
-        let eval = Evaluation::train_test(&mut zr, &data, &data).expect("train");
+        zr.fit(&data).expect("train");
+        let eval = Evaluation::of(&zr, &data);
         assert!((eval.accuracy() - 0.5).abs() < 1e-12);
     }
 

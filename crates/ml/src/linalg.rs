@@ -139,18 +139,6 @@ impl Matrix {
         }
         true
     }
-
-    /// Matrix–vector product.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `v.len() != num_cols`.
-    pub fn mul_vec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.cols, "vector length mismatch");
-        (0..self.rows)
-            .map(|r| self.row(r).iter().zip(v).map(|(a, b)| a * b).sum())
-            .collect()
-    }
 }
 
 /// Covariance matrix of `rows` (population covariance over mean-centred
@@ -286,12 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_vec_works() {
-        let m = Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(m.mul_vec(&[1.0, 1.0]), vec![3.0, 7.0]);
-    }
-
-    #[test]
     fn covariance_of_known_data() {
         // x and y perfectly correlated: cov = var.
         let rows: Vec<Vec<f64>> = (0..5).map(|i| vec![i as f64, 2.0 * i as f64]).collect();
@@ -327,10 +309,10 @@ mod tests {
         let (values, vectors) = jacobi_eigen(&m);
         for (k, value) in values.iter().enumerate() {
             let v: Vec<f64> = vectors.col(k);
-            let mv = m.mul_vec(&v);
             for i in 0..3 {
+                let mv: f64 = m.row(i).iter().zip(&v).map(|(a, b)| a * b).sum();
                 assert!(
-                    (mv[i] - value * v[i]).abs() < 1e-6,
+                    (mv - value * v[i]).abs() < 1e-6,
                     "A·v = λ·v failed for eigenpair {k}"
                 );
             }

@@ -693,8 +693,7 @@ impl fmt::Debug for RecorderHub {
 
 impl RecorderHub {
     /// A hub with `shards` rings of `capacity` events each, no bundle
-    /// directory (triggers suppressed), and a default cap of 16
-    /// bundles per run.
+    /// directory (triggers suppressed), and a cap of 16 bundles per run.
     pub fn new(shards: usize, capacity: usize) -> RecorderHub {
         let shards = shards.max(1);
         RecorderHub {
@@ -739,14 +738,6 @@ impl RecorderHub {
     #[must_use]
     pub fn with_deterministic(mut self, deterministic: bool) -> RecorderHub {
         self.deterministic = deterministic;
-        self
-    }
-
-    /// Caps bundles written per run; further triggers are counted as
-    /// suppressed (a trigger storm must not fill the disk).
-    #[must_use]
-    pub fn with_max_bundles(mut self, max_bundles: u64) -> RecorderHub {
-        self.max_bundles = max_bundles;
         self
     }
 
@@ -1431,10 +1422,10 @@ mod tests {
     fn hub_trigger_writes_a_verifiable_bundle_and_caps_emission() {
         let root = std::env::temp_dir().join(format!("hbmd-bundle-hub-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
-        let hub = RecorderHub::new(1, 8)
+        let mut hub = RecorderHub::new(1, 8)
             .with_bundle_dir(&root)
-            .with_deterministic(true)
-            .with_max_bundles(1);
+            .with_deterministic(true);
+        hub.max_bundles = 1;
         hub.record(0, &Event::Checkpoint { cursor: 1 });
         hub.record(
             0,

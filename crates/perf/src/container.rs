@@ -1,94 +1,21 @@
 use hbmd_malware::Sample;
-use hbmd_uarch::{Cpu, CpuConfig, Instruction, InstructionSource, StreamParams, SyntheticStream};
+use hbmd_uarch::{Instruction, InstructionSource, StreamParams, SyntheticStream};
 
-/// Execution environment for one sample — the LXC-container substitute.
+/// The instruction stream of one sample in its container — the
+/// LXC-container substitute.
 ///
 /// The reference setup ran each malware specimen in its own Linux
 /// container so that (a) the malware could not infect the host and
 /// (b) host activity did not bias the measured counters. In simulation,
 /// safety is free; what the container model preserves is the *counter
-/// hygiene*: [`Container::isolated`] gives every sample a cold, private
-/// core, while [`Container::shared_host`] deliberately interleaves a
-/// benign host workload on the same core to quantify how much signal
-/// containerisation saves (an ablation the paper's design implies).
-///
-/// # Examples
-///
-/// ```
-/// use hbmd_malware::{AppClass, Sample, SampleId};
-/// use hbmd_perf::Container;
-/// use hbmd_uarch::CpuConfig;
-///
-/// let sample = Sample::generate(SampleId(0), AppClass::Virus, 1);
-/// let mut container = Container::isolated(CpuConfig::tiny());
-/// let (cpu, mut stream) = container.launch(&sample);
-/// cpu.run(&mut stream, 1_000);
-/// assert_eq!(cpu.stats().instructions, 1_000);
-/// ```
+/// hygiene*: every launch ([`SimSource::new`](crate::SimSource::new))
+/// gives the sample a cold, private core. With a non-zero
+/// [`host_noise`](crate::SamplerConfig::host_noise) ratio the stream
+/// also interleaves a benign host workload on that core, polluting its
+/// caches, TLBs and predictor state, to quantify how much signal
+/// containerisation saves (`repro ablate-noise`).
 #[derive(Debug, Clone)]
-pub struct Container {
-    cpu_config: CpuConfig,
-    /// Host instructions interleaved per workload instruction
-    /// (0 = isolated).
-    host_noise: f64,
-    cpu: Option<Cpu>,
-}
-
-impl Container {
-    /// A fully isolated container: fresh microarchitectural state per
-    /// sample, no host interference.
-    pub fn isolated(cpu_config: CpuConfig) -> Container {
-        Container {
-            cpu_config,
-            host_noise: 0.0,
-            cpu: None,
-        }
-    }
-
-    /// A shared-host environment: for every workload instruction,
-    /// `noise_ratio` host instructions (a benign background mix) execute
-    /// on the same core, polluting caches, TLBs and predictor state.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `noise_ratio` is negative or not finite.
-    pub fn shared_host(cpu_config: CpuConfig, noise_ratio: f64) -> Container {
-        assert!(
-            noise_ratio.is_finite() && noise_ratio >= 0.0,
-            "noise_ratio must be finite and non-negative"
-        );
-        Container {
-            cpu_config,
-            host_noise: noise_ratio,
-            cpu: None,
-        }
-    }
-
-    /// Ratio of interleaved host instructions (0 for isolation).
-    pub fn host_noise(&self) -> f64 {
-        self.host_noise
-    }
-
-    /// Launch `sample`: returns the (fresh or host-warmed) core and the
-    /// instruction stream to execute on it.
-    ///
-    /// Isolated containers hand out a cold core each launch. Shared-host
-    /// containers keep one core across launches (the host never reboots
-    /// between samples) and wrap the sample stream so host work is
-    /// interleaved.
-    pub fn launch(&mut self, sample: &Sample) -> (&mut Cpu, ContainedStream) {
-        if self.host_noise == 0.0 || self.cpu.is_none() {
-            self.cpu = Some(Cpu::new(self.cpu_config.clone()));
-        }
-        let stream = ContainedStream::new(sample, self.host_noise);
-        (self.cpu.as_mut().expect("just installed"), stream)
-    }
-}
-
-/// The instruction stream a [`Container`] hands out: the sample's own
-/// stream, optionally interleaved with benign host work.
-#[derive(Debug, Clone)]
-pub struct ContainedStream {
+pub(crate) struct ContainedStream {
     workload: hbmd_malware::SampleStream,
     host: Option<SyntheticStream>,
     /// Fractional accumulator of pending host instructions.
@@ -133,62 +60,33 @@ mod tests {
     use super::*;
     use hbmd_events::HpcEvent;
     use hbmd_malware::{AppClass, SampleId};
+    use hbmd_uarch::{Cpu, CpuConfig};
 
     fn sample(class: AppClass) -> Sample {
         Sample::generate(SampleId(0), class, 3)
     }
 
-    #[test]
-    fn isolated_container_gives_cold_state_each_launch() {
-        let mut container = Container::isolated(CpuConfig::tiny());
-        let s = sample(AppClass::Trojan);
-        let first = {
-            let (cpu, mut stream) = container.launch(&s);
-            cpu.run(&mut stream, 5_000);
-            *cpu.counters()
-        };
-        let second = {
-            let (cpu, mut stream) = container.launch(&s);
-            cpu.run(&mut stream, 5_000);
-            *cpu.counters()
-        };
-        assert_eq!(first, second, "cold launches are identical");
+    /// Run `sample` for `budget` instructions on a fresh core, as every
+    /// launch does.
+    fn launch(sample: &Sample, noise_ratio: f64, budget: u64) -> Cpu {
+        let mut cpu = Cpu::new(CpuConfig::tiny());
+        cpu.run(&mut ContainedStream::new(sample, noise_ratio), budget);
+        cpu
     }
 
     #[test]
-    fn shared_host_keeps_warm_state() {
-        // On the Haswell-sized LLC the trojan's working set fits, so a
-        // second launch on the never-rebooted host core sees far fewer
-        // cold LLC misses than the first.
-        let mut container = Container::shared_host(CpuConfig::haswell(), 0.5);
+    fn fresh_launches_give_cold_state_each_time() {
         let s = sample(AppClass::Trojan);
-        let first = {
-            let (cpu, mut stream) = container.launch(&s);
-            cpu.run(&mut stream, 20_000);
-            cpu.counters()[HpcEvent::LlcLoadMisses]
-        };
-        let second = {
-            let (cpu, mut stream) = container.launch(&s);
-            let before = cpu.counters()[HpcEvent::LlcLoadMisses];
-            cpu.run(&mut stream, 20_000);
-            cpu.counters()[HpcEvent::LlcLoadMisses] - before
-        };
-        assert!(
-            second < first,
-            "warm caches reduce cold misses ({second} vs {first})"
-        );
+        let first = *launch(&s, 0.0, 5_000).counters();
+        let second = *launch(&s, 0.0, 5_000).counters();
+        assert_eq!(first, second, "cold launches are identical");
     }
 
     #[test]
     fn host_noise_inflates_counters() {
         let s = sample(AppClass::Backdoor); // quiet workload
-        let run = |mut container: Container| {
-            let (cpu, mut stream) = container.launch(&s);
-            cpu.run(&mut stream, 20_000);
-            cpu.counters()[HpcEvent::L1DcacheLoads]
-        };
-        let clean = run(Container::isolated(CpuConfig::tiny()));
-        let noisy = run(Container::shared_host(CpuConfig::tiny(), 1.0));
+        let clean = launch(&s, 0.0, 20_000).counters()[HpcEvent::L1DcacheLoads];
+        let noisy = launch(&s, 1.0, 20_000).counters()[HpcEvent::L1DcacheLoads];
         assert!(
             noisy > clean,
             "host interleaving adds loads ({noisy} vs {clean})"
@@ -207,11 +105,5 @@ mod tests {
         for _ in 0..1_000 {
             assert_eq!(stream.next_instruction(), stream2.next_instruction());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_noise_panics() {
-        let _ = Container::shared_host(CpuConfig::tiny(), -0.5);
     }
 }

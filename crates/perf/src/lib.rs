@@ -10,9 +10,9 @@
 //! * [`Pmu`] — 8 programmable counter registers with time-sliced event
 //!   multiplexing and `perf`-style `raw × enabled/running` scaling,
 //! * [`Sampler`] — fixed-budget sampling windows (the simulated 10 ms),
-//! * [`Container`] — per-sample isolation (fresh microarchitectural
-//!   state), with an optional shared-host mode that injects benign noise
-//!   for ablation studies,
+//! * [`SimSource`] — per-sample isolation: every sample launches on a
+//!   fresh simulated core, optionally interleaved with benign host work
+//!   ([`SamplerConfig::host_noise`]) for the container ablation,
 //! * [`trace`] — perf-stat-style text traces (writer and parser),
 //! * [`csv`] / [`arff`] — dataset interchange (CSV and WEKA ARFF),
 //! * [`HpcDataset`] — the assembled labelled dataset with stratified
@@ -63,7 +63,6 @@ pub mod sys;
 pub use collect::{
     Collection, CollectionReport, Collector, CollectorConfig, CollectorConfigBuilder,
 };
-pub use container::Container;
 pub use dataset::{DataRow, HpcDataset};
 pub use error::PerfError;
 pub use fault::{FaultCounts, FaultInjector, FaultPlan, SATURATION_CEILING};

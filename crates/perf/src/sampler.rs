@@ -219,6 +219,10 @@ mod tests {
         let mut c = SamplerConfig::fast();
         c.host_noise = f64::NAN;
         assert!(Sampler::new(c).is_err());
+
+        let mut c = SamplerConfig::fast();
+        c.host_noise = -0.5;
+        assert!(Sampler::new(c).is_err());
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Integration coverage for the suite's extension features: voting
-//! committees, ROC analysis, detection latency, HDL emission, and
-//! folded synthesis — all through the public facade.
+//! Integration coverage for the suite's extension features: ROC
+//! analysis, detection latency, HDL emission, and folded synthesis —
+//! all through the public facade.
 
 use hbmd::core::experiments::{latency, roc, ExperimentConfig};
-use hbmd::core::{ClassifierKind, CollectCache, FeatureSet, VotingDetector};
+use hbmd::core::{ClassifierKind, CollectCache};
 use hbmd::fpga::{emit_system_verilog, synthesize, SynthConfig};
 use hbmd::malware::SampleCatalog;
 use hbmd::ml::{Classifier, RocCurve};
@@ -24,38 +24,6 @@ fn collected() -> HpcDataset {
         .collect(&catalog)
         .expect("collect")
         .dataset
-}
-
-#[test]
-fn voting_committee_detects_on_real_data() {
-    let dataset = collected();
-    let committee = VotingDetector::train_binary(
-        &[
-            ClassifierKind::OneR,
-            ClassifierKind::JRip,
-            ClassifierKind::J48,
-        ],
-        FeatureSet::Top(8),
-        &dataset,
-    )
-    .expect("train");
-    assert!(committee.evaluation().accuracy() > 0.75);
-    // The committee verdict agrees with its members most of the time.
-    let mut agreements = 0usize;
-    for row in dataset.rows().iter().take(100) {
-        let committee_says = committee.classify(&row.features).is_malware();
-        let member_majority = committee
-            .members()
-            .iter()
-            .filter(|m| m.classify(&row.features).is_malware())
-            .count()
-            * 2
-            >= committee.members().len();
-        if committee_says == member_majority {
-            agreements += 1;
-        }
-    }
-    assert_eq!(agreements, 100, "vote must equal the member majority");
 }
 
 #[test]

@@ -9,8 +9,8 @@
 use hbmd::events::HpcEvent;
 use hbmd::malware::{AppClass, Sample, SampleId};
 use hbmd::obs::manifest::fnv1a_64;
-use hbmd::perf::{Container, Sampler, SamplerConfig};
-use hbmd::uarch::CpuConfig;
+use hbmd::perf::{Sampler, SamplerConfig};
+use hbmd::uarch::{Cpu, CpuConfig};
 
 const CATALOG_SEED: u64 = 2017;
 
@@ -88,16 +88,29 @@ fn prefetching_collection_is_pinned() {
     );
 }
 
-/// A shared host keeps one warm core across launches and interleaves
-/// host work, so this pins the state carried from one launch into the
-/// next. The cycle count is digested too: it pins the issue model.
+/// The `ablate-noise` path: every window's instruction stream
+/// interleaves benign host work on the sample's own fresh core.
 #[test]
-fn shared_host_launches_are_pinned() {
-    let mut container = Container::shared_host(CpuConfig::haswell(), 0.5);
+fn host_noise_collection_is_pinned() {
+    let config = SamplerConfig {
+        host_noise: 0.5,
+        ..SamplerConfig::paper()
+    };
+    assert_digest(
+        "paper, host noise 0.5",
+        collection_digest(config),
+        0x88dc_4a4c_dddf_0f7d,
+    );
+}
+
+/// Raw counters and cycles of a fresh core per sample, with no sampler
+/// in between: the cycle count pins the issue model.
+#[test]
+fn fresh_core_counters_and_cycles_are_pinned() {
     let mut bytes = Vec::new();
-    for sample in &samples()[4..] {
-        let (cpu, mut stream) = container.launch(sample);
-        cpu.run(&mut stream, 60_000);
+    for sample in samples() {
+        let mut cpu = Cpu::new(CpuConfig::haswell());
+        cpu.run(&mut sample.stream(), 60_000);
         for event in HpcEvent::ALL {
             bytes.extend_from_slice(&cpu.counters()[event].to_le_bytes());
         }
@@ -105,5 +118,5 @@ fn shared_host_launches_are_pinned() {
         bytes.extend_from_slice(&stats.instructions.to_le_bytes());
         bytes.extend_from_slice(&stats.cycles.to_le_bytes());
     }
-    assert_digest("shared host", fnv1a_64(&bytes), 0x9feb_9d02_da94_c968);
+    assert_digest("fresh core", fnv1a_64(&bytes), 0xe966_e8ff_7e2e_3396);
 }
