@@ -39,12 +39,14 @@ impl fmt::Display for EventDescriptor {
 /// # Examples
 ///
 /// ```
-/// use hbmd_events::HaswellCatalog;
+/// use hbmd_events::{EventKind, HaswellCatalog};
 ///
 /// let catalog = HaswellCatalog::new();
-/// assert_eq!(catalog.hardware_events().count(), 52);
-/// assert_eq!(catalog.programmable_counters(), 8);
-/// assert_eq!(catalog.collected_events().count(), 16);
+/// let hardware = catalog.entries().iter().filter(|e| e.kind != EventKind::Software);
+/// assert_eq!(hardware.count(), HaswellCatalog::HARDWARE_EVENTS);
+/// assert_eq!(HaswellCatalog::PROGRAMMABLE_COUNTERS, 8);
+/// let collected = catalog.entries().iter().filter(|e| e.collected.is_some());
+/// assert_eq!(collected.count(), 16);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HaswellCatalog {
@@ -174,26 +176,10 @@ impl HaswellCatalog {
         HaswellCatalog { entries }
     }
 
-    /// Number of programmable PMU counter registers.
-    pub fn programmable_counters(&self) -> usize {
-        HaswellCatalog::PROGRAMMABLE_COUNTERS
-    }
-
-    /// All catalog entries, hardware first.
+    /// All catalog entries, hardware first: the 16 collected events
+    /// lead, in feature-column order.
     pub fn entries(&self) -> &[EventDescriptor] {
         &self.entries
-    }
-
-    /// Hardware events only (PMU-scheduled, multiplexing-relevant).
-    pub fn hardware_events(&self) -> impl Iterator<Item = &EventDescriptor> {
-        self.entries
-            .iter()
-            .filter(|e| e.kind != EventKind::Software)
-    }
-
-    /// The 16 collected detector-feature events, in column order.
-    pub fn collected_events(&self) -> impl Iterator<Item = &EventDescriptor> {
-        self.entries.iter().filter(|e| e.collected.is_some())
     }
 
     /// Look an event up by `perf` name.
@@ -215,16 +201,26 @@ mod tests {
     #[test]
     fn census_matches_platform() {
         let c = HaswellCatalog::new();
-        assert_eq!(c.hardware_events().count(), 52, "52 hardware events");
+        let hardware = c.entries().iter().filter(|e| e.kind != EventKind::Software);
+        assert_eq!(hardware.count(), 52, "52 hardware events");
+        assert_eq!(HaswellCatalog::HARDWARE_EVENTS, 52);
         assert!(c.entries().len() > 86, "more than 86 events total");
-        assert_eq!(c.programmable_counters(), 8);
+        assert_eq!(HaswellCatalog::PROGRAMMABLE_COUNTERS, 8);
     }
 
+    /// `Pmu` packs the programmed events into groups in catalog order,
+    /// so the 16 collected events must lead the catalog in column order.
     #[test]
     fn collected_events_are_the_sixteen_features_in_order() {
         let c = HaswellCatalog::new();
-        let collected: Vec<HpcEvent> = c.collected_events().map(|e| e.collected.unwrap()).collect();
+        let collected: Vec<HpcEvent> = c.entries().iter().filter_map(|e| e.collected).collect();
         assert_eq!(collected, HpcEvent::ALL.to_vec());
+        let leading: Vec<Option<HpcEvent>> = c.entries()[..HpcEvent::COUNT]
+            .iter()
+            .map(|e| e.collected)
+            .collect();
+        let in_order: Vec<Option<HpcEvent>> = HpcEvent::ALL.iter().copied().map(Some).collect();
+        assert_eq!(leading, in_order, "collected events lead the catalog");
     }
 
     #[test]

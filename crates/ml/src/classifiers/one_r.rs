@@ -24,8 +24,11 @@ use crate::data::{Dataset, MlError, RowsView};
 /// }
 /// let mut one_r = OneR::new();
 /// one_r.fit(&data)?;
-/// assert_eq!(one_r.chosen_feature(), Some(1));
-/// assert_eq!(one_r.predict(&[0.0, 19.0]), 1);
+/// // The rule tests the signal: no noise value changes a prediction.
+/// for noise in 0..4 {
+///     assert_eq!(one_r.predict(&[noise as f64, 0.0]), 0);
+///     assert_eq!(one_r.predict(&[noise as f64, 19.0]), 1);
+/// }
 /// # Ok::<(), hbmd_ml::MlError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -54,11 +57,6 @@ impl OneR {
             min_bucket: 6,
             model: None,
         }
-    }
-
-    /// The attribute the learned rule tests (after a successful fit).
-    pub fn chosen_feature(&self) -> Option<usize> {
-        self.model.as_ref().map(|m| m.feature)
     }
 
     /// Number of rule buckets (after a successful fit).
@@ -245,7 +243,7 @@ mod tests {
     fn picks_the_informative_feature() {
         let mut one_r = OneR::new();
         one_r.fit(&separable()).expect("fit");
-        assert_eq!(one_r.chosen_feature(), Some(1));
+        assert_eq!(one_r.model().map(|m| m.feature), Some(1));
         assert_eq!(one_r.predict(&[0.0, 0.0]), 0);
         assert_eq!(one_r.predict(&[0.0, 29.0]), 1);
     }

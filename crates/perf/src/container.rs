@@ -1,5 +1,7 @@
 use hbmd_malware::Sample;
-use hbmd_uarch::{Instruction, InstructionSource, StreamParams, SyntheticStream};
+use hbmd_uarch::{
+    Cpu, Instruction, InstructionSink, InstructionSource, StreamParams, SyntheticStream,
+};
 
 /// The instruction stream of one sample in its container — the
 /// LXC-container substitute.
@@ -40,18 +42,35 @@ impl ContainedStream {
             noise_debt: 0.0,
         }
     }
+
+    /// Produce the next `budget` instructions into `sink`. Without host
+    /// noise this is the sample's own stream; with it, each instruction
+    /// comes from the host once a whole host instruction is owed.
+    #[inline]
+    fn drive<K: InstructionSink>(&mut self, sink: &mut K, budget: u64) {
+        let Some(host) = &mut self.host else {
+            self.workload.drive(sink, budget);
+            return;
+        };
+        for _ in 0..budget {
+            if self.noise_debt >= 1.0 {
+                self.noise_debt -= 1.0;
+                host.drive(sink, 1);
+            } else {
+                self.noise_debt += self.noise_ratio;
+                self.workload.drive(sink, 1);
+            }
+        }
+    }
 }
 
 impl InstructionSource for ContainedStream {
     fn next_instruction(&mut self) -> Instruction {
-        if let Some(host) = &mut self.host {
-            if self.noise_debt >= 1.0 {
-                self.noise_debt -= 1.0;
-                return host.next_instruction();
-            }
-            self.noise_debt += self.noise_ratio;
-        }
-        self.workload.next_instruction()
+        Instruction::recorded(|inst| self.drive(inst, 1))
+    }
+
+    fn run_on(&mut self, cpu: &mut Cpu, budget: u64) {
+        self.drive(cpu, budget);
     }
 }
 
@@ -91,6 +110,34 @@ mod tests {
             noisy > clean,
             "host interleaving adds loads ({noisy} vs {clean})"
         );
+    }
+
+    /// `Cpu::run` over a contained stream, in the budgets the golden
+    /// test uses, against stepping `next_instruction` and
+    /// `Cpu::execute`: with host noise the run interleaves single steps
+    /// of two streams, without it the run is the sample's own.
+    #[test]
+    fn run_matches_stepping_with_and_without_host_noise() {
+        for noise_ratio in [0.0, 0.5] {
+            for cpu in [CpuConfig::haswell(), CpuConfig::tiny()] {
+                for class in AppClass::ALL {
+                    let s = sample(class);
+                    let (mut run, mut stepped) = (Cpu::new(cpu.clone()), Cpu::new(cpu.clone()));
+                    let mut run_stream = ContainedStream::new(&s, noise_ratio);
+                    let mut stepped_stream = ContainedStream::new(&s, noise_ratio);
+                    for budget in [1, 7, 2_500, 20_000] {
+                        run.run(&mut run_stream, budget);
+                        for _ in 0..budget {
+                            let inst = stepped_stream.next_instruction();
+                            stepped.execute(inst.pc, inst.op);
+                        }
+                        let at = format!("noise {noise_ratio}, {class:?}, budget {budget}");
+                        assert_eq!(run.counters(), stepped.counters(), "{at}: counters");
+                        assert_eq!(run.stats(), stepped.stats(), "{at}: stats");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -49,7 +49,10 @@ pub struct BranchOutcome {
 ///
 /// Each predicted branch performs one BTB read — the microarchitectural
 /// source of the `branch-loads` event; a missing entry raises
-/// `branch-load-misses`.
+/// `branch-load-misses`. The BTB is two arrays, tags and targets, with
+/// `tag + 1` stored so that 0 marks an empty entry. Prediction and
+/// training take no data-dependent branch: the counters, the chooser
+/// and the BTB entry are all updated with arithmetic on the outcome.
 ///
 /// # Examples
 ///
@@ -76,15 +79,14 @@ pub struct BranchPredictor {
     gshare: Vec<u8>,
     /// 2-bit chooser indexed by PC: >= 2 trusts gshare.
     chooser: Vec<u8>,
-    /// Tagged direct-mapped BTB: `(tag, target)` per entry.
-    btb: Vec<Option<(u64, u64)>>,
+    /// Direct-mapped BTB tags plus one per entry; 0 is an empty entry.
+    btb_tags: Vec<u64>,
+    /// Target per BTB entry, meaningful where the tag is set.
+    btb_targets: Vec<u64>,
     history: u64,
     history_mask: u64,
     pht_mask: u64,
     btb_mask: u64,
-    branches: u64,
-    mispredicts: u64,
-    btb_misses: u64,
 }
 
 impl BranchPredictor {
@@ -97,14 +99,12 @@ impl BranchPredictor {
             bimodal: vec![1; pht_len], // weakly not-taken
             gshare: vec![1; pht_len],
             chooser: vec![1; pht_len], // weakly prefer bimodal
-            btb: vec![None; btb_len],
+            btb_tags: vec![0; btb_len],
+            btb_targets: vec![0; btb_len],
             history: 0,
             history_mask: (1u64 << config.history_bits) - 1,
             pht_mask: (pht_len - 1) as u64,
             btb_mask: (btb_len - 1) as u64,
-            branches: 0,
-            mispredicts: 0,
-            btb_misses: 0,
         }
     }
 
@@ -115,57 +115,42 @@ impl BranchPredictor {
 
     /// Predict the branch at `pc`, then train on the actual `taken`
     /// direction and `target`.
+    #[inline]
     pub fn predict_and_train(&mut self, pc: u64, taken: bool, target: u64) -> BranchOutcome {
-        self.branches += 1;
         let bi_index = ((pc >> 2) & self.pht_mask) as usize;
         let gs_index = (((pc >> 2) ^ self.history) & self.pht_mask) as usize;
 
         let bi_taken = self.bimodal[bi_index] >= 2;
         let gs_taken = self.gshare[gs_index] >= 2;
         let use_gshare = self.chooser[bi_index] >= 2;
-        let predicted_taken = if use_gshare { gs_taken } else { bi_taken };
+        let predicted_taken = (use_gshare & gs_taken) | (!use_gshare & bi_taken);
 
         let btb_index = ((pc >> 2) & self.btb_mask) as usize;
-        let btb_tag = pc >> (2 + self.config.btb_bits);
-        let btb_entry = self.btb[btb_index];
-        let btb_hit = matches!(btb_entry, Some((tag, _)) if tag == btb_tag);
-        let target_known = matches!(btb_entry, Some((tag, t)) if tag == btb_tag && t == target);
+        let btb_key = (pc >> (2 + self.config.btb_bits)) + 1;
+        let btb_hit = self.btb_tags[btb_index] == btb_key;
+        let target_known = btb_hit & (self.btb_targets[btb_index] == target);
 
-        let direction_wrong = predicted_taken != taken;
         // A taken branch whose target the BTB could not supply redirects
         // the front end just like a direction mispredict.
-        let mispredicted = direction_wrong || (taken && !target_known);
-
-        if mispredicted {
-            self.mispredicts += 1;
-        }
-        if !btb_hit {
-            self.btb_misses += 1;
-        }
+        let mispredicted = (predicted_taken != taken) | (taken & !target_known);
 
         // Train the chooser toward whichever component was right when
         // they disagreed.
-        if bi_taken != gs_taken {
-            let c = &mut self.chooser[bi_index];
-            if gs_taken == taken {
-                *c = (*c + 1).min(3);
-            } else {
-                *c = c.saturating_sub(1);
-            }
-        }
+        let disagree = bi_taken != gs_taken;
+        let gs_right = gs_taken == taken;
+        saturate(
+            &mut self.chooser[bi_index],
+            disagree & gs_right,
+            disagree & !gs_right,
+        );
         // Train both direction tables.
-        for (table, index) in [(&mut self.bimodal, bi_index), (&mut self.gshare, gs_index)] {
-            let counter = &mut table[index];
-            *counter = if taken {
-                (*counter + 1).min(3)
-            } else {
-                counter.saturating_sub(1)
-            };
-        }
-        // Taken branches install/refresh their BTB entry.
-        if taken {
-            self.btb[btb_index] = Some((btb_tag, target));
-        }
+        saturate(&mut self.bimodal[bi_index], taken, !taken);
+        saturate(&mut self.gshare[gs_index], taken, !taken);
+        // Taken branches install/refresh their BTB entry; a not-taken
+        // one writes back what was there.
+        let (tag, known) = (self.btb_tags[btb_index], self.btb_targets[btb_index]);
+        self.btb_tags[btb_index] = if taken { btb_key } else { tag };
+        self.btb_targets[btb_index] = if taken { target } else { known };
         self.history = ((self.history << 1) | u64::from(taken)) & self.history_mask;
 
         BranchOutcome {
@@ -174,32 +159,22 @@ impl BranchPredictor {
         }
     }
 
-    /// Branches predicted so far.
-    pub fn branches(&self) -> u64 {
-        self.branches
-    }
-
-    /// Mispredictions so far.
-    pub fn mispredicts(&self) -> u64 {
-        self.mispredicts
-    }
-
-    /// BTB misses so far.
-    pub fn btb_misses(&self) -> u64 {
-        self.btb_misses
-    }
-
-    /// Clear tables, history and statistics.
+    /// Clear tables and history.
     pub fn reset(&mut self) {
         self.bimodal.fill(1);
         self.gshare.fill(1);
         self.chooser.fill(1);
-        self.btb.fill(None);
+        self.btb_tags.fill(0);
         self.history = 0;
-        self.branches = 0;
-        self.mispredicts = 0;
-        self.btb_misses = 0;
     }
+}
+
+/// Step a 2-bit saturating counter up or down (at most one of the two)
+/// without a data-dependent branch.
+#[inline]
+fn saturate(counter: &mut u8, up: bool, down: bool) {
+    let c = *counter;
+    *counter = c + u8::from(up & (c < 3)) - u8::from(down & (c > 0));
 }
 
 #[cfg(test)]
@@ -208,30 +183,32 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
+    /// Mispredictions among `outcomes`.
+    fn mispredicts(outcomes: impl IntoIterator<Item = BranchOutcome>) -> usize {
+        outcomes.into_iter().filter(|o| o.mispredicted).count()
+    }
+
     #[test]
     fn always_taken_loop_becomes_predictable() {
         let mut bp = BranchPredictor::new(BranchPredictorConfig::haswell());
         for _ in 0..64 {
             bp.predict_and_train(0x1000, true, 0x2000);
         }
-        let warm = bp.mispredicts();
-        for _ in 0..1000 {
-            bp.predict_and_train(0x1000, true, 0x2000);
-        }
-        assert_eq!(bp.mispredicts(), warm, "steady-state loop mispredicts");
-        assert_eq!(bp.branches(), 1064);
+        let late = (0..1000).map(|_| bp.predict_and_train(0x1000, true, 0x2000));
+        assert_eq!(mispredicts(late), 0, "steady-state loop mispredicts");
     }
 
     #[test]
     fn random_directions_mispredict_roughly_half_the_time() {
         let mut bp = BranchPredictor::new(BranchPredictorConfig::haswell());
         let mut rng = SmallRng::seed_from_u64(7);
-        for i in 0..20_000u64 {
-            let pc = 0x1000 + (i % 64) * 8;
-            bp.predict_and_train(pc, rng.gen_bool(0.5), 0x9000);
-        }
-        assert_eq!(bp.branches(), 20_000);
-        let ratio = bp.mispredicts() as f64 / bp.branches() as f64;
+        let outcomes: Vec<_> = (0..20_000u64)
+            .map(|i| {
+                let pc = 0x1000 + (i % 64) * 8;
+                bp.predict_and_train(pc, rng.gen_bool(0.5), 0x9000)
+            })
+            .collect();
+        let ratio = mispredicts(outcomes) as f64 / 20_000.0;
         assert!(
             (0.35..=0.65).contains(&ratio),
             "random branches should hover near 0.5 mispredict, got {ratio}"
@@ -242,16 +219,15 @@ mod tests {
     fn alternating_pattern_is_learned_by_history() {
         let mut bp = BranchPredictor::new(BranchPredictorConfig::haswell());
         let mut taken = false;
+        let mut alternate = || {
+            taken = !taken;
+            bp.predict_and_train(0x1000, taken, 0x2000)
+        };
         for _ in 0..256 {
-            taken = !taken;
-            bp.predict_and_train(0x1000, taken, 0x2000);
+            alternate();
         }
-        let warm = bp.mispredicts();
-        for _ in 0..1000 {
-            taken = !taken;
-            bp.predict_and_train(0x1000, taken, 0x2000);
-        }
-        assert_eq!(bp.mispredicts(), warm, "gshare learns T/NT alternation");
+        let late = (0..1000).map(|_| alternate());
+        assert_eq!(mispredicts(late), 0, "gshare learns T/NT alternation");
     }
 
     #[test]
@@ -262,18 +238,16 @@ mod tests {
         let mut bp = BranchPredictor::new(BranchPredictorConfig::haswell());
         let mut rng = SmallRng::seed_from_u64(21);
         let site_dir = |site: u64| !site.is_multiple_of(3);
+        let mut visit = || {
+            let site = rng.gen_range(0..32u64);
+            bp.predict_and_train(0x1000 + site * 8, site_dir(site), 0x9000)
+        };
         // Warm up.
         for _ in 0..20_000 {
-            let site = rng.gen_range(0..32u64);
-            bp.predict_and_train(0x1000 + site * 8, site_dir(site), 0x9000);
+            visit();
         }
-        let warm = bp.mispredicts();
-        let warm_branches = bp.branches();
-        for _ in 0..20_000 {
-            let site = rng.gen_range(0..32u64);
-            bp.predict_and_train(0x1000 + site * 8, site_dir(site), 0x9000);
-        }
-        let late_ratio = (bp.mispredicts() - warm) as f64 / (bp.branches() - warm_branches) as f64;
+        let late = (0..20_000).map(|_| visit());
+        let late_ratio = mispredicts(late) as f64 / 20_000.0;
         assert!(
             late_ratio < 0.10,
             "stable sites should stay predictable, got {late_ratio}"
@@ -313,10 +287,17 @@ mod tests {
     #[test]
     fn reset_clears_state() {
         let mut bp = BranchPredictor::new(BranchPredictorConfig::haswell());
-        bp.predict_and_train(0x1000, true, 0x2000);
+        let fresh = BranchPredictor::new(BranchPredictorConfig::haswell());
+        let mut rng = SmallRng::seed_from_u64(3);
+        for _ in 0..500 {
+            let pc = 0x1000 + rng.gen_range(0..64u64) * 4;
+            bp.predict_and_train(pc, rng.gen_bool(0.7), 0x2000);
+        }
         bp.reset();
-        assert_eq!(bp.branches(), 0);
-        assert_eq!(bp.mispredicts(), 0);
+        assert_eq!(bp.bimodal, fresh.bimodal);
+        assert_eq!(bp.gshare, fresh.gshare);
+        assert_eq!(bp.chooser, fresh.chooser);
+        assert_eq!(bp.history, 0);
         let o = bp.predict_and_train(0x1000, true, 0x2000);
         assert!(o.btb_miss, "BTB was cleared");
     }

@@ -83,56 +83,48 @@ pub enum Access {
     },
 }
 
-impl Access {
-    /// `true` for [`Access::Hit`].
-    pub fn is_hit(self) -> bool {
-        matches!(self, Access::Hit)
-    }
-}
-
 /// A set-associative, write-back, write-allocate cache with LRU
 /// replacement.
 ///
-/// Each set's tags are contiguous, so a lookup scans one dense run of
-/// `u64`s; the LRU stamps and dirty bits are touched only when a hit
-/// refreshes them or a miss picks a victim. Ways fill from 0 upward and
-/// are only ever replaced, never invalidated one by one, so a set's
-/// valid ways are always its first `filled[set]`. The victim is the
-/// lowest-index invalid way, else the lowest-index least recently used
-/// one.
+/// Each set's tags are contiguous and kept in recency order, most
+/// recently used first, so a lookup scans one dense run of `u64`s and
+/// the first hit is usually near the front. A hit at way `w` shifts the
+/// tags before it down by one and moves its own to way 0; a miss shifts
+/// every valid way down by one, drops the last valid way when the set
+/// is full, and fills way 0. Ways fill from 0 upward and are only ever
+/// replaced, never invalidated one by one, so a set's valid ways are
+/// always its first `filled[set]`, and the last of them is the least
+/// recently used line: exactly the victim of a stamped LRU.
 ///
 /// Another access to the line accessed last is answered before the set
-/// is searched. That line is already the most recent in its set, so its
-/// stamp is left alone: only the order of stamps within a set decides a
-/// victim, and re-stamping it would not change that order.
+/// is searched. That line is way 0 of its set, so nothing moves.
 ///
 /// # Examples
 ///
 /// ```
-/// use hbmd_uarch::{Cache, CacheConfig};
+/// use hbmd_uarch::{Access, Cache, CacheConfig};
 ///
 /// let mut l1 = Cache::new(CacheConfig::haswell_l1());
-/// assert!(!l1.access(0x1000, false).is_hit()); // cold miss
-/// assert!(l1.access(0x1000, false).is_hit());  // now resident
+/// assert_eq!(l1.access(0x1000, false), Access::Miss { writeback: false }); // cold
+/// assert_eq!(l1.access(0x1000, false), Access::Hit); // now resident
 /// assert_eq!(l1.misses(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// Tag per line, `associativity` consecutive lines per set.
+    /// Tag per line, `associativity` consecutive lines per set, most
+    /// recently used first.
     tags: Vec<u64>,
-    /// LRU stamp per line; larger is more recent.
-    stamps: Vec<u64>,
+    /// Dirty bit per line, moved with its tag.
     dirty: Vec<bool>,
     /// Valid ways per set: ways `0..filled[set]` hold lines.
     filled: Vec<usize>,
-    /// Line address and line index of the previous access, which hit or
-    /// filled that line.
+    /// Line address and set base of the previous access, which hit or
+    /// filled that line into way 0 of its set.
     last: Option<(u64, usize)>,
     set_mask: u64,
     line_shift: u32,
     tag_shift: u32,
-    clock: u64,
     hits: u64,
     misses: u64,
     writebacks: u64,
@@ -154,14 +146,12 @@ impl Cache {
         Cache {
             config,
             tags: vec![0; lines],
-            stamps: vec![0; lines],
             dirty: vec![false; lines],
             filled: vec![0; sets],
             last: None,
             set_mask: (sets - 1) as u64,
             line_shift: config.line_bytes.trailing_zeros(),
             tag_shift: sets.trailing_zeros(),
-            clock: 0,
             hits: 0,
             misses: 0,
             writebacks: 0,
@@ -179,11 +169,10 @@ impl Cache {
     /// evicted; a dirty victim reports `writeback: true`.
     #[inline]
     pub fn access(&mut self, addr: u64, write: bool) -> Access {
-        self.clock += 1;
         let line_addr = addr >> self.line_shift;
-        if let Some((last_addr, line)) = self.last {
+        if let Some((last_addr, base)) = self.last {
             if last_addr == line_addr {
-                self.dirty[line] |= write;
+                self.dirty[base] |= write;
                 self.hits += 1;
                 return Access::Hit;
             }
@@ -191,48 +180,41 @@ impl Cache {
         self.search(line_addr, write)
     }
 
-    /// Look `line_addr` up in its set, filling it on a miss.
+    /// Look `line_addr` up in its set, filling it on a miss; either way
+    /// the line ends up in way 0.
     #[inline(never)]
     fn search(&mut self, line_addr: u64, write: bool) -> Access {
         let set = (line_addr & self.set_mask) as usize;
         let tag = line_addr >> self.tag_shift;
         let base = set * self.config.associativity;
-        let valid = &self.tags[base..base + self.filled[set]];
-        match valid.iter().position(|&t| t == tag) {
-            Some(way) => {
-                let line = base + way;
-                self.stamps[line] = self.clock;
-                self.dirty[line] |= write;
-                self.hits += 1;
-                self.last = Some((line_addr, line));
-                Access::Hit
-            }
-            None => self.fill(line_addr, set, base, tag, write),
-        }
-    }
-
-    fn fill(&mut self, line_addr: u64, set: usize, base: usize, tag: u64, write: bool) -> Access {
-        self.misses += 1;
-        let ways = self.config.associativity;
         let filled = self.filled[set];
-        let (victim, evicted_dirty) = if filled < ways {
+        self.last = Some((line_addr, base));
+        let tags = &mut self.tags[base..base + self.config.associativity];
+        let dirty = &mut self.dirty[base..base + self.config.associativity];
+        if let Some(way) = tags[..filled].iter().position(|&t| t == tag) {
+            let was_dirty = dirty[way];
+            shift_down(tags, dirty, way);
+            tags[0] = tag;
+            dirty[0] = was_dirty | write;
+            self.hits += 1;
+            return Access::Hit;
+        }
+        self.misses += 1;
+        // The way the shift overwrites: the first invalid way while the
+        // set is filling, else the least recently used line, evicted.
+        let dropped = if filled < tags.len() {
             self.filled[set] += 1;
-            (base + filled, false)
+            filled
         } else {
-            let stamps = &self.stamps[base..base + ways];
-            // The first least recently used way.
-            let way = (0..ways)
-                .min_by_key(|&way| stamps[way])
-                .expect("a set has at least one way");
-            (base + way, self.dirty[base + way])
+            filled - 1
         };
+        let evicted_dirty = filled == tags.len() && dirty[dropped];
         if evicted_dirty {
             self.writebacks += 1;
         }
-        self.tags[victim] = tag;
-        self.stamps[victim] = self.clock;
-        self.dirty[victim] = write;
-        self.last = Some((line_addr, victim));
+        shift_down(tags, dirty, dropped);
+        tags[0] = tag;
+        dirty[0] = write;
         Access::Miss {
             writeback: evicted_dirty,
         }
@@ -253,24 +235,23 @@ impl Cache {
         self.writebacks
     }
 
-    /// Miss ratio over all accesses so far (0 when no accesses).
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
-
     /// Invalidate all lines and zero the statistics.
     pub fn reset(&mut self) {
         self.filled.fill(0);
         self.last = None;
-        self.clock = 0;
         self.hits = 0;
         self.misses = 0;
         self.writebacks = 0;
+    }
+}
+
+/// Move ways `0..way` of one set down by one, overwriting `way` and
+/// leaving way 0 to be rewritten.
+#[inline]
+fn shift_down(tags: &mut [u64], dirty: &mut [bool], way: usize) {
+    for i in (1..=way).rev() {
+        tags[i] = tags[i - 1];
+        dirty[i] = dirty[i - 1];
     }
 }
 
@@ -326,13 +307,15 @@ mod tests {
         });
     }
 
+    const COLD: Access = Access::Miss { writeback: false };
+
     #[test]
     fn cold_miss_then_hit() {
         let mut c = tiny();
-        assert!(!c.access(0x0, false).is_hit());
-        assert!(c.access(0x0, false).is_hit());
-        assert!(c.access(0x3f, false).is_hit(), "same 64-byte line");
-        assert!(!c.access(0x40, false).is_hit(), "next line");
+        assert_eq!(c.access(0x0, false), COLD);
+        assert_eq!(c.access(0x0, false), Access::Hit);
+        assert_eq!(c.access(0x3f, false), Access::Hit, "same 64-byte line");
+        assert_eq!(c.access(0x40, false), COLD, "next line");
         assert_eq!(c.hits(), 2);
         assert_eq!(c.misses(), 2);
     }
@@ -346,8 +329,8 @@ mod tests {
         c.access(stride, false); // B: set full
         c.access(0, false); // touch A -> B is LRU
         c.access(2 * stride, false); // C evicts B
-        assert!(c.access(0, false).is_hit(), "A survived");
-        assert!(!c.access(stride, false).is_hit(), "B was evicted");
+        assert_eq!(c.access(0, false), Access::Hit, "A survived");
+        assert_eq!(c.access(stride, false), COLD, "B was evicted");
     }
 
     #[test]
@@ -366,16 +349,16 @@ mod tests {
     }
 
     #[test]
-    fn miss_ratio_and_reset() {
+    fn counts_and_reset() {
         let mut c = tiny();
-        assert_eq!(c.miss_ratio(), 0.0);
+        assert_eq!((c.hits(), c.misses()), (0, 0));
         c.access(0, false);
         c.access(0, false);
-        assert!((c.miss_ratio() - 0.5).abs() < 1e-12);
+        assert_eq!((c.hits(), c.misses()), (1, 1));
         c.reset();
         assert_eq!(c.hits(), 0);
         assert_eq!(c.misses(), 0);
-        assert!(!c.access(0, false).is_hit(), "reset invalidates lines");
+        assert_eq!(c.access(0, false), COLD, "reset invalidates lines");
     }
 
     #[test]
@@ -392,7 +375,7 @@ mod tests {
             Access::Miss { writeback: false },
             "cold cache reported a hit"
         );
-        assert!(c.access(u64::MAX, false).is_hit());
+        assert_eq!(c.access(u64::MAX, false), Access::Hit);
         c.access(0, false);
         // Evicting the dirty top line writes it back.
         assert_eq!(c.access(1, false), Access::Miss { writeback: true });
@@ -403,14 +386,16 @@ mod tests {
     fn working_set_larger_than_capacity_thrashes() {
         let mut c = tiny();
         // 1024 distinct lines cycled twice through a 8-line cache.
+        let mut misses = 0;
         for pass in 0..2 {
             for i in 0..1024u64 {
-                let hit = c.access(i * 64, false).is_hit();
+                let access = c.access(i * 64, false);
                 if pass == 0 {
-                    assert!(!hit);
+                    assert_eq!(access, COLD);
                 }
+                misses += usize::from(access != Access::Hit);
             }
         }
-        assert!(c.miss_ratio() > 0.99);
+        assert!(misses as f64 / 2048.0 > 0.99);
     }
 }

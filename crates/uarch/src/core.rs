@@ -3,7 +3,7 @@ use hbmd_events::{CounterSet, HpcEvent};
 use crate::branch::BranchPredictor;
 use crate::cache::{Access, Cache};
 use crate::config::CpuConfig;
-use crate::inst::{InstructionSource, Op};
+use crate::inst::{InstructionSink, InstructionSource, Op};
 use crate::tlb::Tlb;
 
 /// Aggregate timing results of an execution window.
@@ -111,17 +111,21 @@ impl Cpu {
     }
 
     /// Execute `budget` instructions drawn from `source`.
+    ///
+    /// The source drives the core through
+    /// [`InstructionSource::run_on`]: a stream that delivers straight to
+    /// the core's [`InstructionSink`] methods decodes each instruction
+    /// once, with no [`Op`] in between.
     pub fn run<S: InstructionSource>(&mut self, source: &mut S, budget: u64) {
         // One coarse add per run keeps the per-instruction loop free of
         // registry traffic.
         hbmd_obs::add("uarch.instructions_simulated", budget);
-        for _ in 0..budget {
-            let inst = source.next_instruction();
-            self.execute(inst.pc, inst.op);
-        }
+        source.run_on(self, budget);
     }
 
-    /// Execute one instruction, updating counters and timing.
+    /// Execute one instruction, updating counters and timing: a
+    /// [`fetch`](InstructionSink::fetch) from `pc`, then the method of
+    /// the [`InstructionSink`] that `op` names.
     ///
     /// Event mapping:
     ///
@@ -140,97 +144,18 @@ impl Cpu {
     /// | store LLC miss / dirty eviction | `cache-misses`, `node-stores` |
     /// | data page dTLB miss | `dTLB-load-misses` |
     /// | any LLC-visible reference | `cache-references` |
+    ///
+    /// Stall penalties are charged as they occur; the base issue cost is
+    /// settled in [`stats`](Cpu::stats).
     #[inline]
     pub fn execute(&mut self, pc: u64, op: Op) {
-        let mut penalty: u64 = 0;
-
-        // --- Front end: fetch ---
-        if !self.itlb.access(pc) {
-            self.counters.record(HpcEvent::ItlbLoadMisses, 1);
-            penalty += self.config.tlb_miss_penalty;
-        }
-        if let Access::Miss { .. } = self.l1i.access(pc, false) {
-            self.counters.record(HpcEvent::L1IcacheLoadMisses, 1);
-            self.counters.record(HpcEvent::CacheReferences, 1);
-            penalty += self.config.l1_miss_penalty;
-            if let Access::Miss { .. } = self.llc.access(pc, false) {
-                self.counters.record(HpcEvent::CacheMisses, 1);
-                self.counters.record(HpcEvent::NodeLoads, 1);
-                penalty += self.config.llc_miss_penalty;
-            }
-        }
-
-        // --- Back end ---
+        self.fetch(pc);
         match op {
             Op::Alu => {}
-            Op::Load(addr) => {
-                self.counters.record(HpcEvent::L1DcacheLoads, 1);
-                if !self.dtlb.access(addr) {
-                    self.counters.record(HpcEvent::DtlbLoadMisses, 1);
-                    penalty += self.config.tlb_miss_penalty;
-                }
-                if let Access::Miss { writeback } = self.l1d.access(addr, false) {
-                    self.counters.record(HpcEvent::L1DcacheLoadMisses, 1);
-                    self.counters.record(HpcEvent::CacheReferences, 1);
-                    self.counters.record(HpcEvent::LlcLoads, 1);
-                    penalty += self.config.l1_miss_penalty;
-                    if writeback {
-                        self.drain_writeback(addr);
-                    }
-                    if let Access::Miss { writeback } = self.llc.access(addr, false) {
-                        self.counters.record(HpcEvent::CacheMisses, 1);
-                        self.counters.record(HpcEvent::LlcLoadMisses, 1);
-                        self.counters.record(HpcEvent::NodeLoads, 1);
-                        penalty += self.config.llc_miss_penalty;
-                        if writeback {
-                            self.counters.record(HpcEvent::NodeStores, 1);
-                        }
-                    }
-                    if self.config.next_line_prefetch {
-                        self.prefetch_line(addr + self.config.l1d.line_bytes as u64);
-                    }
-                }
-            }
-            Op::Store(addr) => {
-                self.counters.record(HpcEvent::L1DcacheStores, 1);
-                if !self.dtlb.access(addr) {
-                    self.counters.record(HpcEvent::DtlbLoadMisses, 1);
-                    penalty += self.config.tlb_miss_penalty;
-                }
-                if let Access::Miss { writeback } = self.l1d.access(addr, true) {
-                    // Write-allocate: the fill is an LLC-visible reference.
-                    self.counters.record(HpcEvent::CacheReferences, 1);
-                    penalty += self.config.l1_miss_penalty;
-                    if writeback {
-                        self.drain_writeback(addr);
-                    }
-                    if let Access::Miss { writeback } = self.llc.access(addr, true) {
-                        self.counters.record(HpcEvent::CacheMisses, 1);
-                        self.counters.record(HpcEvent::NodeStores, 1);
-                        penalty += self.config.llc_miss_penalty;
-                        if writeback {
-                            self.counters.record(HpcEvent::NodeStores, 1);
-                        }
-                    }
-                }
-            }
-            Op::Branch { target, taken } => {
-                self.counters.record(HpcEvent::BranchInstructions, 1);
-                self.counters.record(HpcEvent::BranchLoads, 1);
-                let outcome = self.branch.predict_and_train(pc, taken, target);
-                if outcome.mispredicted {
-                    self.counters.record(HpcEvent::BranchMisses, 1);
-                    penalty += self.config.mispredict_penalty;
-                }
-                if outcome.btb_miss {
-                    self.counters.record(HpcEvent::BranchLoadMisses, 1);
-                }
-            }
+            Op::Load(addr) => self.load(addr),
+            Op::Store(addr) => self.store(addr),
+            Op::Branch { target, taken } => self.branch(pc, target, taken),
         }
-
-        // --- Timing: stall penalties now, base issue cost in `stats` ---
-        self.instructions += 1;
-        self.stall_cycles += penalty;
     }
 
     /// Next-line prefetch: fill `addr`'s line into L1D and LLC without
@@ -272,6 +197,103 @@ impl Cpu {
         self.counters = CounterSet::new();
         self.instructions = 0;
         self.stall_cycles = 0;
+    }
+}
+
+impl InstructionSink for Cpu {
+    /// Front end: the iTLB, then the L1I and, past it, the LLC.
+    #[inline]
+    fn fetch(&mut self, pc: u64) {
+        let mut penalty = 0;
+        if !self.itlb.access(pc) {
+            self.counters.record(HpcEvent::ItlbLoadMisses, 1);
+            penalty += self.config.tlb_miss_penalty;
+        }
+        if let Access::Miss { .. } = self.l1i.access(pc, false) {
+            self.counters.record(HpcEvent::L1IcacheLoadMisses, 1);
+            self.counters.record(HpcEvent::CacheReferences, 1);
+            penalty += self.config.l1_miss_penalty;
+            if let Access::Miss { .. } = self.llc.access(pc, false) {
+                self.counters.record(HpcEvent::CacheMisses, 1);
+                self.counters.record(HpcEvent::NodeLoads, 1);
+                penalty += self.config.llc_miss_penalty;
+            }
+        }
+        self.instructions += 1;
+        self.stall_cycles += penalty;
+    }
+
+    #[inline]
+    fn load(&mut self, addr: u64) {
+        let mut penalty = 0;
+        self.counters.record(HpcEvent::L1DcacheLoads, 1);
+        if !self.dtlb.access(addr) {
+            self.counters.record(HpcEvent::DtlbLoadMisses, 1);
+            penalty += self.config.tlb_miss_penalty;
+        }
+        if let Access::Miss { writeback } = self.l1d.access(addr, false) {
+            self.counters.record(HpcEvent::L1DcacheLoadMisses, 1);
+            self.counters.record(HpcEvent::CacheReferences, 1);
+            self.counters.record(HpcEvent::LlcLoads, 1);
+            penalty += self.config.l1_miss_penalty;
+            if writeback {
+                self.drain_writeback(addr);
+            }
+            if let Access::Miss { writeback } = self.llc.access(addr, false) {
+                self.counters.record(HpcEvent::CacheMisses, 1);
+                self.counters.record(HpcEvent::LlcLoadMisses, 1);
+                self.counters.record(HpcEvent::NodeLoads, 1);
+                penalty += self.config.llc_miss_penalty;
+                if writeback {
+                    self.counters.record(HpcEvent::NodeStores, 1);
+                }
+            }
+            if self.config.next_line_prefetch {
+                self.prefetch_line(addr + self.config.l1d.line_bytes as u64);
+            }
+        }
+        self.stall_cycles += penalty;
+    }
+
+    #[inline]
+    fn store(&mut self, addr: u64) {
+        let mut penalty = 0;
+        self.counters.record(HpcEvent::L1DcacheStores, 1);
+        if !self.dtlb.access(addr) {
+            self.counters.record(HpcEvent::DtlbLoadMisses, 1);
+            penalty += self.config.tlb_miss_penalty;
+        }
+        if let Access::Miss { writeback } = self.l1d.access(addr, true) {
+            // Write-allocate: the fill is an LLC-visible reference.
+            self.counters.record(HpcEvent::CacheReferences, 1);
+            penalty += self.config.l1_miss_penalty;
+            if writeback {
+                self.drain_writeback(addr);
+            }
+            if let Access::Miss { writeback } = self.llc.access(addr, true) {
+                self.counters.record(HpcEvent::CacheMisses, 1);
+                self.counters.record(HpcEvent::NodeStores, 1);
+                penalty += self.config.llc_miss_penalty;
+                if writeback {
+                    self.counters.record(HpcEvent::NodeStores, 1);
+                }
+            }
+        }
+        self.stall_cycles += penalty;
+    }
+
+    /// Every branch reads the BTB; the outcome is counted without a
+    /// branch on it.
+    #[inline]
+    fn branch(&mut self, pc: u64, target: u64, taken: bool) {
+        self.counters.record(HpcEvent::BranchInstructions, 1);
+        self.counters.record(HpcEvent::BranchLoads, 1);
+        let outcome = self.branch.predict_and_train(pc, taken, target);
+        let mispredicted = u64::from(outcome.mispredicted);
+        self.counters.record(HpcEvent::BranchMisses, mispredicted);
+        self.counters
+            .record(HpcEvent::BranchLoadMisses, u64::from(outcome.btb_miss));
+        self.stall_cycles += mispredicted * self.config.mispredict_penalty;
     }
 }
 

@@ -1,3 +1,5 @@
+use crate::core::Cpu;
+
 /// Operation performed by one instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
@@ -33,6 +35,60 @@ impl Instruction {
     pub fn new(pc: u64, op: Op) -> Instruction {
         Instruction { pc, op }
     }
+
+    /// The instruction `produce` delivers when given an [`Instruction`]
+    /// as its [`InstructionSink`]: how a stream written against the sink
+    /// implements [`InstructionSource::next_instruction`].
+    #[inline]
+    pub fn recorded(produce: impl FnOnce(&mut Instruction)) -> Instruction {
+        let mut inst = Instruction::new(0, Op::Alu);
+        produce(&mut inst);
+        inst
+    }
+}
+
+/// Where an instruction stream delivers each instruction it produces:
+/// one [`fetch`](InstructionSink::fetch), then at most one data or
+/// control operation. No operation after a fetch is an [`Op::Alu`].
+///
+/// [`Cpu`] executes what it receives; an [`Instruction`] records it.
+/// A stream written once against this trait therefore both feeds the
+/// core directly ([`InstructionSource::run_on`]) and yields the same
+/// instructions one at a time ([`InstructionSource::next_instruction`]).
+pub trait InstructionSink {
+    /// An instruction is fetched from `pc`.
+    fn fetch(&mut self, pc: u64);
+    /// The fetched instruction loads from `addr`.
+    fn load(&mut self, addr: u64);
+    /// The fetched instruction stores to `addr`.
+    fn store(&mut self, addr: u64);
+    /// The instruction fetched from `pc` branches to `target`, `taken`
+    /// or not.
+    fn branch(&mut self, pc: u64, target: u64, taken: bool);
+}
+
+/// Records the last instruction delivered: a fetch starts a new ALU
+/// instruction and an operation replaces its `op`.
+impl InstructionSink for Instruction {
+    #[inline]
+    fn fetch(&mut self, pc: u64) {
+        *self = Instruction { pc, op: Op::Alu };
+    }
+
+    #[inline]
+    fn load(&mut self, addr: u64) {
+        self.op = Op::Load(addr);
+    }
+
+    #[inline]
+    fn store(&mut self, addr: u64) {
+        self.op = Op::Store(addr);
+    }
+
+    #[inline]
+    fn branch(&mut self, _pc: u64, target: u64, taken: bool) {
+        self.op = Op::Branch { target, taken };
+    }
 }
 
 /// A producer of dynamic instructions for the CPU model to execute.
@@ -46,17 +102,40 @@ pub trait InstructionSource {
     /// Sources in this suite are endless generators; the CPU decides how
     /// many instructions constitute a sampling window.
     fn next_instruction(&mut self) -> Instruction;
+
+    /// Execute the next `budget` instructions on `cpu`.
+    ///
+    /// [`Cpu::run`] hands the core to the source through this method.
+    /// The default steps [`next_instruction`](Self::next_instruction)
+    /// and [`Cpu::execute`]. A source that can deliver straight to an
+    /// [`InstructionSink`] overrides it to skip building an
+    /// [`Instruction`] and matching on its [`Op`]; the counters must
+    /// come out the same either way.
+    fn run_on(&mut self, cpu: &mut Cpu, budget: u64) {
+        for _ in 0..budget {
+            let inst = self.next_instruction();
+            cpu.execute(inst.pc, inst.op);
+        }
+    }
 }
 
 impl<S: InstructionSource + ?Sized> InstructionSource for &mut S {
     fn next_instruction(&mut self) -> Instruction {
         (**self).next_instruction()
     }
+
+    fn run_on(&mut self, cpu: &mut Cpu, budget: u64) {
+        (**self).run_on(cpu, budget);
+    }
 }
 
 impl<S: InstructionSource + ?Sized> InstructionSource for Box<S> {
     fn next_instruction(&mut self) -> Instruction {
         (**self).next_instruction()
+    }
+
+    fn run_on(&mut self, cpu: &mut Cpu, budget: u64) {
+        (**self).run_on(cpu, budget);
     }
 }
 

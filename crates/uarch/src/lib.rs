@@ -50,6 +50,6 @@ pub use crate::core::{Cpu, ExecutionStats};
 pub use branch::{BranchOutcome, BranchPredictor, BranchPredictorConfig};
 pub use cache::{Access, Cache, CacheConfig};
 pub use config::CpuConfig;
-pub use inst::{trace_source, Instruction, InstructionSource, Op, TraceSource};
+pub use inst::{trace_source, Instruction, InstructionSink, InstructionSource, Op, TraceSource};
 pub use synth::{StreamParams, SyntheticStream};
 pub use tlb::{Tlb, TlbConfig};

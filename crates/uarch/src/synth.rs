@@ -1,8 +1,9 @@
 use rand::distributions::Bernoulli;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
-use crate::inst::{Instruction, InstructionSource, Op};
+use crate::core::Cpu;
+use crate::inst::{Instruction, InstructionSink, InstructionSource};
 
 /// Statistical description of a program phase's dynamic behaviour.
 ///
@@ -140,10 +141,15 @@ struct PhaseConstants {
     code_end: u64,
     /// Function entry points in the code region, at least 1.
     functions: u64,
-    /// A roll below this loads or stores: `load_frac + store_frac`.
-    memory_below: f64,
-    /// A roll below this is not ALU work: `memory_below + branch_frac`.
-    branch_below: f64,
+    /// An op roll (the 53 bits `gen::<f64>` scales into `[0, 1)`)
+    /// below this loads: `threshold(load_frac)`.
+    load_below: u64,
+    /// A roll below this loads or stores:
+    /// `threshold(load_frac + store_frac)`.
+    memory_below: u64,
+    /// A roll below this is not ALU work: `threshold(load_frac +
+    /// store_frac + branch_frac)`, summed in that order.
+    branch_below: u64,
     /// Draws of `data_locality`, `branch_predictability`,
     /// `branch_taken_bias` and `code_locality`, each consuming the words
     /// `gen_bool` with that probability would.
@@ -158,18 +164,27 @@ impl PhaseConstants {
         let code_span = params.code_footprint.max(4);
         let memory_below = params.load_frac + params.store_frac;
         PhaseConstants {
+            load_below: threshold(params.load_frac),
             data_span: params.data_working_set.max(8),
             code_span,
             code_end: CODE_BASE + code_span,
             functions: (code_span / (FUNCTION_GRAIN * 4)).max(1),
-            memory_below,
-            branch_below: memory_below + params.branch_frac,
+            memory_below: threshold(memory_below),
+            branch_below: threshold(memory_below + params.branch_frac),
             data_locality: bernoulli(params.data_locality),
             branch_predictability: bernoulli(params.branch_predictability),
             branch_taken_bias: bernoulli(params.branch_taken_bias),
             code_locality: bernoulli(params.code_locality),
         }
     }
+}
+
+/// The integer form of `roll < frac` for a roll drawn as `gen::<f64>`:
+/// that roll is exactly `r / 2^53` for the integer `r = next_u64() >>
+/// 11`, and `frac * 2^53` is exact, so `roll < frac` holds exactly when
+/// `r < ceil(frac * 2^53)`.
+fn threshold(frac: f64) -> u64 {
+    (frac * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// A probability [`StreamParams::validate`] has already checked.
@@ -243,8 +258,9 @@ impl SyntheticStream {
         self.data_cursor
     }
 
+    /// Draw a branch: its target and whether it is taken.
     #[inline]
-    fn next_branch(&mut self) -> Op {
+    fn next_branch(&mut self) -> (u64, bool) {
         let phase = &self.phase;
         let stable_taken = !(self.pc >> 2).is_multiple_of(8); // per-site stable pattern
         let taken = if self.rng.sample(phase.branch_predictability) {
@@ -260,44 +276,66 @@ impl SyntheticStream {
             let which = self.rng.gen_range(0..phase.functions);
             CODE_BASE + which * FUNCTION_GRAIN * 4
         };
-        Op::Branch { target, taken }
+        (target, taken)
+    }
+
+    /// Produce the next `budget` instructions into `sink`.
+    ///
+    /// This is the stream's only step: [`next_instruction`] records one
+    /// step into an [`Instruction`], and [`run_on`] drives a [`Cpu`]
+    /// with no [`Op`] in between, so both see the same instructions.
+    ///
+    /// [`next_instruction`]: InstructionSource::next_instruction
+    /// [`run_on`]: InstructionSource::run_on
+    /// [`Op`]: crate::Op
+    #[inline]
+    pub fn drive<K: InstructionSink>(&mut self, sink: &mut K, budget: u64) {
+        for _ in 0..budget {
+            self.step(sink);
+        }
+    }
+
+    /// One instruction: fetch, decode the op from one roll (the draw
+    /// `gen::<f64>` would make, compared as an integer), deliver it,
+    /// and advance the PC.
+    #[inline(always)]
+    fn step<K: InstructionSink>(&mut self, sink: &mut K) {
+        let pc = self.pc;
+        sink.fetch(pc);
+        let roll = self.rng.next_u64() >> 11;
+        if roll < self.phase.load_below {
+            let addr = self.next_data_addr();
+            sink.load(addr);
+        } else if roll < self.phase.memory_below {
+            let addr = self.next_data_addr();
+            sink.store(addr);
+        } else if roll < self.phase.branch_below {
+            let (target, taken) = self.next_branch();
+            sink.branch(pc, target, taken);
+            if taken {
+                // Redirect to the target.
+                self.pc = target;
+                self.function_base = target;
+                return;
+            }
+        }
+        // Fall through, keeping straight-line runs inside the code
+        // footprint.
+        self.pc = pc + 4;
+        if self.pc >= self.phase.code_end {
+            self.pc = self.function_base;
+        }
     }
 }
 
 impl InstructionSource for SyntheticStream {
     #[inline]
     fn next_instruction(&mut self) -> Instruction {
-        let pc = self.pc;
-        let roll: f64 = self.rng.gen();
-        let op = if roll < self.params.load_frac {
-            Op::Load(self.next_data_addr())
-        } else if roll < self.phase.memory_below {
-            Op::Store(self.next_data_addr())
-        } else if roll < self.phase.branch_below {
-            self.next_branch()
-        } else {
-            Op::Alu
-        };
+        Instruction::recorded(|inst| self.step(inst))
+    }
 
-        // Advance the PC: fall through, or redirect on a taken branch.
-        match op {
-            Op::Branch {
-                target,
-                taken: true,
-            } => {
-                self.pc = target;
-                self.function_base = target;
-            }
-            _ => {
-                self.pc = pc + 4;
-                // Keep straight-line runs inside the code footprint.
-                if self.pc >= self.phase.code_end {
-                    self.pc = self.function_base;
-                }
-            }
-        }
-
-        Instruction { pc, op }
+    fn run_on(&mut self, cpu: &mut Cpu, budget: u64) {
+        self.drive(cpu, budget);
     }
 }
 
@@ -305,7 +343,7 @@ impl InstructionSource for SyntheticStream {
 mod tests {
     use super::*;
     use crate::config::CpuConfig;
-    use crate::core::Cpu;
+    use crate::inst::Op;
     use hbmd_events::HpcEvent;
 
     #[test]

@@ -34,6 +34,10 @@ impl TlbConfig {
         if self.entries == 0 {
             return Err("TLB needs at least one entry".to_owned());
         }
+        // Entries are linked by `u32` index, with `u32::MAX` as the end.
+        if self.entries >= u32::MAX as usize {
+            return Err(format!("{} entries do not fit u32 links", self.entries));
+        }
         if !self.page_bytes.is_power_of_two() {
             return Err(format!(
                 "page size {} is not a power of two",
@@ -48,14 +52,15 @@ impl TlbConfig {
 ///
 /// Entries fill from index 0 upward and are only ever replaced, never
 /// invalidated one by one, so the valid entries are always the first
-/// `len`. A lookup probes the most recently used entry, then an
-/// open-addressed index from page to entry: linear probing over a
-/// power-of-two table of at least twice `entries` slots, homed by a
-/// Fibonacci hash of the page, with backward-shift deletion so no
-/// tombstones build up. Recency is a doubly linked list through the
-/// entries, so a hit moves its entry to the front and a miss in a full
-/// TLB evicts the back without searching. The victim is the lowest-index
-/// invalid entry, else the least recently used one.
+/// `len`. A lookup compares the most recently used page, kept beside
+/// the entry, then probes an open-addressed index of `(page, entry)`
+/// pairs: linear probing over a power-of-two table of at least four
+/// times `entries` slots, homed by a Fibonacci hash of the page, with
+/// backward-shift deletion so no tombstones build up. A probe reads
+/// only the index. Recency is a doubly linked list of `u32` links
+/// through the entries, so a hit moves its entry to the front and a
+/// miss in a full TLB evicts the back without searching. The victim is
+/// the lowest-index invalid entry, else the least recently used one.
 ///
 /// # Examples
 ///
@@ -72,16 +77,19 @@ pub struct Tlb {
     /// Page number per entry; only `pages[..len]` are valid.
     pages: Vec<u64>,
     /// The next more recently used entry, toward `mru`.
-    newer: Vec<usize>,
+    newer: Vec<u32>,
     /// The next less recently used entry, toward `lru`.
-    older: Vec<usize>,
+    older: Vec<u32>,
     len: usize,
     /// Most recently used valid entry (meaningless while `len == 0`).
-    mru: usize,
+    mru: u32,
+    /// `pages[mru]` (meaningless while `len == 0`).
+    mru_page: u64,
     /// Least recently used valid entry (meaningless while `len == 0`).
-    lru: usize,
-    /// Open-addressed index: the entry holding each valid page, or `NIL`.
-    index: Vec<usize>,
+    lru: u32,
+    /// Open-addressed index: each valid page and its entry; empty slots
+    /// hold entry `NIL`.
+    index: Vec<Slot>,
     /// `64 - log2(index.len())`: shifts a hashed page to its home slot.
     index_shift: u32,
     page_shift: u32,
@@ -89,8 +97,20 @@ pub struct Tlb {
     misses: u64,
 }
 
+/// One index slot: a valid page and the entry holding it, or `NIL`.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    page: u64,
+    entry: u32,
+}
+
 /// End of the recency list, and an empty index slot.
-const NIL: usize = usize::MAX;
+const NIL: u32 = u32::MAX;
+
+const EMPTY: Slot = Slot {
+    page: 0,
+    entry: NIL,
+};
 
 /// Fibonacci hashing multiplier: 2^64 divided by the golden ratio.
 const FIBONACCI: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -105,7 +125,7 @@ impl Tlb {
         if let Err(msg) = config.validate() {
             panic!("invalid TLB config: {msg}");
         }
-        let slots = (config.entries * 2).next_power_of_two();
+        let slots = (config.entries * 4).next_power_of_two();
         Tlb {
             config,
             pages: vec![0; config.entries],
@@ -113,8 +133,9 @@ impl Tlb {
             older: vec![NIL; config.entries],
             len: 0,
             mru: 0,
+            mru_page: 0,
             lru: 0,
-            index: vec![NIL; slots],
+            index: vec![EMPTY; slots],
             index_shift: 64 - slots.trailing_zeros(),
             page_shift: config.page_bytes.trailing_zeros(),
             hits: 0,
@@ -132,7 +153,7 @@ impl Tlb {
     #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         let page = addr >> self.page_shift;
-        if self.len != 0 && self.pages[self.mru] == page {
+        if self.mru_page == page && self.len != 0 {
             self.hits += 1;
             return true;
         }
@@ -146,10 +167,12 @@ impl Tlb {
             Ok(entry) => {
                 self.hits += 1;
                 self.touch(entry);
+                self.mru_page = page;
                 true
             }
             Err(empty) => {
                 self.fill(page, empty);
+                self.mru_page = page;
                 false
             }
         }
@@ -158,17 +181,17 @@ impl Tlb {
     /// Probe the index for `page`: `Ok` with the entry holding it, or
     /// `Err` with the empty slot that ends its probe run.
     #[inline]
-    fn probe(&self, page: u64) -> Result<usize, usize> {
+    fn probe(&self, page: u64) -> Result<u32, usize> {
         let mask = self.index.len() - 1;
         let mut slot = self.home(page);
-        // At most half the slots are ever full, so a probe run ends
-        // well within one lap of the table.
+        // At most a quarter of the slots are ever full, so a probe run
+        // ends well within one lap of the table.
         for _ in 0..self.index.len() {
-            let entry = self.index[slot];
+            let Slot { page: held, entry } = self.index[slot];
             if entry == NIL {
                 return Err(slot);
             }
-            if self.pages[entry] == page {
+            if held == page {
                 return Ok(entry);
             }
             slot = (slot + 1) & mask;
@@ -187,8 +210,8 @@ impl Tlb {
     fn fill(&mut self, page: u64, empty: usize) {
         self.misses += 1;
         if self.len < self.pages.len() {
+            let entry = self.len as u32;
             self.len += 1;
-            let entry = self.len - 1;
             if entry == 0 {
                 self.newer[0] = NIL;
                 self.older[0] = NIL;
@@ -197,18 +220,21 @@ impl Tlb {
             } else {
                 self.push_front(entry);
             }
-            self.pages[entry] = page;
-            self.index[empty] = entry;
+            self.pages[entry as usize] = page;
+            self.index[empty] = Slot { page, entry };
         } else {
             let victim = self.lru;
-            self.unindex(self.pages[victim]);
+            self.unindex(self.pages[victim as usize]);
             self.touch(victim);
             // The deletion may have shifted entries back over `empty`.
             let Err(slot) = self.probe(page) else {
                 unreachable!("a missed page is not indexed");
             };
-            self.pages[victim] = page;
-            self.index[slot] = victim;
+            self.pages[victim as usize] = page;
+            self.index[slot] = Slot {
+                page,
+                entry: victim,
+            };
         }
     }
 
@@ -218,48 +244,50 @@ impl Tlb {
     fn unindex(&mut self, page: u64) {
         let mask = self.index.len() - 1;
         let mut hole = self.home(page);
-        while self.pages[self.index[hole]] != page {
+        // No empty slot lies between a valid page's home and its slot.
+        while self.index[hole].page != page {
             hole = (hole + 1) & mask;
         }
         let mut slot = hole;
         loop {
             slot = (slot + 1) & mask;
-            let entry = self.index[slot];
-            if entry == NIL {
+            let held = self.index[slot];
+            if held.entry == NIL {
                 break;
             }
-            // Move the entry into the hole unless its home lies
+            // Move the slot into the hole unless its home lies
             // cyclically after the hole, where the move would strand it.
-            let home = self.home(self.pages[entry]);
+            let home = self.home(held.page);
             if (slot.wrapping_sub(home) & mask) >= (slot.wrapping_sub(hole) & mask) {
-                self.index[hole] = entry;
+                self.index[hole] = held;
                 hole = slot;
             }
         }
-        self.index[hole] = NIL;
+        self.index[hole] = EMPTY;
     }
 
     /// Move valid `entry` to the front of the recency list.
-    fn touch(&mut self, entry: usize) {
+    fn touch(&mut self, entry: u32) {
         if entry == self.mru {
             return;
         }
         // Not the front, so it has a newer neighbour.
-        let (newer, older) = (self.newer[entry], self.older[entry]);
-        self.older[newer] = older;
+        let e = entry as usize;
+        let (newer, older) = (self.newer[e], self.older[e]);
+        self.older[newer as usize] = older;
         if older == NIL {
             self.lru = newer;
         } else {
-            self.newer[older] = newer;
+            self.newer[older as usize] = newer;
         }
         self.push_front(entry);
     }
 
     /// Link `entry`, not currently in the list, in front of `mru`.
-    fn push_front(&mut self, entry: usize) {
-        self.newer[entry] = NIL;
-        self.older[entry] = self.mru;
-        self.newer[self.mru] = entry;
+    fn push_front(&mut self, entry: u32) {
+        self.newer[entry as usize] = NIL;
+        self.older[entry as usize] = self.mru;
+        self.newer[self.mru as usize] = entry;
         self.mru = entry;
     }
 
@@ -273,20 +301,10 @@ impl Tlb {
         self.misses
     }
 
-    /// Miss ratio (0 when no accesses).
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
-
     /// Invalidate all entries and zero statistics.
     pub fn reset(&mut self) {
         self.len = 0;
-        self.index.fill(NIL);
+        self.index.fill(EMPTY);
         self.hits = 0;
         self.misses = 0;
     }
@@ -328,10 +346,10 @@ mod tests {
     #[test]
     fn spread_accesses_thrash_small_tlb() {
         let mut t = tiny();
-        for i in 0..10_000u64 {
-            t.access((i % 64) * 4096);
-        }
-        assert!(t.miss_ratio() > 0.9);
+        let misses = (0..10_000u64)
+            .filter(|i| !t.access((i % 64) * 4096))
+            .count();
+        assert!(misses as f64 / 10_000.0 > 0.9);
     }
 
     #[test]

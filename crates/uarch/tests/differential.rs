@@ -3,11 +3,11 @@
 //! The reference models below are the straightforward record-per-entry
 //! implementations the simulator used to carry: every access walks all
 //! `(page, stamp)` or `Line { tag, valid, dirty, lru }` records. The
-//! production structures are laid out for speed (dense page and tag
-//! arrays, with recency consulted only when an entry is refreshed or
-//! replaced) but must make exactly the same decisions: the same hit or
-//! miss, the same victim, the same writeback, access by access. Any
-//! divergence changes every counter downstream.
+//! production structures are laid out for speed (cache sets kept in
+//! recency order, most recent first, and a TLB indexed by page with
+//! recency as a linked list) but must make exactly the same decisions:
+//! the same hit or miss, the same victim, the same writeback, access by
+//! access. Any divergence changes every counter downstream.
 
 use hbmd_uarch::{Cache, CacheConfig, Tlb, TlbConfig};
 use proptest::prelude::*;
@@ -197,10 +197,10 @@ fn arb_cache_config() -> impl Strategy<Value = CacheConfig> {
 
 /// Home slot of `page` in the index of a `Tlb` with `entries` entries:
 /// the top bits of a Fibonacci hash over a power-of-two table of at
-/// least `2 * entries` slots. Mirrors `Tlb::home`, so the page pools
+/// least `4 * entries` slots. Mirrors `Tlb::home`, so the page pools
 /// below pile onto chosen slots.
 fn home_slot(page: u64, entries: usize) -> usize {
-    let slots = (entries * 2).next_power_of_two();
+    let slots = (entries * 4).next_power_of_two();
     (page.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - slots.trailing_zeros())) as usize
 }
 
@@ -209,7 +209,7 @@ fn home_slot(page: u64, entries: usize) -> usize {
 /// wrap past the end of the table and evictions shift entries back
 /// across it.
 fn colliding_pages(entries: usize, per_slot: usize) -> Vec<u64> {
-    let last = (entries * 2).next_power_of_two() - 1;
+    let last = (entries * 4).next_power_of_two() - 1;
     let mut pool = Vec::new();
     for slot in [last, last - 1, 0] {
         pool.extend(

@@ -10,7 +10,7 @@ use hbmd::events::HpcEvent;
 use hbmd::malware::{AppClass, Sample, SampleId};
 use hbmd::obs::manifest::fnv1a_64;
 use hbmd::perf::{Sampler, SamplerConfig};
-use hbmd::uarch::{Cpu, CpuConfig};
+use hbmd::uarch::{Cpu, CpuConfig, InstructionSource, StreamParams, SyntheticStream};
 
 const CATALOG_SEED: u64 = 2017;
 
@@ -119,4 +119,67 @@ fn fresh_core_counters_and_cycles_are_pinned() {
         bytes.extend_from_slice(&stats.cycles.to_le_bytes());
     }
     assert_digest("fresh core", fnv1a_64(&bytes), 0xe966_e8ff_7e2e_3396);
+}
+
+/// `Cpu::run` budgets, called in turn on one core: one instruction, a
+/// few, and runs that end inside a phase and cross phase changes.
+const BUDGETS: [u64; 4] = [1, 7, 2_500, 20_000];
+
+/// Run `stream` on two fresh cores of `cpu`: one through `Cpu::run`,
+/// which the stream drives directly, and one stepped through
+/// `next_instruction` and `Cpu::execute`. After every budget both must
+/// hold the same counters and stats. Appends the stepped core's
+/// counters and cycles to `bytes`.
+fn run_matches_stepping<S: InstructionSource + Clone>(
+    at: &str,
+    cpu: &CpuConfig,
+    stream: S,
+    bytes: &mut Vec<u8>,
+) {
+    let (mut run, mut stepped) = (Cpu::new(cpu.clone()), Cpu::new(cpu.clone()));
+    let (mut run_stream, mut stepped_stream) = (stream.clone(), stream);
+    for budget in BUDGETS {
+        run.run(&mut run_stream, budget);
+        for _ in 0..budget {
+            let inst = stepped_stream.next_instruction();
+            stepped.execute(inst.pc, inst.op);
+        }
+        assert_eq!(run.counters(), stepped.counters(), "{at}, budget {budget}");
+        assert_eq!(run.stats(), stepped.stats(), "{at}, budget {budget}");
+        for event in HpcEvent::ALL {
+            bytes.extend_from_slice(&stepped.counters()[event].to_le_bytes());
+        }
+        bytes.extend_from_slice(&stepped.stats().cycles.to_le_bytes());
+    }
+}
+
+/// The run loop and single steps share one step body, so they must
+/// agree instruction for instruction, across phase changes and budget
+/// boundaries; the digest pins what both produce. One sample per class
+/// on each collection core, plus a near-branchless stream in a 4 KiB
+/// code footprint, whose straight-line runs keep wrapping back to the
+/// function entry. The host-noise interleave is crate-private to
+/// `hbmd-perf` and checked the same way there (`container::tests`).
+#[test]
+fn run_matches_stepping_and_is_pinned() {
+    let mut bytes = Vec::new();
+    let setups = [
+        ("paper", SamplerConfig::paper().cpu),
+        ("fast", SamplerConfig::fast().cpu),
+        ("next-line prefetch", CpuConfig::haswell_prefetch()),
+    ];
+    let straight_line = StreamParams {
+        branch_frac: 0.005,
+        code_footprint: 4096,
+        ..StreamParams::balanced()
+    };
+    for (setup, cpu) in &setups {
+        for sample in samples() {
+            let at = format!("{setup}, {:?}", sample.class());
+            run_matches_stepping(&at, cpu, sample.stream(), &mut bytes);
+        }
+        let stream = SyntheticStream::new(straight_line, 7);
+        run_matches_stepping(&format!("{setup}, straight line"), cpu, stream, &mut bytes);
+    }
+    assert_digest("run vs stepping", fnv1a_64(&bytes), 0x0271_b533_0c1b_183e);
 }
