@@ -515,7 +515,7 @@ const BUNDLE_REPORT: Command = Command {
 fn build_manifest(scale: f64, config: &ExperimentConfig, experiments: &[String]) -> RunManifest {
     let mut manifest = RunManifest::new("repro", env!("CARGO_PKG_VERSION"));
     manifest.scale = scale;
-    manifest.source = config.collector.source.name().to_owned();
+    manifest.source = config.collector.sampler.source.name().to_owned();
     manifest.threads = config.threads;
     manifest.collector_threads = config.collector.threads;
     manifest.seeds = vec![

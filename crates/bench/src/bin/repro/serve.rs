@@ -112,7 +112,8 @@ pub(crate) fn serve_mode(args: &[String]) -> ExitCode {
     }
     // Live counters are best-effort: an unprivileged or perf-less host
     // degrades gracefully to the simulator instead of refusing to
-    // serve (the manifest records which source actually ran).
+    // serve. Training, the fleet's windows, the manifest and
+    // `build_info{source}` all read the one source set here.
     if let Err(PerfError::BackendUnavailable { reason }) = options.source.probe() {
         eprintln!(
             "serve: counter source `{}` unavailable ({reason}); falling back to sim",
@@ -121,7 +122,7 @@ pub(crate) fn serve_mode(args: &[String]) -> ExitCode {
         options.source = SourceSelect::Sim;
     }
     let mut config = options.config();
-    config.collector.source = options.source;
+    config.collector.sampler.source = options.source;
     // A bundle directory implies recording: default the ring to 256
     // slots per shard so `--bundle-dir` alone produces useful bundles.
     if options.bundle_dir.is_some() && options.record_ring == 0 {
@@ -191,7 +192,7 @@ fn run_monitor(
     // `hbmd_build_info`: the Prometheus idiom for joining run identity
     // onto any other series — a constant-1 gauge whose labels carry the
     // version, config digest, and counter source.
-    let source_name = config.collector.source.to_string();
+    let source_name = config.collector.sampler.source.to_string();
     guard
         .registry()
         .gauge_with(

@@ -72,12 +72,15 @@ pub const PHASES: [AppClass; 10] = [
     AppClass::Backdoor,
 ];
 
-/// The deterministic per-stream synthetic workload: window `k` of
-/// stream `s` is a pure function of `(s, k)` — each stream follows the
+/// The per-stream synthetic workload: each stream follows the
 /// [`PHASES`] schedule at its own phase offset, with sample content
-/// seeded from the stream id and sample index. Any window can be
-/// regenerated at any time, on any shard layout, which is what makes
-/// both checkpoint replay and the shard-count determinism proof exact.
+/// seeded from the stream id and sample index, and each window is read
+/// from the sampler's counter source ([`SamplerConfig::source`]). On
+/// the simulator source window `k` of stream `s` is a pure function of
+/// `(s, k)`: any window can be regenerated at any time, on any shard
+/// layout, which is what makes both checkpoint replay and the
+/// shard-count determinism proof exact. A window the source cannot
+/// read is served all-`NaN`, and the sanitizer abstains on it.
 pub struct FleetTimeline {
     sampler: Sampler,
     /// stream → (sample index, its 16 windows); one live sample per
@@ -86,8 +89,9 @@ pub struct FleetTimeline {
 }
 
 impl FleetTimeline {
-    /// A timeline over the collector's sampler settings (forced to
-    /// [`WINDOWS_PER_SAMPLE`] windows per sample).
+    /// A timeline over the collector's sampler settings, counter
+    /// source included (forced to [`WINDOWS_PER_SAMPLE`] windows per
+    /// sample).
     ///
     /// # Errors
     ///
@@ -199,8 +203,7 @@ pub struct FleetConfig {
     /// Print alarm lines for stream 0 to stderr (live mode).
     pub verbose: bool,
     /// Per-shard flight recorders plus the bundle-emission policy;
-    /// `None` (the default) records nothing and triggers nothing, so
-    /// the hot path stays byte-identical to the pre-recorder fleet.
+    /// `None` (the default) records nothing and triggers nothing.
     pub recorder: Option<Arc<RecorderHub>>,
 }
 

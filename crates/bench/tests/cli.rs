@@ -290,3 +290,40 @@ fn help_names_every_flag_of_every_command() {
         assert!(usage.contains(experiment), "usage lacks {experiment}");
     }
 }
+
+/// Without the live backend `serve --source perf` falls back to the
+/// simulator, and the run's `build_info` names the source it served.
+#[cfg(not(feature = "perf-backend"))]
+#[test]
+fn serve_source_perf_falls_back_and_build_info_says_sim() {
+    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args([
+            "serve",
+            "--source",
+            "perf",
+            "--scale",
+            "0.01",
+            "--windows",
+            "8",
+            "--streams",
+            "2",
+            "--shards",
+            "1",
+            "--addr",
+            "127.0.0.1:0",
+        ])
+        .output()
+        .expect("repro runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "serve failed: {stderr}");
+    assert!(
+        stderr.contains("serve: counter source `perf` unavailable")
+            && stderr.contains("falling back to sim"),
+        "no fallback line: {stderr}"
+    );
+    let build_info = stderr
+        .lines()
+        .find(|line| line.trim_start().starts_with("build_info{"))
+        .unwrap_or_else(|| panic!("no build_info line in the summary: {stderr}"));
+    assert!(build_info.contains("source=sim}"), "{build_info}");
+}

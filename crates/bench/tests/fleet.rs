@@ -231,23 +231,29 @@ fn mismatched_digest_forces_a_pristine_start() {
     let _ = std::fs::remove_file(&checkpoint);
 }
 
-#[test]
-fn nan_burst_degrades_and_recovers() {
-    // Trained on a small real collection: its sanitizer accepts real
-    // sampled windows, so the breaker is left within reach and only
-    // the burst can trip it.
+/// A J48 trained on a small real collection: its sanitizer accepts
+/// real sampled windows, so it classifies (and alarms on) what the
+/// simulator serves.
+fn collected_detector() -> Arc<Detector> {
     let catalog = SampleCatalog::scaled(0.03, 17);
     let dataset = Collector::new(CollectorConfig::fast())
         .expect("collector config")
         .collect(&catalog)
         .expect("collect")
         .dataset;
-    let detector = Arc::new(
+    Arc::new(
         DetectorBuilder::new()
             .classifier(ClassifierKind::J48)
             .train_binary(&dataset)
             .expect("train"),
-    );
+    )
+}
+
+#[test]
+fn nan_burst_degrades_and_recovers() {
+    // The collected detector leaves the breaker within reach, so only
+    // the burst can trip it.
+    let detector = collected_detector();
     let sampler = SamplerConfig::fast();
     let (streams, shards) = (4u64, 2usize);
     // Every stream of one shard goes NaN at once, so the shard breaker
@@ -283,4 +289,63 @@ fn nan_burst_degrades_and_recovers() {
             "stream {stream}'s classification must resume after the burst clears"
         );
     }
+}
+
+/// The fleet serves the source the sampler selects. Without the
+/// `perf-backend` feature the live source cannot open, so every window
+/// it serves is absent: nothing alarms, every observed window abstains
+/// and the supervisor trips or quarantines. The same fleet over the
+/// simulator alarms.
+#[cfg(not(feature = "perf-backend"))]
+#[test]
+fn the_fleet_serves_the_selected_source() {
+    use hbmd_core::OnlineVerdict;
+    use hbmd_obs::Obs;
+    use hbmd_perf::SourceSelect;
+
+    // The detector's telemetry handles resolve into the context
+    // installed when it is built.
+    let guard = hbmd_obs::install(Obs::new());
+    let detector = collected_detector();
+    let run = |source: SourceSelect| {
+        let sampler = SamplerConfig {
+            source,
+            ..SamplerConfig::fast()
+        };
+        let config = FleetConfig {
+            pristine_stream: StreamState::new(4, 3, 1, 1).expect("static shape"),
+            ..FleetConfig::lossless(4, 2, 64)
+        };
+        let report = run_fleet(&detector, &sampler, &config).expect("fleet runs");
+        let alarms = report
+            .verdicts
+            .values()
+            .flatten()
+            .filter(|v| matches!(v, Some(OnlineVerdict::Alarm { .. })))
+            .count();
+        (report, alarms)
+    };
+
+    let (perf, alarms) = run(SourceSelect::Perf);
+    let snapshot = guard.registry().snapshot();
+    let abstained: u64 = snapshot
+        .counters
+        .iter()
+        .filter(|c| {
+            c.name == "verdict" && c.labels == vec![("verdict".to_owned(), "abstain".to_owned())]
+        })
+        .map(|c| c.value)
+        .sum();
+    let observed = snapshot.counter("online.windows_observed");
+    assert_eq!(alarms, 0, "absent windows must never alarm");
+    assert!(observed > 0, "the fleet observed nothing");
+    assert_eq!(abstained, observed, "every observed window must abstain");
+    assert!(
+        perf.trips + perf.quarantines > 0,
+        "an all-absent fleet must trip or quarantine"
+    );
+
+    let (_, alarms) = run(SourceSelect::Sim);
+    assert!(alarms > 0, "the simulated fleet must raise alarms");
+    drop(guard);
 }

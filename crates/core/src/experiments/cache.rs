@@ -5,8 +5,8 @@
 //! suite (as `repro all` does) used to re-collect the same catalog once
 //! per experiment. [`CollectCache`] collapses that to **one collection
 //! per distinct collector configuration**: entries are keyed by the
-//! semantic content of the configuration — sampler, labeller, fault
-//! plan, retry policy, and catalog recipe (fraction + seed) — and
+//! semantic content of the configuration — sampler (counter source
+//! included), fault plan, and catalog recipe (fraction + seed) — and
 //! shared via [`Arc`].
 //!
 //! Thread counts are deliberately *excluded* from the key: collection
@@ -33,14 +33,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use hbmd_malware::SampleCatalog;
-use hbmd_perf::{Collector, CollectorConfig, DataRow, PerfError};
+use hbmd_perf::{Collection, Collector, CollectorConfig, DataRow, PerfError};
 
 use crate::experiments::ExperimentConfig;
-
-// `Collection` moved into `hbmd-perf` (the collector returns it
-// directly now); re-exported here so `hbmd_core::experiments::cache::
-// Collection` keeps resolving.
-pub use hbmd_perf::Collection;
 
 /// Cache counters, for perf harnesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

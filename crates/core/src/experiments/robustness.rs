@@ -93,8 +93,11 @@ pub fn degradation_sweep(
 
     let per_rate = try_par_map(fault_rates, config.threads, |k, &rate| {
         let collector = CollectorConfig {
-            fault: (rate > 0.0)
-                .then(|| FaultPlan::uniform(rate, config.catalog_seed ^ (k as u64) << 32)),
+            fault: if rate > 0.0 {
+                FaultPlan::uniform(rate, config.catalog_seed ^ (k as u64) << 32)
+            } else {
+                FaultPlan::none()
+            },
             ..config.collector.clone()
         };
         let collection = cache.collect_catalog(&collector, &eval_recipe, || {

@@ -61,7 +61,7 @@ mod suite;
 pub use convert::{to_binary_dataset, to_multiclass_dataset, BINARY_CLASS_NAMES};
 pub use detector::{Detector, DetectorBuilder, DetectorMode, Verdict};
 pub use error::CoreError;
-pub use experiments::cache::{CacheStats, CollectCache, Collection};
+pub use experiments::cache::{CacheStats, CollectCache};
 pub use features::{FeaturePlan, FeatureSet};
 pub use fleet::{shard_of, StreamHealth, StreamHealthConfig, StreamStanding};
 pub use hbmd_obs::par;

@@ -1,7 +1,6 @@
 use std::panic::{self, AssertUnwindSafe};
-use std::time::Duration;
 
-use hbmd_malware::{MultiEngineLabeler, Sample, SampleCatalog, SampleId};
+use hbmd_malware::{Sample, SampleCatalog, SampleId};
 
 use crate::dataset::{DataRow, HpcDataset};
 use crate::error::PerfError;
@@ -9,36 +8,29 @@ use crate::fault::{FaultCounts, FaultInjector, FaultPlan};
 use crate::sampler::{Sampler, SamplerConfig};
 use crate::source::SourceSelect;
 
+/// Extra attempts per sample after a failed (panicked or erroring)
+/// collection. Retries are immediate: the simulator has no transient
+/// hardware to wait out.
+const MAX_RETRIES: u32 = 2;
+
+/// [`Collector::collect`] aborts with [`PerfError::DegradedCollection`]
+/// when more than this fraction of samples is quarantined after
+/// retries.
+const FAILURE_THRESHOLD: f64 = 0.5;
+
 /// Configuration for whole-catalog collection.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CollectorConfig {
-    /// Per-sample observation setup.
+    /// Per-sample observation setup, including the counter source
+    /// ([`SamplerConfig::source`]) windows are read from.
     pub sampler: SamplerConfig,
-    /// Which counter backend windows are read from. The default
-    /// [`SourceSelect::Sim`] is the deterministic simulator;
-    /// [`SourceSelect::Perf`] reads live hardware counters when the
-    /// crate is built with the `perf-backend` feature (probed at
-    /// [`Collector::new`] time).
-    pub source: SourceSelect,
     /// Worker threads (1 = sequential). Collection is embarrassingly
     /// parallel across samples; results are returned in catalog order
     /// regardless of thread count.
     pub threads: usize,
-    /// Label rows with a multi-engine labeller instead of ground truth,
-    /// introducing realistic label noise.
-    pub labeler: Option<MultiEngineLabeler>,
-    /// Inject collection-path faults (`None` = pristine pipeline).
-    pub fault: Option<FaultPlan>,
-    /// Extra attempts per sample after a failed (panicked) collection.
-    pub max_retries: u32,
-    /// Base of the deterministic exponential backoff between retry
-    /// attempts, in milliseconds (attempt `n` sleeps `base << (n-1)`).
-    /// Zero (the default) retries immediately — the simulator has no
-    /// transient hardware to wait out, but real deployments do.
-    pub retry_backoff_ms: u64,
-    /// Abort with [`PerfError::DegradedCollection`] when more than this
-    /// fraction of samples is quarantined after retries.
-    pub failure_threshold: f64,
+    /// Collection-path faults to inject; [`FaultPlan::none`] is the
+    /// pristine pipeline.
+    pub fault: FaultPlan,
 }
 
 impl CollectorConfig {
@@ -46,15 +38,10 @@ impl CollectorConfig {
     pub fn paper() -> CollectorConfig {
         CollectorConfig {
             sampler: SamplerConfig::paper(),
-            source: SourceSelect::Sim,
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            labeler: None,
-            fault: None,
-            max_retries: 2,
-            retry_backoff_ms: 0,
-            failure_threshold: 0.5,
+            fault: FaultPlan::none(),
         }
     }
 
@@ -63,30 +50,16 @@ impl CollectorConfig {
     pub fn fast() -> CollectorConfig {
         CollectorConfig {
             sampler: SamplerConfig::fast(),
-            source: SourceSelect::Sim,
             threads: 1,
-            labeler: None,
-            fault: None,
-            max_retries: 2,
-            retry_backoff_ms: 0,
-            failure_threshold: 0.5,
+            fault: FaultPlan::none(),
         }
     }
 
     /// `fast()` with a fault plan attached.
     pub fn faulted(plan: FaultPlan) -> CollectorConfig {
         CollectorConfig {
-            fault: Some(plan),
+            fault: plan,
             ..CollectorConfig::fast()
-        }
-    }
-
-    /// Start building a configuration from the [`paper`
-    /// preset](CollectorConfig::paper) — the counterpart of the
-    /// `OnlineDetectorBuilder` idiom for the collection side.
-    pub fn builder() -> CollectorConfigBuilder {
-        CollectorConfigBuilder {
-            config: CollectorConfig::paper(),
         }
     }
 
@@ -96,115 +69,13 @@ impl CollectorConfig {
     /// # Errors
     ///
     /// Returns [`PerfError::Config`] when the sampler configuration or
-    /// fault plan is invalid, `threads` is zero, or the failure
-    /// threshold is outside `[0, 1]`.
+    /// fault plan is invalid, or `threads` is zero.
     pub fn validate(&self) -> Result<(), PerfError> {
         self.sampler.validate()?;
         if self.threads == 0 {
             return Err(PerfError::Config("threads must be non-zero".to_owned()));
         }
-        if let Some(plan) = &self.fault {
-            plan.validate()?;
-        }
-        if !(self.failure_threshold.is_finite() && (0.0..=1.0).contains(&self.failure_threshold)) {
-            return Err(PerfError::Config(format!(
-                "failure_threshold {} is outside [0, 1]",
-                self.failure_threshold
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// Builder for [`CollectorConfig`]: source, scale, fault plan, and
-/// retry policy, validated at [`build`](CollectorConfigBuilder::build)
-/// time. Starts from the [`paper`](CollectorConfig::paper) preset.
-///
-/// # Examples
-///
-/// ```
-/// use hbmd_perf::{CollectorConfig, SamplerConfig, SourceSelect};
-///
-/// let config = CollectorConfig::builder()
-///     .sampler(SamplerConfig::fast())
-///     .source(SourceSelect::Sim)
-///     .threads(2)
-///     .retries(1, 0)
-///     .build()?;
-/// assert_eq!(config.max_retries, 1);
-/// # Ok::<(), hbmd_perf::PerfError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct CollectorConfigBuilder {
-    config: CollectorConfig,
-}
-
-impl CollectorConfigBuilder {
-    /// Replace the whole per-sample observation setup.
-    pub fn sampler(mut self, sampler: SamplerConfig) -> CollectorConfigBuilder {
-        self.config.sampler = sampler;
-        self
-    }
-
-    /// Select the counter backend windows are read from.
-    pub fn source(mut self, source: SourceSelect) -> CollectorConfigBuilder {
-        self.config.source = source;
-        self
-    }
-
-    /// Worker threads (1 = sequential).
-    pub fn threads(mut self, threads: usize) -> CollectorConfigBuilder {
-        self.config.threads = threads;
-        self
-    }
-
-    /// Label rows with a multi-engine labeller instead of ground truth.
-    pub fn labeler(mut self, labeler: MultiEngineLabeler) -> CollectorConfigBuilder {
-        self.config.labeler = Some(labeler);
-        self
-    }
-
-    /// Inject collection-path faults.
-    pub fn fault(mut self, plan: FaultPlan) -> CollectorConfigBuilder {
-        self.config.fault = Some(plan);
-        self
-    }
-
-    /// Retry policy: extra attempts per failed sample and the base of
-    /// the deterministic exponential backoff between them.
-    pub fn retries(mut self, max_retries: u32, backoff_ms: u64) -> CollectorConfigBuilder {
-        self.config.max_retries = max_retries;
-        self.config.retry_backoff_ms = backoff_ms;
-        self
-    }
-
-    /// Quarantine-rate ceiling before collection aborts with
-    /// [`PerfError::DegradedCollection`].
-    pub fn failure_threshold(mut self, threshold: f64) -> CollectorConfigBuilder {
-        self.config.failure_threshold = threshold;
-        self
-    }
-
-    /// Sampling windows recorded per sample.
-    pub fn windows_per_sample(mut self, windows: usize) -> CollectorConfigBuilder {
-        self.config.sampler.windows_per_sample = windows;
-        self
-    }
-
-    /// Instruction budget per sampling window.
-    pub fn instructions_per_window(mut self, budget: u64) -> CollectorConfigBuilder {
-        self.config.sampler.instructions_per_window = budget;
-        self
-    }
-
-    /// Validate and return the configuration.
-    ///
-    /// # Errors
-    ///
-    /// See [`CollectorConfig::validate`].
-    pub fn build(self) -> Result<CollectorConfig, PerfError> {
-        self.config.validate()?;
-        Ok(self.config)
+        self.fault.validate()
     }
 }
 
@@ -272,14 +143,6 @@ pub struct Collection {
     pub report: CollectionReport,
 }
 
-impl Collection {
-    /// Split into `(dataset, report)` — the shape of the deprecated
-    /// tuple-returning API.
-    pub fn into_parts(self) -> (HpcDataset, CollectionReport) {
-        (self.dataset, self.report)
-    }
-}
-
 /// Message prefix of injected worker panics; the quiet panic hook keys
 /// on it so genuine bugs still report normally.
 const INJECTED_PANIC_PREFIX: &str = "injected worker fault";
@@ -319,9 +182,9 @@ struct SampleOutcome {
 /// number of windows, and its windows appended as dataset rows.
 ///
 /// Collection is fault-tolerant: a sample whose worker panics is
-/// retried up to [`CollectorConfig::max_retries`] times and quarantined
-/// (not fatal) if it keeps failing; the [`Collection`] returned by
-/// [`Collector::collect`] carries the full telemetry.
+/// retried up to twice and quarantined (not fatal) if it keeps
+/// failing; the [`Collection`] returned by [`Collector::collect`]
+/// carries the full telemetry.
 ///
 /// # Examples
 ///
@@ -346,14 +209,14 @@ impl Collector {
     ///
     /// # Errors
     ///
-    /// Returns [`PerfError::Config`] when the sampler configuration,
-    /// fault plan, or failure threshold is invalid or `threads` is
-    /// zero; [`PerfError::BackendUnavailable`] when the selected
-    /// source cannot run on this host/build (callers can degrade to
+    /// Returns [`PerfError::Config`] when the sampler configuration or
+    /// fault plan is invalid or `threads` is zero;
+    /// [`PerfError::BackendUnavailable`] when the selected source
+    /// cannot run on this host/build (callers can degrade to
     /// [`SourceSelect::Sim`] on that variant).
     pub fn new(config: CollectorConfig) -> Result<Collector, PerfError> {
         config.validate()?;
-        config.source.probe()?;
+        config.sampler.source.probe()?;
         Ok(Collector { config })
     }
 
@@ -368,11 +231,10 @@ impl Collector {
     ///
     /// Each sample is collected under `catch_unwind`; a panicking
     /// worker loses only that sample's attempt. Failed attempts are
-    /// retried with deterministic exponential backoff, then the sample
-    /// is quarantined. Rows come back in catalog order regardless of
-    /// thread count, and fault injection is keyed on
-    /// `(plan.seed, sample id, attempt)`, so the result is
-    /// byte-identical across runs and thread counts.
+    /// retried at once, then the sample is quarantined. Rows come back
+    /// in catalog order regardless of thread count, and fault
+    /// injection is keyed on `(plan.seed, sample id, attempt)`, so the
+    /// result is byte-identical across runs and thread counts.
     ///
     /// The run is observable: it opens a `collect` span (one
     /// `collect.sample` child per sample) and records exact
@@ -382,21 +244,16 @@ impl Collector {
     ///
     /// # Errors
     ///
-    /// Returns [`PerfError::DegradedCollection`] when the quarantine
-    /// rate exceeds [`CollectorConfig::failure_threshold`].
+    /// Returns [`PerfError::DegradedCollection`] when more than half
+    /// the catalog is quarantined.
     pub fn collect(&self, catalog: &SampleCatalog) -> Result<Collection, PerfError> {
         let mut span = hbmd_obs::span!(
             "collect",
             samples = catalog.len(),
             threads = self.config.threads,
-            faulted = self.config.fault.as_ref().is_some_and(|p| !p.is_none()),
+            faulted = !self.config.fault.is_none(),
         );
-        if self
-            .config
-            .fault
-            .as_ref()
-            .is_some_and(|plan| plan.worker_panic > 0.0)
-        {
+        if self.config.fault.worker_panic > 0.0 {
             install_quiet_injection_hook();
         }
         let samples = catalog.samples();
@@ -427,16 +284,16 @@ impl Collector {
             rows.extend(outcome.rows);
         }
 
-        record_report_metrics(&report, self.config.source);
+        record_report_metrics(&report, self.config.sampler.source);
         span.record("rows", report.rows);
         span.record("quarantined", report.quarantined.len());
 
-        if report.failure_rate() > self.config.failure_threshold {
+        if report.failure_rate() > FAILURE_THRESHOLD {
             hbmd_obs::incr("collect.degraded");
             return Err(PerfError::DegradedCollection {
                 failed: report.quarantined.len(),
                 total: report.samples_total,
-                threshold: self.config.failure_threshold,
+                threshold: FAILURE_THRESHOLD,
             });
         }
         Ok(Collection {
@@ -447,19 +304,17 @@ impl Collector {
 
     /// One attempt: inject faults (if configured) keyed on the sample
     /// and attempt number, then read the sample's windows from the
-    /// configured counter source and label them. Returns the attempt's
-    /// fault tally and starved-window count alongside the rows.
+    /// configured counter source and label them with the sample's
+    /// class. Returns the attempt's fault tally and starved-window
+    /// count alongside the rows.
     fn collect_attempt(
         &self,
         sample: &Sample,
         attempt: u32,
     ) -> Result<(Vec<DataRow>, FaultCounts, usize), PerfError> {
-        let mut injector = self
-            .config
-            .fault
-            .as_ref()
-            .filter(|plan| !plan.is_none())
-            .map(|plan| FaultInjector::for_sample(plan, sample.id(), attempt));
+        let plan = &self.config.fault;
+        let mut injector =
+            (!plan.is_none()).then(|| FaultInjector::for_sample(plan, sample.id(), attempt));
         if let Some(inj) = injector.as_mut() {
             if inj.rolls_worker_panic() {
                 panic!("{INJECTED_PANIC_PREFIX} while collecting {:?}", sample.id());
@@ -467,11 +322,7 @@ impl Collector {
         }
 
         let sampler = Sampler::new(self.config.sampler.clone()).expect("validated");
-        let class = match &self.config.labeler {
-            Some(labeler) => labeler.label(sample).label,
-            None => sample.class(),
-        };
-        let counter_windows = sampler.collect_windows(self.config.source, sample)?;
+        let counter_windows = sampler.collect_windows(sample)?;
         let starved = counter_windows
             .iter()
             .filter(|w| !w.fully_scheduled())
@@ -486,7 +337,7 @@ impl Collector {
             .into_iter()
             .map(|features| DataRow {
                 sample: sample.id(),
-                class,
+                class: sample.class(),
                 features,
             })
             .collect();
@@ -506,16 +357,11 @@ impl Collector {
     }
 
     fn collect_resilient_inner(&self, sample: &Sample) -> SampleOutcome {
-        let attempts = self.config.max_retries + 1;
         let mut retries = 0;
         let mut faults = FaultCounts::default();
-        for attempt in 0..attempts {
+        for attempt in 0..=MAX_RETRIES {
             if attempt > 0 {
                 retries += 1;
-                if self.config.retry_backoff_ms > 0 {
-                    let backoff = self.config.retry_backoff_ms << (attempt - 1);
-                    std::thread::sleep(Duration::from_millis(backoff));
-                }
             }
             let outcome =
                 panic::catch_unwind(AssertUnwindSafe(|| self.collect_attempt(sample, attempt)));
@@ -613,28 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn labeler_can_introduce_label_noise() {
-        let catalog = SampleCatalog::scaled(0.02, 5);
-        let truth = collect(CollectorConfig::fast(), &catalog).dataset;
-        let labelled = collect(
-            CollectorConfig {
-                labeler: Some(MultiEngineLabeler::new(10, 0.5, 0.05, 1)),
-                ..CollectorConfig::fast()
-            },
-            &catalog,
-        )
-        .dataset;
-        assert_eq!(truth.len(), labelled.len());
-        let disagreements = truth
-            .rows()
-            .iter()
-            .zip(labelled.rows())
-            .filter(|(a, b)| a.class != b.class)
-            .count();
-        assert!(disagreements > 0, "a sloppy labeller should disagree");
-    }
-
-    #[test]
     fn new_rejects_bad_configs() {
         let mut config = CollectorConfig::fast();
         config.threads = 0;
@@ -644,78 +468,17 @@ mod tests {
         config.sampler.windows_per_sample = 0;
         assert!(Collector::new(config).is_err());
 
-        let mut config = CollectorConfig::fast();
-        config.failure_threshold = 1.5;
-        assert!(Collector::new(config).is_err());
-
         let mut plan = FaultPlan::none();
         plan.drop_window = 2.0;
         let config = CollectorConfig::faulted(plan);
         assert!(Collector::new(config).is_err());
     }
 
-    #[test]
-    fn builder_matches_presets_and_validates() {
-        let built = CollectorConfig::builder()
-            .sampler(SamplerConfig::fast())
-            .threads(1)
-            .build()
-            .expect("valid");
-        assert_eq!(built, CollectorConfig::fast());
-
-        let faulted = CollectorConfig::builder()
-            .sampler(SamplerConfig::fast())
-            .threads(1)
-            .fault(FaultPlan::uniform(0.1, 21))
-            .build()
-            .expect("valid");
-        assert_eq!(
-            faulted,
-            CollectorConfig::faulted(FaultPlan::uniform(0.1, 21))
-        );
-
-        assert!(CollectorConfig::builder().threads(0).build().is_err());
-        assert!(CollectorConfig::builder()
-            .windows_per_sample(0)
-            .build()
-            .is_err());
-        assert!(CollectorConfig::builder()
-            .failure_threshold(2.0)
-            .build()
-            .is_err());
-        let scaled = CollectorConfig::builder()
-            .windows_per_sample(7)
-            .instructions_per_window(9_000)
-            .build()
-            .expect("valid");
-        assert_eq!(scaled.sampler.windows_per_sample, 7);
-        assert_eq!(scaled.sampler.instructions_per_window, 9_000);
-    }
-
-    #[test]
-    fn explicit_sim_source_matches_the_default() {
-        let catalog = SampleCatalog::scaled(0.01, 5);
-        let default = collect(CollectorConfig::fast(), &catalog);
-        let explicit = collect(
-            CollectorConfig::builder()
-                .sampler(SamplerConfig::fast())
-                .threads(1)
-                .source(crate::SourceSelect::Sim)
-                .build()
-                .expect("valid"),
-            &catalog,
-        );
-        assert_eq!(default, explicit);
-        assert_eq!(default.report.starved_windows, 0);
-    }
-
     #[cfg(not(feature = "perf-backend"))]
     #[test]
     fn perf_source_without_the_feature_is_typed_unavailable() {
-        let config = CollectorConfig {
-            source: crate::SourceSelect::Perf,
-            ..CollectorConfig::fast()
-        };
+        let mut config = CollectorConfig::fast();
+        config.sampler.source = SourceSelect::Perf;
         match Collector::new(config) {
             Err(PerfError::BackendUnavailable { reason }) => {
                 assert!(reason.contains("perf-backend"), "{reason}");

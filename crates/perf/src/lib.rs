@@ -19,10 +19,13 @@
 //!   70/30 train/test splitting,
 //! * [`Collector`] — end-to-end, optionally multi-threaded collection
 //!   over a whole [`SampleCatalog`](hbmd_malware::SampleCatalog),
-//! * [`CounterSource`] — the pluggable backend contract behind the
-//!   collector: the deterministic simulator ([`SourceSelect::Sim`],
+//! * [`CounterSource`] — the pluggable backend contract behind every
+//!   window reader: the deterministic simulator ([`SourceSelect::Sim`],
 //!   the default) or live Linux `perf_event_open(2)` counters
-//!   ([`SourceSelect::Perf`], behind the `perf-backend` feature).
+//!   ([`SourceSelect::Perf`], behind the `perf-backend` feature). The
+//!   one choice of backend is [`SamplerConfig::source`]: the
+//!   [`Collector`], [`Sampler`] and the serving fleet all read it
+//!   there.
 //!
 //! # Time scaling
 //!
@@ -60,9 +63,7 @@ mod source;
 #[cfg(feature = "perf-backend")]
 pub mod sys;
 
-pub use collect::{
-    Collection, CollectionReport, Collector, CollectorConfig, CollectorConfigBuilder,
-};
+pub use collect::{Collection, CollectionReport, Collector, CollectorConfig};
 pub use dataset::{DataRow, HpcDataset};
 pub use error::PerfError;
 pub use fault::{FaultCounts, FaultInjector, FaultPlan, SATURATION_CEILING};

@@ -1,10 +1,10 @@
-use hbmd_events::FeatureVector;
+use hbmd_events::{FeatureVector, HpcEvent};
 use hbmd_malware::Sample;
 use hbmd_uarch::CpuConfig;
 
 use crate::error::PerfError;
 use crate::pmu::PmuConfig;
-use crate::source::{open_source, CounterWindow, EventSel, SourceSelect};
+use crate::source::{open_source, CounterSource, CounterWindow, EventSel, SourceSelect};
 
 /// How each sample is observed.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,6 +22,12 @@ pub struct SamplerConfig {
     pub cpu: CpuConfig,
     /// Host-noise ratio; 0 keeps the paper's isolated-container setup.
     pub host_noise: f64,
+    /// Which counter backend reads each window: the deterministic
+    /// simulator ([`SourceSelect::Sim`], the default) or live hardware
+    /// counters ([`SourceSelect::Perf`], with the `perf-backend`
+    /// feature). Collection, the fleet and every other window reader
+    /// take the backend from here.
+    pub source: SourceSelect,
 }
 
 impl SamplerConfig {
@@ -34,6 +40,7 @@ impl SamplerConfig {
             pmu: Some(PmuConfig::haswell_collected()),
             cpu: CpuConfig::haswell(),
             host_noise: 0.0,
+            source: SourceSelect::Sim,
         }
     }
 
@@ -46,6 +53,7 @@ impl SamplerConfig {
             pmu: Some(PmuConfig::haswell_collected()),
             cpu: CpuConfig::tiny(),
             host_noise: 0.0,
+            source: SourceSelect::Sim,
         }
     }
 
@@ -125,37 +133,49 @@ impl Sampler {
     }
 
     /// Execute `sample` in its container and record one feature vector
-    /// per sampling window — the simulator-source convenience wrapper
-    /// around [`collect_windows`](Sampler::collect_windows).
+    /// per sampling window from the configured source.
+    ///
+    /// A window the source cannot open, program or read comes back
+    /// all-`NaN`: the absent reading a starved event already gets, on
+    /// which the sanitizer abstains.
     pub fn collect_sample(&self, sample: &Sample) -> Vec<FeatureVector> {
-        self.collect_windows(SourceSelect::Sim, sample)
-            .expect("the simulator source is infallible on a validated config")
-            .into_iter()
-            .map(|window| window.features)
-            .collect()
+        let absent =
+            || FeatureVector::from_slice(&[f64::NAN; HpcEvent::COUNT]).expect("full-width vector");
+        match self.programmed_source(sample) {
+            Ok(mut source) => (0..self.config.windows_per_sample)
+                .map(|_| {
+                    source
+                        .read_window()
+                        .map_or_else(|_| absent(), |w| w.features)
+                })
+                .collect(),
+            Err(_) => vec![absent(); self.config.windows_per_sample],
+        }
     }
 
-    /// Read one [`CounterWindow`] per sampling window from the selected
-    /// counter backend: a fresh source is minted for the sample (the
-    /// per-sample container hygiene of the reference setup), programmed
-    /// with the paper's 16 events, and read window by window.
+    /// Read one [`CounterWindow`] per sampling window from the
+    /// configured counter backend: a fresh source is minted for the
+    /// sample (the per-sample container hygiene of the reference
+    /// setup), programmed with the paper's 16 events, and read window
+    /// by window.
     ///
     /// # Errors
     ///
     /// Propagates backend construction and read failures —
-    /// [`PerfError::BackendUnavailable`] when the selected source
+    /// [`PerfError::BackendUnavailable`] when the configured source
     /// cannot run here, [`PerfError::Backend`] when a live read fails.
     /// The simulator source never errors on a validated config.
-    pub fn collect_windows(
-        &self,
-        select: SourceSelect,
-        sample: &Sample,
-    ) -> Result<Vec<CounterWindow>, PerfError> {
-        let mut source = open_source(select, &self.config, sample)?;
-        source.program(&EventSel::paper_set())?;
+    pub fn collect_windows(&self, sample: &Sample) -> Result<Vec<CounterWindow>, PerfError> {
+        let mut source = self.programmed_source(sample)?;
         (0..self.config.windows_per_sample)
             .map(|_| source.read_window())
             .collect()
+    }
+
+    fn programmed_source(&self, sample: &Sample) -> Result<Box<dyn CounterSource>, PerfError> {
+        let mut source = open_source(&self.config, sample)?;
+        source.program(&EventSel::paper_set())?;
+        Ok(source)
     }
 }
 
@@ -204,6 +224,22 @@ mod tests {
         let m = multiplexed[0][HpcEvent::BranchInstructions];
         let e = exact[0][HpcEvent::BranchInstructions];
         assert!((m - e).abs() / e.max(1.0) < 0.5, "m={m} e={e}");
+    }
+
+    #[cfg(not(feature = "perf-backend"))]
+    #[test]
+    fn an_unavailable_source_reads_all_nan_windows() {
+        let sampler = Sampler::new(SamplerConfig {
+            source: SourceSelect::Perf,
+            ..SamplerConfig::fast()
+        })
+        .expect("valid");
+        let sample = Sample::generate(SampleId(5), AppClass::Worm, 9);
+        let windows = sampler.collect_sample(&sample);
+        assert_eq!(windows.len(), sampler.config().windows_per_sample);
+        for fv in &windows {
+            assert!(fv.as_slice().iter().all(|v| v.is_nan()), "{fv:?}");
+        }
     }
 
     #[test]

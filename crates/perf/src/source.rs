@@ -28,7 +28,8 @@ use crate::error::PerfError;
 use crate::pmu::Pmu;
 use crate::sampler::SamplerConfig;
 
-/// Which counter backend a [`Collector`](crate::Collector) reads from.
+/// Which counter backend reads a sample's windows; set once, as
+/// [`SamplerConfig::source`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SourceSelect {
     /// The deterministic `hbmd-uarch` PMU model (default, CI-safe).
@@ -297,7 +298,7 @@ pub trait CounterSource {
     fn caps(&self) -> SourceCaps;
 }
 
-/// Mint the selected backend's source for one sample.
+/// Mint the source [`SamplerConfig::source`] selects for one sample.
 ///
 /// # Errors
 ///
@@ -306,11 +307,10 @@ pub trait CounterSource {
 /// host that fails the probe) returns
 /// [`PerfError::BackendUnavailable`].
 pub fn open_source(
-    select: SourceSelect,
     config: &SamplerConfig,
     sample: &Sample,
 ) -> Result<Box<dyn CounterSource>, PerfError> {
-    match select {
+    match config.source {
         SourceSelect::Sim => Ok(Box::new(SimSource::new(config, sample)?)),
         #[cfg(feature = "perf-backend")]
         SourceSelect::Perf => Ok(Box::new(crate::sys::PerfSource::open(config, sample)?)),
@@ -325,9 +325,6 @@ pub fn open_source(
 /// stream executed on the `hbmd-uarch` core model, counted by the
 /// time-sliced [`Pmu`] multiplexing model (or exactly, when the
 /// sampler disables multiplexing).
-///
-/// This is the seed pipeline's behaviour factored behind the trait —
-/// its output is byte-identical to the pre-trait collector.
 pub struct SimSource {
     cpu: Cpu,
     stream: ContainedStream,
@@ -471,7 +468,7 @@ mod tests {
     }
 
     #[test]
-    fn sim_windows_match_the_legacy_sampler_path() {
+    fn sim_source_windows_match_collect_sample() {
         let config = SamplerConfig::fast();
         let s = sample();
         let mut source = SimSource::new(&config, &s).expect("valid");

@@ -12,6 +12,14 @@ fn sample() -> Sample {
     Sample::generate(SampleId(11), AppClass::Worm, 7)
 }
 
+/// The fast sampler reading live counters.
+fn perf_config() -> SamplerConfig {
+    SamplerConfig {
+        source: SourceSelect::Perf,
+        ..SamplerConfig::fast()
+    }
+}
+
 /// The shared contract: every backend must refuse reads before
 /// programming, refuse partial event selections, and then produce
 /// `windows_per_sample`-independent 16-wide windows with coherent
@@ -84,8 +92,7 @@ fn assert_source_conformance(mut source: Box<dyn CounterSource>, backend: &str) 
 
 #[test]
 fn sim_source_conforms() {
-    let source =
-        open_source(SourceSelect::Sim, &SamplerConfig::fast(), &sample()).expect("sim opens");
+    let source = open_source(&SamplerConfig::fast(), &sample()).expect("sim opens");
     assert_source_conformance(source, "sim");
 }
 
@@ -93,7 +100,7 @@ fn sim_source_conforms() {
 fn sim_source_is_deterministic_and_simulated() {
     let config = SamplerConfig::fast();
     let collect = || {
-        let mut source = open_source(SourceSelect::Sim, &config, &sample()).expect("sim opens");
+        let mut source = open_source(&config, &sample()).expect("sim opens");
         source.program(&EventSel::paper_set()).expect("paper set");
         (0..config.windows_per_sample)
             .map(|_| source.read_window().expect("sim never fails"))
@@ -101,9 +108,7 @@ fn sim_source_is_deterministic_and_simulated() {
     };
     let first = collect();
     assert_eq!(first, collect(), "sim windows must be byte-identical");
-    let caps = open_source(SourceSelect::Sim, &config, &sample())
-        .expect("sim opens")
-        .caps();
+    let caps = open_source(&config, &sample()).expect("sim opens").caps();
     assert!(!caps.live);
     for window in &first {
         assert_eq!(window.starved_events, 0, "the model never starves events");
@@ -123,7 +128,7 @@ fn perf_source_unavailable_without_the_feature() {
         Err(PerfError::BackendUnavailable { .. })
     ));
     assert!(matches!(
-        open_source(SourceSelect::Perf, &SamplerConfig::fast(), &sample()),
+        open_source(&perf_config(), &sample()),
         Err(PerfError::BackendUnavailable { .. })
     ));
 }
@@ -138,8 +143,8 @@ fn perf_source_unavailable_without_the_feature() {
 fn perf_source_conforms_or_probe_skips() {
     match SourceSelect::Perf.probe() {
         Ok(()) => {
-            let source = open_source(SourceSelect::Perf, &SamplerConfig::fast(), &sample())
-                .expect("probe passed, backend opens");
+            let source =
+                open_source(&perf_config(), &sample()).expect("probe passed, backend opens");
             assert_source_conformance(source, "perf");
         }
         Err(PerfError::BackendUnavailable { reason }) => {
@@ -160,8 +165,7 @@ fn perf_windows_measure_real_work_or_probe_skips() {
         eprintln!("perf backend probe failed, skipping live assertions: {reason}");
         return;
     }
-    let mut source = open_source(SourceSelect::Perf, &SamplerConfig::fast(), &sample())
-        .expect("probe passed, backend opens");
+    let mut source = open_source(&perf_config(), &sample()).expect("probe passed, backend opens");
     source.program(&EventSel::paper_set()).expect("paper set");
     let window = source.read_window().expect("live read");
     let branches = window.features[HpcEvent::BranchInstructions];
@@ -182,16 +186,17 @@ fn perf_windows_measure_real_work_or_probe_skips() {
 #[test]
 fn faults_compose_over_source_selection() {
     use hbmd::malware::SampleCatalog;
-    use hbmd::perf::{Collector, CollectorConfig, FaultPlan, SamplerConfig};
+    use hbmd::perf::{Collector, CollectorConfig, FaultPlan};
 
     let catalog = SampleCatalog::scaled(0.02, 5);
-    let config = CollectorConfig::builder()
-        .sampler(SamplerConfig::fast())
-        .threads(1)
-        .source(SourceSelect::Sim)
-        .fault(FaultPlan::uniform(0.1, 21))
-        .build()
-        .expect("valid");
+    let config = CollectorConfig {
+        sampler: SamplerConfig {
+            source: SourceSelect::Sim,
+            ..SamplerConfig::fast()
+        },
+        threads: 1,
+        fault: FaultPlan::uniform(0.1, 21),
+    };
     let collection = Collector::new(config)
         .expect("valid config")
         .collect(&catalog)

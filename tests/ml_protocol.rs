@@ -1,13 +1,15 @@
 //! WEKA-protocol integration: filters, ensembles and label noise on
 //! real collected data.
 
+use std::collections::HashMap;
+
 use hbmd::core::{to_binary_dataset, to_multiclass_dataset};
-use hbmd::malware::{MultiEngineLabeler, SampleCatalog};
+use hbmd::malware::{AppClass, MultiEngineLabeler, SampleCatalog, SampleId};
 use hbmd::ml::{
     AdaBoostM1, Bagging, Classifier, DecisionStump, Evaluation, MinMaxNormalize, OneR,
     RandomForest, Standardize, J48,
 };
-use hbmd::perf::{Collector, CollectorConfig, HpcDataset};
+use hbmd::perf::{Collector, CollectorConfig, DataRow, HpcDataset};
 
 fn collected() -> HpcDataset {
     let catalog = SampleCatalog::scaled(0.03, 41);
@@ -75,14 +77,22 @@ fn label_noise_degrades_but_does_not_destroy_detection() {
         .collect(&catalog)
         .expect("collect")
         .dataset;
-    let noisy = Collector::new(CollectorConfig {
-        labeler: Some(MultiEngineLabeler::new(20, 0.6, 0.05, 9)),
-        ..CollectorConfig::fast()
-    })
-    .expect("config")
-    .collect(&catalog)
-    .expect("collect")
-    .dataset;
+    // A sloppy multi-engine labeller relabels every row of a sample
+    // with its one verdict for that sample.
+    let labeler = MultiEngineLabeler::new(20, 0.6, 0.05, 9);
+    let labels: HashMap<SampleId, AppClass> = catalog
+        .samples()
+        .iter()
+        .map(|sample| (sample.id(), labeler.label(sample).label))
+        .collect();
+    let noisy: HpcDataset = clean
+        .rows()
+        .iter()
+        .map(|row| DataRow {
+            class: labels[&row.sample],
+            ..row.clone()
+        })
+        .collect();
 
     let accuracy_of = |dataset: &HpcDataset| {
         let data = to_binary_dataset(dataset);

@@ -97,7 +97,7 @@ fn deterministic_metrics_are_identical_across_thread_counts() {
         // screens out.
         let clean = collect(
             CollectorConfig {
-                fault: None,
+                fault: FaultPlan::none(),
                 ..config
             },
             &catalog,
